@@ -1,10 +1,8 @@
 """Matching irreducible minimal degenerations against the eight known families.
 
-Each family fixes the form type and the shapes of both diagrams up to one
-integer parameter n.  Matching is exact: solve for n from the top shape and
-verify everything else.  Two coincidences are resolved by fixed tie-breaks:
-the a shape is also g at n=1 (report a), and the e shape at n=1 would also be
-h at n=2 (h starts at n=3, so no overlap remains).
+Matching is exact: look up the table row of the core's top shape (see
+``table``, which also fixes the a/g and e/h tie-breaks) and compare the
+bottom shape with the row's.
 """
 
 from __future__ import annotations
@@ -14,8 +12,8 @@ from typing import Optional
 
 from .degeneration import DegenPair, PosetGraph
 from .errors import ContractError, NotMinimalIrreducible
-from .partitions import ORTHOGONAL, SYMPLECTIC, Partition
 from .reduction import ReductionResult, irreducible_core, is_irreducible
+from .table import FAMILY_RANGES, shapes, table_row
 
 __all__ = [
     "DegenType",
@@ -26,9 +24,6 @@ __all__ = [
     "classify_minimal_degeneration",
     "annotate",
 ]
-
-#: Least admissible parameter per family (a is parameterless).
-FAMILY_RANGES = {"b": 2, "c": 1, "d": 1, "e": 1, "f": 2, "g": 1, "h": 3}
 
 #: Families whose table codimension is the constant 2.
 CODIM2_FAMILIES = "abcde"
@@ -49,57 +44,6 @@ class DegenType:
         return f"type {self.family}{suffix}, codim {self.codim}"
 
 
-def _shapes(family: str, n: int) -> tuple[int, Partition, Partition, str]:
-    """(eps, top, bottom, algebra label) for one family instance."""
-    if family == "a":
-        return SYMPLECTIC, Partition([2]), Partition([1, 1]), "sp_2"
-    if family == "b":
-        return SYMPLECTIC, Partition([2 * n]), Partition([2 * n - 2, 2]), f"sp_{2 * n}"
-    if family == "c":
-        return (
-            ORTHOGONAL,
-            Partition([2 * n + 1]),
-            Partition([2 * n - 1, 1, 1]),
-            f"so_{2 * n + 1}",
-        )
-    if family == "d":
-        return (
-            SYMPLECTIC,
-            Partition([2 * n + 1, 2 * n + 1]),
-            Partition([2 * n, 2 * n, 2]),
-            f"sp_{4 * n + 2}",
-        )
-    if family == "e":
-        return (
-            ORTHOGONAL,
-            Partition([2 * n, 2 * n]),
-            Partition([2 * n - 1, 2 * n - 1, 1, 1]),
-            f"so_{4 * n}",
-        )
-    if family == "f":
-        return (
-            ORTHOGONAL,
-            Partition([2, 2] + [1] * (2 * n - 3)),
-            Partition([1] * (2 * n + 1)),
-            f"so_{2 * n + 1}",
-        )
-    if family == "g":
-        return (
-            SYMPLECTIC,
-            Partition([2] + [1] * (2 * n - 2)),
-            Partition([1] * (2 * n)),
-            f"sp_{2 * n}",
-        )
-    if family == "h":
-        return (
-            ORTHOGONAL,
-            Partition([2, 2] + [1] * (2 * n - 4)),
-            Partition([1] * (2 * n)),
-            f"so_{2 * n}",
-        )
-    raise ContractError(f"unknown family {family!r}")
-
-
 def _codim(family: str, n: Optional[int]) -> int:
     if family in CODIM2_FAMILIES:
         return 2
@@ -117,13 +61,13 @@ def instantiate(family: str, n: Optional[int] = None) -> DegenPair:
     if family == "a":
         if n is not None:
             raise ContractError("family a takes no parameter")
-        eps, top, bottom, _ = _shapes("a", 0)
+        eps, top, bottom, _ = shapes("a", 0)
         return DegenPair(eps, bottom, top)
     if family not in FAMILY_RANGES:
         raise ContractError(f"unknown family {family!r}")
     if n is None or n < FAMILY_RANGES[family]:
         raise ContractError(f"family {family} needs n >= {FAMILY_RANGES[family]}")
-    eps, top, bottom, _ = _shapes(family, n)
+    eps, top, bottom, _ = shapes(family, n)
     return DegenPair(eps, bottom, top)
 
 
@@ -131,42 +75,11 @@ def classify_core(pair: DegenPair) -> DegenType:
     """The unique family instance matching (eps, top, bottom)."""
     if not is_irreducible(pair):
         raise ContractError(f"{pair} is not irreducible")
-    # a before g so that the shared shape reports the more specific label
-    if (pair.eps, pair.top, pair.bottom) == (SYMPLECTIC, (2,), (1, 1)):
-        return DegenType("a", None, 2, "sp_2")
-    for family, n in _candidates(pair.top):
-        if n < FAMILY_RANGES[family]:
-            continue
-        eps, top, bottom, algebra = _shapes(family, n)
-        if (eps, top, bottom) == (pair.eps, pair.top, pair.bottom):
-            return DegenType(family, n, _codim(family, n), algebra)
-    raise NotMinimalIrreducible(f"no family matches {pair}")
-
-
-def _candidates(top: Partition) -> list[tuple[str, int]]:
-    """Family parameters solvable from the top shape alone."""
-    out = []
-    if len(top) == 1:
-        if top[0] % 2 == 0:
-            out.append(("b", top[0] // 2))
-        else:
-            out.append(("c", (top[0] - 1) // 2))
-    if len(top) == 2 and top[0] == top[1]:
-        if top[0] % 2 == 1:
-            out.append(("d", (top[0] - 1) // 2))
-        else:
-            out.append(("e", top[0] // 2))
-    if top and top[0] == 2:
-        ones = sum(1 for p in top if p == 1)
-        twos = sum(1 for p in top if p == 2)
-        if twos == 1 and ones % 2 == 0:
-            out.append(("g", (ones + 2) // 2))
-        if twos == 2:
-            if ones % 2 == 1:
-                out.append(("f", (ones + 3) // 2))
-            else:
-                out.append(("h", (ones + 4) // 2))
-    return out
+    row = table_row(pair.eps, pair.top)
+    if row is None or row[2] != pair.bottom:
+        raise NotMinimalIrreducible(f"no family matches {pair}")
+    family, n, _, algebra = row
+    return DegenType(family, n, _codim(family, n), algebra)
 
 
 def classify_minimal_degeneration(pair: DegenPair) -> tuple[ReductionResult, DegenType]:

@@ -63,7 +63,24 @@ def _partition_csv(p: Partition) -> str:
 
 # --- cache -----------------------------------------------------------------
 
-def _cache_lookup(path: str, eps: int, partition: Partition) -> dict | None:
+def _valid_report(record: dict) -> bool:
+    """A known verdict and witnesses carrying every key the text output reads."""
+    witnesses = record.get("witnesses")
+    return (
+        record.get("verdict") in VERDICT_EXIT
+        and isinstance(witnesses, list)
+        and all(
+            isinstance(w, dict)
+            and {"sigma", "core", "family", "codim"} <= w.keys()
+            and isinstance(w["core"], dict)
+            and {"eps", "top", "bottom"} <= w["core"].keys()
+            for w in witnesses
+        )
+    )
+
+
+def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> dict | None:
+    """First usable record for the orbit; with oracle, only one that has oracle codims."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError:
@@ -78,8 +95,17 @@ def _cache_lookup(path: str, eps: int, partition: Partition) -> dict | None:
             except json.JSONDecodeError:
                 print(f"warning: ignoring unparseable cache line", file=sys.stderr)
                 continue
-            if record.get("eps") == eps and record.get("partition") == list(partition):
-                return record
+            if not isinstance(record, dict):
+                print("warning: ignoring cache line that is not a record", file=sys.stderr)
+                continue
+            if record.get("eps") != eps or record.get("partition") != list(partition):
+                continue
+            if not _valid_report(record):
+                print(f"warning: ignoring malformed cache record for {partition}", file=sys.stderr)
+                continue
+            if oracle and not all("codim_oracle" in w for w in record["witnesses"]):
+                continue
+            return record
     return None
 
 
@@ -107,7 +133,7 @@ def run_check(args) -> int:
     eta = EpsDiagram(parse_partition(args.partition), args.eps)
     report = None
     if args.cache:
-        report = _cache_lookup(args.cache, eta.eps, eta.partition)
+        report = _cache_lookup(args.cache, eta.eps, eta.partition, args.oracle)
     if report is None:
         verdict = decide(eta, args.max_size)
         report = verdict.to_json()

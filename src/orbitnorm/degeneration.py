@@ -4,17 +4,25 @@ The orbit labelled sigma lies in the closure of the orbit labelled eta exactly
 when every prefix sum of sigma is bounded by the matching prefix sum of eta
 (sizes equal).  Minimal degenerations are the covering relations of this
 order restricted to valid diagrams of one form type.
+
+Covers are generated locally (Kraft and Procesi, Comment. Math. Helv. 57,
+1982): every cover of eta agrees with eta on some leading rows and columns,
+and what remains of eta is the top of a row of the a–h table.  Running that
+cancellation backwards from eta yields exactly the covers, with no search
+over the other diagrams of the same size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 
 import os
 
-from .errors import ContractError
-from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams
+from .errors import CapacityError, ContractError
+from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams, max_size
+from .table import table_row
 
 #: Full-poset construction is quadratic in the diagram count; cap it lower.
 DEFAULT_HASSE_MAX = 26
@@ -26,6 +34,7 @@ __all__ = [
     "dominates",
     "degenerations",
     "minimal_degenerations",
+    "cover_family",
     "hasse",
 ]
 
@@ -89,17 +98,47 @@ def degenerations(eta: EpsDiagram, bound: int | None = None) -> list[EpsDiagram]
 
 
 def minimal_degenerations(eta: EpsDiagram, bound: int | None = None) -> list[DegenPair]:
-    """Covering relations below eta: maximal elements of degenerations(eta)."""
-    below = degenerations(eta, bound)
-    pairs = []
-    for sigma in below:
-        if any(
-            nu.partition != sigma.partition and dominates(nu.partition, sigma.partition)
-            for nu in below
-        ):
-            continue
-        pairs.append(DegenPair(eta.eps, sigma.partition, eta.partition))
-    return pairs
+    """Covering relations below eta, in enumeration (descending) order."""
+    limit = max_size() if bound is None else bound
+    if eta.size > limit:
+        raise CapacityError(f"size {eta.size} exceeds the enumeration bound {limit}")
+    return [DegenPair(eta.eps, sigma, eta.partition) for sigma in _covers(eta.partition, eta.eps)]
+
+
+def cover_family(pair: DegenPair) -> str:
+    """Table family of the core the cover generator found for this cover."""
+    family = _covers(pair.top, pair.eps).get(pair.bottom)
+    if family is None:
+        raise ContractError(f"{pair} is not a minimal degeneration")
+    return family
+
+
+@lru_cache(maxsize=256)
+def _covers(lam: Partition, eps: int) -> dict[Partition, str]:
+    """Cover sigma -> family of its core, sigma in descending order.
+
+    Strip the first i rows of lam, then the first s columns of what is left.
+    If the remainder T is a table top of form type (-1)^s * eps with bottom
+    B, the cover keeps lam's first i rows, puts B + s (s added to each part)
+    in place of T + s, and keeps the rows below, which lie inside the s
+    erased columns.  B has len(B) - len(T) more rows than T; when s > 0 as
+    many rows of length exactly s leave from below, so that the first s
+    columns, and the size, stay those of lam.
+    """
+    found: dict[tuple[int, ...], str] = {}
+    for i in range(len(lam)):
+        for s in range(lam[i]):
+            core = tuple(x - s for x in lam[i:] if x > s)
+            row = table_row(eps if s % 2 == 0 else -eps, core)
+            if row is None:
+                continue
+            family, _, bottom, _ = row
+            below = lam[i + len(core):]
+            extra = len(bottom) - len(core) if s else 0
+            if below[:extra] != (s,) * extra:
+                continue
+            found[lam[:i] + tuple(b + s for b in bottom) + below[extra:]] = family
+    return {Partition(sigma): found[sigma] for sigma in sorted(found, reverse=True)}
 
 
 @dataclass

@@ -161,7 +161,8 @@ def build_nilpotent_model(
             for i in range(m - 1):
                 D[offset + i][offset + i + 1] = Fraction(1)
             offset += m
-    assert not pending, "diagram condition guarantees pairing"
+    if pending:
+        raise ContractError(f"{lam} leaves unpaired blocks {sorted(pending)} for eps={eps:+d}")
     return NilpotentModel(dim=n, eps=eps, gram=_freeze(J), nilpotent=_freeze(D))
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classification import DegenType, classify_minimal_degeneration
-from .degeneration import minimal_degenerations
+from .degeneration import cover_family, minimal_degenerations
+from .errors import NotMinimalIrreducible
 from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 from .reduction import ReductionResult
 
@@ -61,10 +62,19 @@ class NormalityVerdict:
 
 
 def decide(eta: EpsDiagram, bound: int | None = None) -> NormalityVerdict:
-    """Classify every minimal degeneration of eta and apply the verdict rules."""
+    """Classify every minimal degeneration of eta and apply the verdict rules.
+
+    Each cover's classified family must equal the family the cover generator
+    found for it; a mismatch is an internal error.
+    """
     witnesses = []
     for pair in minimal_degenerations(eta, bound):
         reduction, degen_type = classify_minimal_degeneration(pair)
+        generated = cover_family(pair)
+        if degen_type.family != generated:
+            raise NotMinimalIrreducible(
+                f"{pair} was generated as family {generated} but classifies as {degen_type}"
+            )
         witnesses.append(Witness(pair.bottom, reduction, degen_type))
     families = {w.degen_type.family for w in witnesses}
     if "e" in families:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degeneration import DegenPair
-from .errors import ContractError
+from .errors import ContractError, NotMinimalIrreducible
 from .partitions import Partition
 
 __all__ = [
@@ -140,7 +140,8 @@ def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionR
 
     if not current.bottom and not current.top:
         raise AssertionError("reduction of a strict pair vanished entirely")
-    assert is_irreducible(current)
+    if not is_irreducible(current):
+        raise NotMinimalIrreducible(f"reduction of {pair} stopped at the reducible {current}")
     return ReductionResult(
         core=current,
         erased_rows=tuple(erased_rows),

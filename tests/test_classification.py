@@ -7,7 +7,7 @@ from orbitnorm.classification import (
     instantiate,
     table_codim,
 )
-from orbitnorm.degeneration import DegenPair, minimal_degenerations
+from orbitnorm.degeneration import DegenPair, cover_family, minimal_degenerations
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
 from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 
@@ -123,6 +123,15 @@ class TestExhaustiveClosure:
                     _, t = classify_minimal_degeneration(p)
                     seen.add(t.family)
         assert seen  # at least something classified
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_generated_family_matches_classification(self, eps):
+        # the generator's table row and the reduce-then-classify path agree
+        for n in range(0, 21):
+            for eta in enumerate_eps_diagrams(n, eps):
+                for p in minimal_degenerations(eta):
+                    _, t = classify_minimal_degeneration(p)
+                    assert cover_family(p) == t.family, p
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_codim2_families(self, eps):

@@ -69,6 +69,39 @@ class TestCache:
         assert "warning" in err
         assert json.loads(out)["verdict"] == "Normal"
 
+    def test_oracle_after_plain_recomputes(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        args = ("check", "--eps", "+1", "--partition", "7,2,2", "--format", "json",
+                "--cache", cache)
+        _, plain, _ = run(capsys, *args)
+        code, first, _ = run(capsys, *args, "--oracle")
+        assert code == 10
+        assert [w["codim_oracle"] for w in json.loads(first)["witnesses"]] == [2, 2]
+        assert len(open(cache).readlines()) == 2
+        _, second, _ = run(capsys, *args, "--oracle")
+        assert second == first
+        assert len(open(cache).readlines()) == 2
+        _, again, _ = run(capsys, *args)
+        assert again == plain
+
+    @pytest.mark.parametrize("line", [
+        '{"eps":-1,"partition":[6,1,1],"verdict":"Maybe","witnesses":[]}',
+        '{"eps":-1,"partition":[6,1,1],"witnesses":[]}',
+        '{"eps":-1,"partition":[6,1,1],"verdict":"Normal"}',
+        '{"eps":-1,"partition":[6,1,1],"verdict":"Normal","witnesses":[{"sigma":[4,2,2]}]}',
+        '[6,1,1]',
+    ])
+    def test_malformed_record_is_miss(self, capsys, tmp_path, line):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(line + "\n")
+        code, out, err = run(capsys, "check", "--eps", "-1", "--partition", "6,1,1",
+                             "--cache", str(cache))
+        assert code == 0
+        assert out.startswith("partition [6,1,1] eps -1: Normal\n")
+        assert [l for l in err.splitlines() if l] == [err.strip()]
+        assert err.startswith("warning: ")
+        assert len(cache.read_text().splitlines()) == 2
+
 
 class TestSurvey:
     def test_csv_row(self, capsys):

@@ -4,13 +4,32 @@ import pytest
 
 from orbitnorm.degeneration import (
     DegenPair,
+    cover_family,
     degenerations,
     dominates,
     hasse,
     minimal_degenerations,
 )
-from orbitnorm.errors import ContractError
+from orbitnorm.errors import CapacityError, ContractError
 from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams, partitions_of
+
+
+def brute_force_minimal_degenerations(eta):
+    """Test oracle: the maximal elements of everything strictly below eta.
+
+    This pairwise search over all diagrams of eta's size was the library's
+    cover finder before covers were generated locally.
+    """
+    below = degenerations(eta)
+    pairs = []
+    for sigma in below:
+        if any(
+            nu.partition != sigma.partition and dominates(nu.partition, sigma.partition)
+            for nu in below
+        ):
+            continue
+        pairs.append(DegenPair(eta.eps, sigma.partition, eta.partition))
+    return pairs
 
 
 class TestDominates:
@@ -84,6 +103,29 @@ class TestMinimalDegenerations:
     def test_722_cover(self):
         pairs = minimal_degenerations(EpsDiagram(Partition([7, 2, 2]), 1))
         assert (7, 1, 1, 1, 1) in {tuple(p.bottom) for p in pairs}
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("n", range(0, 19))
+    def test_matches_brute_force(self, n, eps):
+        for eta in enumerate_eps_diagrams(n, eps):
+            assert minimal_degenerations(eta) == brute_force_minimal_degenerations(eta), eta
+
+    def test_capacity_bound(self):
+        eta = EpsDiagram(Partition([2] * 30), -1)
+        with pytest.raises(CapacityError, match="size 60 exceeds the enumeration bound 20"):
+            minimal_degenerations(eta, 20)
+
+    def test_large_orbit_covers(self):
+        pairs = minimal_degenerations(EpsDiagram(Partition([13, 13, 7, 5, 1, 1]), 1))
+        assert [(tuple(p.bottom), cover_family(p)) for p in pairs] == [
+            ((13, 13, 7, 3, 3, 1), "b"),
+            ((13, 13, 6, 6, 1, 1), "a"),
+            ((13, 11, 9, 5, 1, 1), "b"),
+        ]
+
+    def test_cover_family_rejects_non_cover(self):
+        with pytest.raises(ContractError):
+            cover_family(DegenPair(-1, Partition([3, 3, 2]), Partition([6, 1, 1])))
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_nothing_strictly_between(self, eps):

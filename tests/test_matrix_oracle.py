@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitnorm import matrix_oracle
 from orbitnorm.degeneration import DegenPair, dominates
 from orbitnorm.errors import CapacityError, ContractError
 from orbitnorm.matrix_oracle import (
@@ -56,6 +57,12 @@ class TestBuild:
 
     def test_invalid_diagram_rejected(self):
         with pytest.raises(ContractError):
+            build_nilpotent_model(Partition([3, 1]), -1)
+
+    def test_unpaired_blocks_raise(self, monkeypatch):
+        # an explicit raise, not an assert, so the check survives python -O
+        monkeypatch.setattr(matrix_oracle, "is_eps_diagram", lambda lam, eps: True)
+        with pytest.raises(ContractError, match="unpaired blocks"):
             build_nilpotent_model(Partition([3, 1]), -1)
 
     def test_capacity(self):

@@ -1,5 +1,7 @@
 import pytest
 
+from orbitnorm import normality
+from orbitnorm.errors import NotMinimalIrreducible
 from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
 from orbitnorm.partitions import EpsDiagram, Partition
 
@@ -100,3 +102,10 @@ class TestSurvey:
         assert doc["partition"] == [7, 2, 2]
         w = doc["witnesses"][0]
         assert set(w) == {"sigma", "core", "family", "n", "codim"}
+
+
+class TestFamilyCrossCheck:
+    def test_generated_family_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(normality, "cover_family", lambda pair: "b")
+        with pytest.raises(NotMinimalIrreducible, match="generated as family b"):
+            decide(EpsDiagram(Partition([6, 1, 1]), -1))

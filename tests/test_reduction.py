@@ -1,7 +1,8 @@
 import pytest
 
 from orbitnorm.degeneration import DegenPair, dominates, minimal_degenerations
-from orbitnorm.errors import ContractError
+from orbitnorm import reduction
+from orbitnorm.errors import ContractError, NotMinimalIrreducible
 from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import (
     common_leading_columns,
@@ -131,3 +132,9 @@ class TestReductionProperties:
                     core = irreducible_core(p).core
                     covers = minimal_degenerations(EpsDiagram(core.top, core.eps))
                     assert core in covers, (p, core)
+
+    def test_reducible_fixpoint_raises(self, monkeypatch):
+        # an explicit raise, not an assert, so the check survives python -O
+        monkeypatch.setattr(reduction, "is_irreducible", lambda p: False)
+        with pytest.raises(NotMinimalIrreducible, match="stopped at the reducible"):
+            irreducible_core(pair(-1, [4, 2, 2], [6, 1, 1]))
