@@ -94,6 +94,5 @@ def annotate(graph: PosetGraph) -> PosetGraph:
         pair = DegenPair(graph.eps, edge.bottom, edge.top)
         _, degen_type = classify_minimal_degeneration(pair)
         edge.family = degen_type.family
-        edge.family_n = degen_type.n
         edge.codim = degen_type.codim
     return graph

@@ -82,7 +82,7 @@ def _valid_report(record: dict) -> bool:
 def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> dict | None:
     """First usable record for the orbit; with oracle, only one that has oracle codims."""
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "rb")
     except OSError:
         return None
     with handle:
@@ -91,9 +91,9 @@ def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> di
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                print(f"warning: ignoring unparseable cache line", file=sys.stderr)
+                record = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                print("warning: ignoring unparseable cache line", file=sys.stderr)
                 continue
             if not isinstance(record, dict):
                 print("warning: ignoring cache line that is not a record", file=sys.stderr)
@@ -110,8 +110,11 @@ def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> di
 
 
 def _cache_append(path: str, record: dict) -> None:
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(_dumps(record) + "\n")
+    try:
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(_dumps(record) + "\n")
+    except OSError as exc:
+        raise ContractError(f"cannot write cache {path}: {exc.strerror or exc}")
 
 
 # --- subcommand bodies -----------------------------------------------------
@@ -272,25 +275,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_choices, fmt_default):
+    def common(p, fmt_choices, fmt_default, bounded=False):
         p.add_argument("--eps", required=True, type=_parse_eps, help="+1 orthogonal, -1 symplectic")
         p.add_argument("--format", choices=fmt_choices, default=fmt_default)
-        p.add_argument("--max-size", type=int, default=None, help="override the enumeration bound")
+        if bounded:
+            # only the commands that enumerate take a bound
+            p.add_argument("--max-size", type=int, default=None, help="override the enumeration bound")
 
     p = sub.add_parser("check", help="normality verdict for one orbit")
-    common(p, ["json", "text"], "text")
+    common(p, ["json", "text"], "text", bounded=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--cache", default=None, help="append-only JSONL verdict cache")
     p.add_argument("--oracle", action="store_true", help="cross-check codims with the matrix oracle")
     p.set_defaults(func=run_check)
 
     p = sub.add_parser("survey", help="verdicts for every diagram of a size")
-    common(p, ["json", "csv", "text"], "text")
+    common(p, ["json", "csv", "text"], "text", bounded=True)
     p.add_argument("--size", required=True, type=int)
     p.set_defaults(func=run_survey)
 
     p = sub.add_parser("hasse", help="annotated cover graph as DOT or JSON")
-    common(p, ["dot", "json"], "dot")
+    common(p, ["dot", "json"], "dot", bounded=True)
     p.add_argument("--size", required=True, type=int)
     p.set_defaults(func=run_hasse)
 

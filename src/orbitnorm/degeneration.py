@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
-
-import os
 
 from .errors import CapacityError, ContractError
 from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams, max_size
@@ -46,14 +43,16 @@ def dominates(top: Partition, bottom: Partition) -> bool:
         raise ContractError(
             f"dominance needs equal sizes, got {top.size} and {bottom.size}"
         )
-    tops = list(accumulate(top))
-    bots = list(accumulate(bottom))
-    # pad with the total: prefix sums are constant past the last part
-    n = max(len(tops), len(bots))
-    total = top.size
-    tops += [total] * (n - len(tops))
-    bots += [total] * (n - len(bots))
-    return all(b <= t for t, b in zip(tops, bots))
+    # Past the shorter partition its prefix sum is the total.  If bottom ends
+    # first, top's sum there falls short of the total, so the loop fails at
+    # bottom's last part; if top ends first, no later bottom sum exceeds it.
+    t = b = 0
+    for x, y in zip(top, bottom):
+        t += x
+        b += y
+        if b > t:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,6 @@ class PosetEdge:
     top: Partition
     bottom: Partition
     family: str | None = None
-    family_n: int | None = None
     codim: int | None = None
 
     def to_json(self) -> dict:
@@ -180,8 +178,8 @@ class PosetGraph:
 
 def hasse(n: int, eps: int, bound: int | None = None) -> PosetGraph:
     """Cover graph on all eps-diagrams of n; annotations left to classification."""
-    if bound is None and "ORBIT_MAX_SIZE" not in os.environ:
-        bound = DEFAULT_HASSE_MAX
+    if bound is None:
+        bound = max_size(DEFAULT_HASSE_MAX)
     nodes = enumerate_eps_diagrams(n, eps, bound)
     edges = []
     for eta in nodes:

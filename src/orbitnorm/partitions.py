@@ -26,36 +26,48 @@ SYMPLECTIC = -1
 VALID_EPS = (ORTHOGONAL, SYMPLECTIC)
 
 
-def max_size() -> int:
-    """Enumeration bound, honouring the ORBIT_MAX_SIZE environment override."""
+def max_size(default: int = DEFAULT_MAX_SIZE) -> int:
+    """Enumeration bound: the ORBIT_MAX_SIZE environment override, else default."""
     env = os.environ.get("ORBIT_MAX_SIZE")
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise PartitionParseError(f"ORBIT_MAX_SIZE is not an integer: {env!r}")
-    return DEFAULT_MAX_SIZE
+    return default
 
 
 class Partition(tuple):
-    """Weakly decreasing tuple of positive integers; the empty tuple is 0."""
+    """Weakly decreasing tuple of positive integers; the empty tuple is 0.
+
+    A Partition is immutable and was checked when it was built, so passing
+    one to the constructor returns it unchanged.
+    """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        norm = sorted((int(p) for p in parts), reverse=True)
-        for p in norm:
-            if p <= 0:
-                raise ContractError(f"partition parts must be positive, got {p}")
+        if type(parts) is cls:
+            return parts
+        norm = sorted(map(int, parts), reverse=True)
+        # sorted descending, the smallest part decides; name the largest bad one
+        if norm and norm[-1] <= 0:
+            bad = next(p for p in norm if p <= 0)
+            raise ContractError(f"partition parts must be positive, got {bad}")
         return super().__new__(cls, norm)
 
     @property
     def size(self) -> int:
         return sum(self)
 
+    @lru_cache(maxsize=4096)
     def dual(self) -> "Partition":
         """Column heights of the Young diagram (conjugate partition)."""
-        if not self:
-            return Partition()
-        return Partition(sum(1 for p in self if p >= j) for j in range(1, self[0] + 1))
+        heights: list[int] = []
+        width = 0
+        # from the shortest row up: columns width+1..self[k] have height k+1
+        for k in range(len(self) - 1, -1, -1):
+            heights += [k + 1] * (self[k] - width)
+            width = self[k]
+        return Partition(heights)
 
     def multiplicities(self) -> dict[int, int]:
         """Map part size -> number of occurrences."""
@@ -87,14 +99,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def dual(p: Partition) -> Partition:
-    return Partition(p).dual()
-
-
-def multiplicities(p: Partition) -> dict[int, int]:
-    return Partition(p).multiplicities()
-
-
 def erase_first_column(p: Partition) -> Partition:
     return Partition(p).erase_first_column()
 
@@ -107,18 +111,30 @@ def _check_eps(eps: int) -> None:
 def eps_violation(p: Partition, eps: int) -> str | None:
     """Name of the parity rule violated by p for this eps, or None if valid."""
     _check_eps(eps)
-    # largest offender first: the message names the most salient violation
-    for part, mult in sorted(Counter(p).items(), reverse=True):
-        if eps == ORTHOGONAL and part % 2 == 0 and mult % 2 == 1:
-            return f"even part {part} has odd multiplicity"
-        if eps == SYMPLECTIC and part % 2 == 1 and mult % 2 == 1:
-            return f"odd part {part} has odd multiplicity"
+    return _parity_violation(Partition(p), eps)
+
+
+@lru_cache(maxsize=4096)
+def _parity_violation(p: Partition, eps: int) -> str | None:
+    # p is sorted, so equal parts form runs.  Parts of the constrained parity
+    # must pair up within their run; the largest unpaired one is named first,
+    # as the most salient violation.
+    odd = eps == SYMPLECTIC
+    i, n = 0, len(p)
+    while i < n:
+        part = p[i]
+        if part % 2 != odd:
+            i += 1
+        elif i + 1 < n and p[i + 1] == part:
+            i += 2
+        else:
+            return f"{'odd' if odd else 'even'} part {part} has odd multiplicity"
     return None
 
 
 def is_eps_diagram(p: Iterable[int], eps: int) -> bool:
     """True iff p is the Jordan type of a nilpotent element for form type eps."""
-    return eps_violation(Partition(p), eps) is None
+    return eps_violation(p, eps) is None
 
 
 @dataclass(frozen=True)

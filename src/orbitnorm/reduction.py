@@ -85,10 +85,19 @@ class ReductionResult:
     """Irreducible core of a pair together with the full erasure ledger."""
 
     core: DegenPair
-    erased_rows: tuple[int, ...]
-    erased_columns: int
-    row_count: int
     steps: tuple[Step, ...]
+
+    @property
+    def erased_rows(self) -> tuple[int, ...]:
+        return tuple(value for kind, value in self.steps if kind == "row")
+
+    @property
+    def row_count(self) -> int:
+        return len(self.erased_rows)
+
+    @property
+    def erased_columns(self) -> int:
+        return sum(1 for kind, _ in self.steps if kind == "col")
 
     def to_json(self) -> dict:
         return {
@@ -105,27 +114,21 @@ def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionR
         raise ContractError("cannot reduce an equal pair")
     current = pair
     steps: list[Step] = []
-    erased_rows: list[int] = []
-    erased_cols = 0
 
     def take_rows() -> bool:
         nonlocal current
         r = common_leading_rows(current)
         if r == 0:
             return False
-        for length in current.top[:r]:
-            steps.append(("row", length))
-            erased_rows.append(length)
+        steps.extend(("row", length) for length in current.top[:r])
         current = erase(current, r, 0)
         return True
 
     def take_columns() -> bool:
-        nonlocal current, erased_cols
+        nonlocal current
         changed = False
         while common_leading_columns(current) > 0:
-            height = current.top.dual()[0]
-            steps.append(("col", height))
-            erased_cols += 1
+            steps.append(("col", current.top.dual()[0]))
             current = erase(current, 0, 1)
             changed = True
         return changed
@@ -142,13 +145,7 @@ def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionR
         raise AssertionError("reduction of a strict pair vanished entirely")
     if not is_irreducible(current):
         raise NotMinimalIrreducible(f"reduction of {pair} stopped at the reducible {current}")
-    return ReductionResult(
-        core=current,
-        erased_rows=tuple(erased_rows),
-        erased_columns=erased_cols,
-        row_count=len(erased_rows),
-        steps=tuple(steps),
-    )
+    return ReductionResult(core=current, steps=tuple(steps))
 
 
 def _add_column(p: Partition, height: int) -> Partition:

@@ -90,17 +90,28 @@ class TestCache:
         '{"eps":-1,"partition":[6,1,1],"verdict":"Normal"}',
         '{"eps":-1,"partition":[6,1,1],"verdict":"Normal","witnesses":[{"sigma":[4,2,2]}]}',
         '[6,1,1]',
+        b'\xff\xfe{"eps":-1,"partition":[6,1,1],"verdict":"Normal","witnesses":[]}',
     ])
     def test_malformed_record_is_miss(self, capsys, tmp_path, line):
         cache = tmp_path / "cache.jsonl"
-        cache.write_text(line + "\n")
+        cache.write_bytes((line if isinstance(line, bytes) else line.encode()) + b"\n")
         code, out, err = run(capsys, "check", "--eps", "-1", "--partition", "6,1,1",
                              "--cache", str(cache))
         assert code == 0
         assert out.startswith("partition [6,1,1] eps -1: Normal\n")
         assert [l for l in err.splitlines() if l] == [err.strip()]
         assert err.startswith("warning: ")
-        assert len(cache.read_text().splitlines()) == 2
+        assert len(cache.read_bytes().splitlines()) == 2
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_cache_exit_2(self, capsys, tmp_path, target):
+        cache = tmp_path if target == "directory" else tmp_path / "absent" / "cache.jsonl"
+        code, out, err = run(capsys, "check", "--eps", "-1", "--partition", "6,1,1",
+                             "--cache", str(cache))
+        assert code == 2
+        assert out == ""
+        assert [l for l in err.splitlines() if l] == [err.strip()]
+        assert err.startswith("error: cannot write cache ")
 
 
 class TestSurvey:
@@ -148,6 +159,39 @@ class TestHasse:
         _, out, _ = run(capsys, "hasse", "--eps", "-1", "--size", "2", "--format", "json")
         doc = json.loads(out)
         assert doc["edges"] == [{"top": [2], "bottom": [1, 1], "type": "a", "codim": 2}]
+
+
+class TestMaxSize:
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "--top", "6,1,1", "--bottom", "4,2,2"),
+        ("classify", "--top", "6,1,1", "--bottom", "4,2,2"),
+        ("dim", "--partition", "6,1,1"),
+        ("verify", "--partition", "6,1,1"),
+    ], ids=lambda argv: argv[0])
+    def test_rejected_where_not_honoured(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--eps", "-1", "--max-size", "5")
+        assert code == 2
+        assert out == ""
+        assert "--max-size" in err
+
+    @pytest.mark.parametrize("command", ["survey", "hasse"])
+    def test_honoured_by_whole_size_commands(self, capsys, command):
+        code, _, err = run(capsys, command, "--eps", "-1", "--size", "6", "--max-size", "4")
+        assert code == 3
+        assert "enumeration bound 4" in err
+
+    def test_hasse_env_override(self, capsys, monkeypatch):
+        code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "28")
+        assert code == 3
+        assert "enumeration bound 26" in err
+        monkeypatch.setenv("ORBIT_MAX_SIZE", "3")
+        code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "4")
+        assert code == 3
+        assert "enumeration bound 3" in err
+        monkeypatch.setenv("ORBIT_MAX_SIZE", "4")
+        code, out, _ = run(capsys, "hasse", "--eps", "-1", "--size", "4")
+        assert code == 0
+        assert out.count("->") == 3
 
 
 class TestOtherCommands:

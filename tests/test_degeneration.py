@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -32,6 +32,25 @@ def brute_force_minimal_degenerations(eta):
     return pairs
 
 
+def reference_dominates(top, bottom):
+    """Test reference: compare prefix sums padded with the total.
+
+    The library's dominance check before it became a single pass.
+    """
+    top, bottom = Partition(top), Partition(bottom)
+    if top.size != bottom.size:
+        raise ContractError(
+            f"dominance needs equal sizes, got {top.size} and {bottom.size}"
+        )
+    tops = list(accumulate(top))
+    bots = list(accumulate(bottom))
+    n = max(len(tops), len(bots))
+    total = top.size
+    tops += [total] * (n - len(tops))
+    bots += [total] * (n - len(bots))
+    return all(b <= t for t, b in zip(tops, bots))
+
+
 class TestDominates:
     def test_paper_pair(self):
         assert dominates(Partition([6, 1, 1]), Partition([4, 2, 2]))
@@ -46,6 +65,21 @@ class TestDominates:
     def test_size_mismatch(self):
         with pytest.raises(ContractError):
             dominates(Partition([3]), Partition([2]))
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_matches_reference(self, n):
+        parts = list(partitions_of(n))
+        for a in parts:
+            for b in parts:
+                assert dominates(a, b) == reference_dominates(a, b), (a, b)
+
+    def test_size_mismatch_same_error(self):
+        for a, b in [([3], [2]), ([1], []), ([], [2, 1]), ([4, 4], [5, 2])]:
+            with pytest.raises(ContractError) as got:
+                dominates(Partition(a), Partition(b))
+            with pytest.raises(ContractError) as want:
+                reference_dominates(Partition(a), Partition(b))
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_partial_order(self, n):

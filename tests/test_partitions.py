@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,12 +8,94 @@ from orbitnorm.partitions import (
     EpsDiagram,
     Partition,
     enumerate_eps_diagrams,
+    eps_violation,
     is_eps_diagram,
     parse_partition,
     partitions_of,
 )
 
 partitions = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(Partition)
+
+
+# Reference implementations: the straightforward forms the library used
+# before its helpers were rewritten for speed.  The tests below require the
+# library to agree with them exactly, error messages included.
+
+def reference_partition(parts):
+    """Sort, then check every part."""
+    norm = sorted((int(p) for p in parts), reverse=True)
+    for p in norm:
+        if p <= 0:
+            raise ContractError(f"partition parts must be positive, got {p}")
+    return tuple(norm)
+
+
+def reference_eps_violation(p, eps):
+    """Count every part, then scan the counts from the largest part down."""
+    if eps not in (1, -1):
+        raise ContractError(f"eps must be +1 or -1, got {eps}")
+    for part, mult in sorted(Counter(p).items(), reverse=True):
+        if eps == 1 and part % 2 == 0 and mult % 2 == 1:
+            return f"even part {part} has odd multiplicity"
+        if eps == -1 and part % 2 == 1 and mult % 2 == 1:
+            return f"odd part {part} has odd multiplicity"
+    return None
+
+
+def reference_dual(p):
+    """Column j has one cell per part of length at least j."""
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except ContractError as exc:
+        return ("error", type(exc), str(exc))
+
+
+SMALL = [p for n in range(17) for p in partitions_of(n)]
+
+
+class TestAgainstReference:
+    def test_construction(self):
+        for p in SMALL:
+            for parts in (list(p), list(reversed(p)), tuple(p)):
+                built = Partition(parts)
+                assert type(built) is Partition
+                assert built == reference_partition(parts)
+
+    def test_partition_is_returned_unchanged(self):
+        for p in SMALL:
+            assert Partition(p) is p
+
+    @pytest.mark.parametrize("bad", [[0], [-1], [-2, 0], [0, -5], [-1, -3]])
+    def test_nonpositive_parts_same_error(self, bad):
+        for p in SMALL[:60]:
+            for parts in (list(p) + bad, bad + list(p)):
+                got = outcome(Partition, parts)
+                assert got == outcome(reference_partition, parts)
+                assert got[0] == "error"
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_eps_violation(self, eps):
+        for p in SMALL:
+            want = reference_eps_violation(p, eps)
+            assert eps_violation(p, eps) == want, p
+            assert eps_violation(list(reversed(p)), eps) == want, p
+
+    def test_bad_eps_same_error(self):
+        p = Partition([2, 1])
+        for eps in (0, 2, -2):
+            assert outcome(eps_violation, p, eps) == outcome(reference_eps_violation, p, eps)
+
+    def test_dual(self):
+        for p in SMALL:
+            assert p.dual() == reference_dual(p)
+            assert type(p.dual()) is Partition
 
 
 class TestParse:
