@@ -22,7 +22,6 @@ from .matrix_oracle import (
     centralizer_dim,
     codim_oracle,
     jordan_type,
-    orbit_dim,
     restrict_to_image,
 )
 from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
@@ -232,12 +231,13 @@ def run_dim(args) -> int:
     eta = EpsDiagram(p, args.eps)
     model = build_nilpotent_model(p, args.eps)
     cent = centralizer_dim(model)
+    total = algebra_dim(p.size, args.eps)
     report = {
         "eps": args.eps,
         "partition": list(p),
-        "algebra_dim": algebra_dim(p.size, args.eps),
+        "algebra_dim": total,
         "centralizer_dim": cent,
-        "orbit_dim": orbit_dim(p, args.eps),
+        "orbit_dim": total - cent,
     }
     if args.format == "json":
         _emit(_dumps(report))

@@ -2,7 +2,9 @@
 
 Everything here runs over the rationals with fractions.Fraction; no floating
 point.  Dimensions are counted by exact ranks, so centralizer and orbit
-dimensions are certificates, not estimates.  The construction is block-wise:
+dimensions are certificates, not estimates.  One sparse elimination does all
+row reduction: ranks, centralizer dimensions, and the basis of and coordinates
+in the image of a nilpotent map.  The construction is block-wise:
 a part whose parity matches the form type gets a single Jordan block with an
 alternating-sign anti-diagonal Gram block; the remaining parts (which the
 diagram condition forces to come in even multiplicities) are paired on
@@ -41,6 +43,7 @@ __all__ = [
 DEFAULT_MAX_DIM = 24
 
 Matrix = list[list[Fraction]]
+Row = dict[int, Fraction]  # sparse row: variable -> coefficient
 
 
 def _zeros(rows: int, cols: int) -> Matrix:
@@ -63,31 +66,49 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_rank(m: Matrix) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    a = [row[:] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r][col]), None)
+def _reduce(pivots: dict[int, Row], raw: Row) -> Row:
+    """Subtract pivot rows from a row until its leading variable has no pivot."""
+    row = {k: v for k, v in raw.items() if v}
+    while row:
+        var = max(row)
+        pivot = pivots.get(var)
         if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
             break
-    return rank
+        factor = row.pop(var)
+        for k, v in pivot.items():
+            new = row.get(k, 0) - factor * v
+            if new:
+                row[k] = new
+            else:
+                row.pop(k, None)
+    return row
 
 
-def _transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)] if m else []
+def _eliminate(rows: list[Row]) -> tuple[dict[int, Row], list[int]]:
+    """Gaussian elimination of sparse rows, pivoting on the largest variable.
+
+    Returns the pivot rows by pivot variable, scaled so the pivot coefficient
+    (left out) is 1, and the indices of the rows that raised the rank, in order.
+    """
+    pivots: dict[int, Row] = {}
+    raised: list[int] = []
+    for index, raw in enumerate(rows):
+        row = _reduce(pivots, raw)
+        if row:
+            var = max(row)
+            coeff = row.pop(var)
+            pivots[var] = {k: v / coeff for k, v in row.items()}
+            raised.append(index)
+    return pivots, raised
+
+
+def _columns(m: Matrix) -> list[Row]:
+    return [dict(enumerate(col)) for col in zip(*m)]
+
+
+def mat_rank(m: Matrix) -> int:
+    """Rank over the rationals by exact elimination."""
+    return len(_eliminate([dict(enumerate(row)) for row in m])[0])
 
 
 @dataclass(frozen=True)
@@ -193,29 +214,6 @@ def algebra_dim(n: int, eps: int) -> int:
     return n * (n - eps) // 2
 
 
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparse system; pivot rows kept normalized."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for raw in rows:
-        row = {k: v for k, v in raw.items() if v}
-        while row:
-            var = max(row)
-            if var not in pivots:
-                coeff = row.pop(var)
-                pivots[var] = {k: v / coeff for k, v in row.items()}
-                rank += 1
-                break
-            factor = row.pop(var)
-            for k, v in pivots[var].items():
-                new = row.get(k, Fraction(0)) - factor * v
-                if new:
-                    row[k] = new
-                else:
-                    row.pop(k, None)
-    return rank
-
-
 def centralizer_dim(model: NilpotentModel) -> int:
     """dim { Y : Y^T J + J Y = 0 and Y D = D Y }, by exact nullspace count."""
     n = model.dim
@@ -244,7 +242,7 @@ def centralizer_dim(model: NilpotentModel) -> int:
                     row[var(k, j)] = row.get(var(k, j), Fraction(0)) - D[i][k]
             if row:
                 rows.append(row)
-    return n * n - _sparse_rank(rows)
+    return n * n - len(_eliminate(rows)[0])
 
 
 @lru_cache(maxsize=None)
@@ -263,31 +261,19 @@ def codim_oracle(pair: DegenPair, max_dim: int = DEFAULT_MAX_DIM) -> int:
     return orbit_dim(pair.top, pair.eps, max_dim) - orbit_dim(pair.bottom, pair.eps, max_dim)
 
 
-def _solve_in_span(basis_cols: Matrix, target_cols: Matrix) -> Matrix:
-    """Coordinates of each target column in the span of the basis columns."""
-    n, m = len(basis_cols), len(basis_cols[0])
-    t = len(target_cols[0]) if target_cols else 0
-    aug = [[basis_cols[i][j] for j in range(m)] + [target_cols[i][j] for j in range(t)]
-           for i in range(n)]
-    rank = 0
-    pivot_rows = []
-    for col in range(m):
-        pivot = next((r for r in range(rank, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ContractError("basis columns are dependent")
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank])]
-        pivot_rows.append(rank)
-        rank += 1
-    for r in range(rank, n):
-        if any(aug[r][m:]):
+def _solve_in_span(basis: list[Row], targets: list[Row]) -> Matrix:
+    """Coordinates of each target in the span of the basis, one list per target."""
+    # tag u_j with variable -1-j; a reduced target keeps minus its coordinates there
+    pivots = _eliminate([{**u, -1 - j: Fraction(1)} for j, u in enumerate(basis)])[0]
+    if min(pivots, default=0) < 0:
+        raise ContractError("basis columns are dependent")
+    coords = []
+    for target in targets:
+        rest = _reduce(pivots, target)
+        if max(rest, default=-1) >= 0:
             raise ContractError("target column outside the span")
-    return [[aug[i][m + j] for j in range(t)] for i in range(m)]
+        coords.append([-rest.get(-1 - j, Fraction(0)) for j in range(len(basis))])
+    return coords
 
 
 def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
@@ -296,37 +282,21 @@ def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     The image carries the nondegenerate form beta(Dv, u) = (v, u); the map
     restricts to the image, and its Jordan type loses its first column.
     """
-    n = model.dim
     D, J = model.D, model.J
-    if all(not x for row in D for x in row):
+    # the columns of D that raise the rank give a basis u_j = D e_{c_j} of the image
+    columns = _columns(D)
+    pivot_cols = _eliminate(columns)[1]
+    if not pivot_cols:
         raise ContractError("zero map has no image to restrict to")
-    # pivot columns of D give a basis of the image
-    work = [row[:] for row in D]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    m = len(pivot_cols)
-    basis = [[D[i][c] for c in pivot_cols] for i in range(n)]  # n x m, u_j = D e_{c_j}
     # beta(u_i, u_j) = e_{c_i}^T J D e_{c_j}
     JD = mat_mul(J, D)
     gram = [[JD[ci][cj] for cj in pivot_cols] for ci in pivot_cols]
-    if mat_rank(gram) != m:
+    if mat_rank(gram) != len(gram):
         raise ContractError("induced form is degenerate")
-    # D maps the image into itself; express D u_j in the chosen basis
-    d_basis = mat_mul(D, basis)
-    restricted = _solve_in_span(basis, d_basis)
+    # D maps the image into itself; D u_j is column c_j of D^2
+    square = _columns(mat_mul(D, D))
+    coords = _solve_in_span([columns[c] for c in pivot_cols], [square[c] for c in pivot_cols])
+    restricted = [list(row) for row in zip(*coords)]
     return NilpotentModel(
-        dim=m, eps=-model.eps, gram=_freeze(gram), nilpotent=_freeze(restricted)
+        dim=len(gram), eps=-model.eps, gram=_freeze(gram), nilpotent=_freeze(restricted)
     )

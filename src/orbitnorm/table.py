@@ -8,6 +8,7 @@ at n=3, so the e shape at n=1 has no second reading.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from .errors import ContractError
@@ -97,8 +98,12 @@ def _candidates(top: tuple[int, ...]) -> list[tuple[str, int]]:
     return out
 
 
+@lru_cache(maxsize=4096)
 def table_row(eps: int, top: tuple[int, ...]) -> Row | None:
-    """The table row whose top shape is top at form type eps, if any."""
+    """The table row whose top shape is top at form type eps, if any.
+
+    Memoized: a tuple and the Partition with the same parts share an entry.
+    """
     # a before g so that the shared shape reports the more specific label
     if (eps, top) == (SYMPLECTIC, (2,)):
         _, _, bottom, algebra = shapes("a", 0)

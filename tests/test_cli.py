@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from orbitnorm import cli, matrix_oracle
 from orbitnorm.cli import main
 
 
@@ -213,6 +214,24 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "dim", "--eps", "-1", "--partition", "1,1",
                            "--format", "json")
         assert json.loads(out)["orbit_dim"] == 0
+
+    def test_dim_solves_the_centralizer_once(self, capsys, monkeypatch):
+        calls = []
+        solve = matrix_oracle.centralizer_dim
+
+        def counted(model):
+            calls.append(model.dim)
+            return solve(model)
+
+        monkeypatch.setattr(matrix_oracle, "centralizer_dim", counted)
+        monkeypatch.setattr(cli, "centralizer_dim", counted)
+        matrix_oracle._orbit_dim_cached.cache_clear()  # an earlier test may have filled it
+        code, out, _ = run(capsys, "dim", "--eps", "+1", "--partition", "9,7,3,3,1,1",
+                           "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and calls == [24]
+        assert doc["orbit_dim"] == doc["algebra_dim"] - doc["centralizer_dim"]
+        assert doc["orbit_dim"] == matrix_oracle.orbit_dim([9, 7, 3, 3, 1, 1], 1)
 
     def test_verify_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--eps", "-1", "--partition", "6,1,1")

@@ -24,6 +24,29 @@ def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def reference_rank(m):
+    """Dense Gaussian elimination, column by column: the former mat_rank."""
+    a = [row[:] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = 1 / a[rank][col]
+        a[rank] = [x * inv for x in a[rank]]
+        for r in range(rows):
+            if r != rank and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
 def check_model_invariants(model):
     J, D = model.J, model.D
     n = model.dim
@@ -210,6 +233,54 @@ class TestRestrictToImage:
                 assert restricted.eps == -eps
                 assert jordan_type(restricted.D) == d.partition.erase_first_column()
                 check_model_invariants(restricted)
+
+
+class TestRankAgainstReference:
+    def test_random_matrices(self):
+        rng = random.Random(20150)
+        shapes = [(0, 0), (1, 0), (0, 3), (1, 1), (1, 5), (5, 1), (3, 7), (7, 3), (6, 6)]
+        for rows, cols in shapes:
+            for _ in range(20):
+                m = frac_matrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+                assert mat_rank(m) == reference_rank(m), m
+        # rank-deficient: a product through an inner dimension below both sides
+        for rows, inner, cols in [(5, 2, 6), (6, 3, 4), (4, 1, 4), (8, 5, 8)]:
+            for _ in range(10):
+                a = frac_matrix([[rng.randint(-2, 2) for _ in range(inner)] for _ in range(rows)])
+                b = frac_matrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)])
+                m = mat_mul(a, b)
+                assert mat_rank(m) == reference_rank(m) <= inner, m
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_model_matrices(self, eps):
+        for n in range(0, 13):
+            for d in enumerate_eps_diagrams(n, eps):
+                model = build_nilpotent_model(d.partition, eps)
+                assert mat_rank(model.J) == reference_rank(model.J) == n
+                power = model.D
+                while True:
+                    assert mat_rank(power) == reference_rank(power), (d.partition, power)
+                    if not any(x for row in power for x in row):
+                        break
+                    power = mat_mul(power, model.D)
+
+
+class TestSolveInSpan:
+    def test_dependent_basis(self):
+        basis = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
+        with pytest.raises(ContractError, match="basis columns are dependent"):
+            matrix_oracle._solve_in_span(basis, [{0: Fraction(1), 1: Fraction(2)}])
+
+    def test_target_outside_span(self):
+        basis = [{0: Fraction(1), 1: Fraction(1)}]
+        with pytest.raises(ContractError, match="target column outside the span"):
+            matrix_oracle._solve_in_span(basis, [{0: Fraction(1)}])
+
+    def test_coordinates(self):
+        basis = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}]
+        target = {0: Fraction(2), 1: Fraction(5, 2), 2: Fraction(-1, 2)}
+        assert matrix_oracle._solve_in_span(basis, [target, {}]) == [
+            [Fraction(2), Fraction(1, 2)], [Fraction(0), Fraction(0)]]
 
 
 class TestSerialization:
