@@ -13,7 +13,7 @@ from typing import Optional
 from .degeneration import DegenPair, PosetGraph
 from .errors import ContractError, NotMinimalIrreducible
 from .reduction import ReductionResult, irreducible_core, is_irreducible
-from .table import FAMILY_RANGES, shapes, table_row
+from .table import FAMILY_RANGES, TABLE, table_row
 
 __all__ = [
     "DegenType",
@@ -25,16 +25,16 @@ __all__ = [
     "annotate",
 ]
 
-#: Families whose table codimension is the constant 2.
-CODIM2_FAMILIES = "abcde"
-
 
 @dataclass(frozen=True)
 class DegenType:
     family: str
     n: Optional[int]
-    codim: int
-    algebra: str
+
+    @property
+    def codim(self) -> int:
+        """The codimension the table prints for this family instance."""
+        return TABLE[self.family].codim(self.n)
 
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n, "codim": self.codim}
@@ -44,31 +44,21 @@ class DegenType:
         return f"type {self.family}{suffix}, codim {self.codim}"
 
 
-def _codim(family: str, n: Optional[int]) -> int:
-    if family in CODIM2_FAMILIES:
-        return 2
-    if family == "g":
-        return 2 * n
-    return 4 * n - 2  # f and h, as printed; see README on the oracle discrepancy
-
-
 def table_codim(t: DegenType) -> int:
-    return _codim(t.family, t.n)
+    return t.codim
 
 
 def instantiate(family: str, n: Optional[int] = None) -> DegenPair:
     """Build the degeneration pair of one family instance."""
-    if family == "a":
-        if n is not None:
-            raise ContractError("family a takes no parameter")
-        eps, top, bottom, _ = shapes("a", 0)
-        return DegenPair(eps, bottom, top)
-    if family not in FAMILY_RANGES:
+    if family not in TABLE:
         raise ContractError(f"unknown family {family!r}")
-    if n is None or n < FAMILY_RANGES[family]:
-        raise ContractError(f"family {family} needs n >= {FAMILY_RANGES[family]}")
-    eps, top, bottom, _ = shapes(family, n)
-    return DegenPair(eps, bottom, top)
+    row = TABLE[family]
+    if row.least is None:
+        if n is not None:
+            raise ContractError(f"family {family} takes no parameter")
+    elif n is None or n < row.least:
+        raise ContractError(f"family {family} needs n >= {row.least}")
+    return DegenPair(row.eps, row.bottom(n), row.top(n))
 
 
 def classify_core(pair: DegenPair) -> DegenType:
@@ -78,8 +68,7 @@ def classify_core(pair: DegenPair) -> DegenType:
     row = table_row(pair.eps, pair.top)
     if row is None or row[2] != pair.bottom:
         raise NotMinimalIrreducible(f"no family matches {pair}")
-    family, n, _, algebra = row
-    return DegenType(family, n, _codim(family, n), algebra)
+    return DegenType(row[0], row[1])
 
 
 def classify_minimal_degeneration(pair: DegenPair) -> tuple[ReductionResult, DegenType]:

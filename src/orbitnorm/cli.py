@@ -186,7 +186,7 @@ def run_hasse(args) -> int:
         lines.append(f'  "{node.partition}";')
     for edge in graph.edges:
         lines.append(
-            f'  "{Partition(edge.top)}" -> "{Partition(edge.bottom)}"'
+            f'  "{edge.top}" -> "{edge.bottom}"'
             f' [label="{edge.family},{edge.codim}"];'
         )
     lines.append("}")
@@ -228,7 +228,7 @@ def run_classify(args) -> int:
 
 def run_dim(args) -> int:
     p = parse_partition(args.partition)
-    eta = EpsDiagram(p, args.eps)
+    EpsDiagram(p, args.eps)  # rejects a diagram that breaks the parity rule
     model = build_nilpotent_model(p, args.eps)
     cent = centralizer_dim(model)
     total = algebra_dim(p.size, args.eps)
@@ -251,7 +251,7 @@ def run_dim(args) -> int:
 
 def run_verify(args) -> int:
     p = parse_partition(args.partition)
-    eta = EpsDiagram(p, args.eps)
+    EpsDiagram(p, args.eps)  # rejects a diagram that breaks the parity rule
     model = build_nilpotent_model(p, args.eps)
     restricted = restrict_to_image(model)
     got = jordan_type(restricted.D)

@@ -131,7 +131,7 @@ def _covers(lam: Partition, eps: int) -> dict[Partition, str]:
             row = table_row(eps if s % 2 == 0 else -eps, core)
             if row is None:
                 continue
-            family, _, bottom, _ = row
+            family, _, bottom = row
             below = lam[i + len(core):]
             extra = len(bottom) - len(core) if s else 0
             if below[:extra] != (s,) * extra:

@@ -144,16 +144,14 @@ def _freeze(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
-def build_nilpotent_model(
-    lam: Partition, eps: int, max_dim: int = DEFAULT_MAX_DIM
-) -> NilpotentModel:
+def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
     """Deterministic block-wise model with Jordan type lam."""
     lam = Partition(lam)
     if not is_eps_diagram(lam, eps):
         raise ContractError(f"{lam} is not a valid diagram for eps={eps:+d}")
     n = lam.size
-    if n > max_dim:
-        raise CapacityError(f"dimension {n} exceeds the oracle bound {max_dim}")
+    if n > DEFAULT_MAX_DIM:
+        raise CapacityError(f"dimension {n} exceeds the oracle bound {DEFAULT_MAX_DIM}")
     J = _zeros(n, n)
     D = _zeros(n, n)
     offset = 0
@@ -246,19 +244,19 @@ def centralizer_dim(model: NilpotentModel) -> int:
 
 
 @lru_cache(maxsize=None)
-def _orbit_dim_cached(lam: tuple[int, ...], eps: int, max_dim: int) -> int:
-    model = build_nilpotent_model(Partition(lam), eps, max_dim)
+def _orbit_dim_cached(lam: tuple[int, ...], eps: int) -> int:
+    model = build_nilpotent_model(Partition(lam), eps)
     return algebra_dim(model.dim, eps) - centralizer_dim(model)
 
 
-def orbit_dim(lam: Partition, eps: int, max_dim: int = DEFAULT_MAX_DIM) -> int:
+def orbit_dim(lam: Partition, eps: int) -> int:
     """Adjoint-orbit dimension of the nilpotent class labelled by lam."""
-    return _orbit_dim_cached(tuple(Partition(lam)), eps, max_dim)
+    return _orbit_dim_cached(tuple(Partition(lam)), eps)
 
 
-def codim_oracle(pair: DegenPair, max_dim: int = DEFAULT_MAX_DIM) -> int:
+def codim_oracle(pair: DegenPair) -> int:
     """Codimension of the bottom orbit inside the closure of the top orbit."""
-    return orbit_dim(pair.top, pair.eps, max_dim) - orbit_dim(pair.bottom, pair.eps, max_dim)
+    return orbit_dim(pair.top, pair.eps) - orbit_dim(pair.bottom, pair.eps)
 
 
 def _solve_in_span(basis: list[Row], targets: list[Row]) -> Matrix:

@@ -141,8 +141,6 @@ def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionR
         if not changed:
             break
 
-    if not current.bottom and not current.top:
-        raise AssertionError("reduction of a strict pair vanished entirely")
     if not is_irreducible(current):
         raise NotMinimalIrreducible(f"reduction of {pair} stopped at the reducible {current}")
     return ReductionResult(core=current, steps=tuple(steps))

@@ -1,101 +1,54 @@
 """The a–h table of irreducible minimal degenerations.
 
-Each family fixes the form type and the shapes of both diagrams up to one
-integer parameter n.  A row is found from its top shape alone: solve for n,
-then compare.  The a shape (2)/(1,1) is also g at n=1, and a wins; h starts
-at n=3, so the e shape at n=1 has no second reading.
+Kraft and Procesi (Comment. Math. Helv. 57, 1982) list eight families.  Each
+fixes the form type, the shapes of both diagrams and the printed codimension
+up to one integer parameter n, and each is written once below, in a..h order.
+
+A row is found from its top shape alone.  The size of every top is affine in
+n, so two evaluations solve for the one candidate n, and the shape is then
+compared.  Families are tried in table order, so a claims the shape (2)/(1,1)
+that g also has at n=1; h starts at n=3, so the e shape at n=1 has no second
+reading.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .errors import ContractError
 from .partitions import ORTHOGONAL, SYMPLECTIC, Partition
 
+
+class Family(NamedTuple):
+    eps: int
+    least: Optional[int]  # least admissible n; None for the parameterless a
+    top: Callable[[int], list[int]]
+    bottom: Callable[[int], list[int]]
+    codim: Callable[[int], int]  # as printed; see README on f and h
+
+
+#: The eight families in a..h order; tops and bottoms are listed largest part first.
+TABLE = {
+    "a": Family(SYMPLECTIC, None, lambda n: [2], lambda n: [1, 1], lambda n: 2),
+    "b": Family(SYMPLECTIC, 2, lambda n: [2 * n], lambda n: [2 * n - 2, 2], lambda n: 2),
+    "c": Family(ORTHOGONAL, 1, lambda n: [2 * n + 1], lambda n: [2 * n - 1, 1, 1], lambda n: 2),
+    "d": Family(SYMPLECTIC, 1, lambda n: [2 * n + 1] * 2, lambda n: [2 * n, 2 * n, 2],
+                lambda n: 2),
+    "e": Family(ORTHOGONAL, 1, lambda n: [2 * n] * 2, lambda n: [2 * n - 1] * 2 + [1, 1],
+                lambda n: 2),
+    "f": Family(ORTHOGONAL, 2, lambda n: [2, 2] + [1] * (2 * n - 3), lambda n: [1] * (2 * n + 1),
+                lambda n: 4 * n - 2),
+    "g": Family(SYMPLECTIC, 1, lambda n: [2] + [1] * (2 * n - 2), lambda n: [1] * (2 * n),
+                lambda n: 2 * n),
+    "h": Family(ORTHOGONAL, 3, lambda n: [2, 2] + [1] * (2 * n - 4), lambda n: [1] * (2 * n),
+                lambda n: 4 * n - 2),
+}
+
 #: Least admissible parameter per family (a is parameterless).
-FAMILY_RANGES = {"b": 2, "c": 1, "d": 1, "e": 1, "f": 2, "g": 1, "h": 3}
+FAMILY_RANGES = {name: f.least for name, f in TABLE.items() if f.least is not None}
 
-#: (family, n, bottom, algebra label) of one table row.
-Row = tuple[str, Optional[int], Partition, str]
-
-
-def shapes(family: str, n: int) -> tuple[int, Partition, Partition, str]:
-    """(eps, top, bottom, algebra label) for one family instance."""
-    if family == "a":
-        return SYMPLECTIC, Partition([2]), Partition([1, 1]), "sp_2"
-    if family == "b":
-        return SYMPLECTIC, Partition([2 * n]), Partition([2 * n - 2, 2]), f"sp_{2 * n}"
-    if family == "c":
-        return (
-            ORTHOGONAL,
-            Partition([2 * n + 1]),
-            Partition([2 * n - 1, 1, 1]),
-            f"so_{2 * n + 1}",
-        )
-    if family == "d":
-        return (
-            SYMPLECTIC,
-            Partition([2 * n + 1, 2 * n + 1]),
-            Partition([2 * n, 2 * n, 2]),
-            f"sp_{4 * n + 2}",
-        )
-    if family == "e":
-        return (
-            ORTHOGONAL,
-            Partition([2 * n, 2 * n]),
-            Partition([2 * n - 1, 2 * n - 1, 1, 1]),
-            f"so_{4 * n}",
-        )
-    if family == "f":
-        return (
-            ORTHOGONAL,
-            Partition([2, 2] + [1] * (2 * n - 3)),
-            Partition([1] * (2 * n + 1)),
-            f"so_{2 * n + 1}",
-        )
-    if family == "g":
-        return (
-            SYMPLECTIC,
-            Partition([2] + [1] * (2 * n - 2)),
-            Partition([1] * (2 * n)),
-            f"sp_{2 * n}",
-        )
-    if family == "h":
-        return (
-            ORTHOGONAL,
-            Partition([2, 2] + [1] * (2 * n - 4)),
-            Partition([1] * (2 * n)),
-            f"so_{2 * n}",
-        )
-    raise ContractError(f"unknown family {family!r}")
-
-
-def _candidates(top: tuple[int, ...]) -> list[tuple[str, int]]:
-    """Family parameters solvable from the top shape alone."""
-    out = []
-    if len(top) == 1:
-        if top[0] % 2 == 0:
-            out.append(("b", top[0] // 2))
-        else:
-            out.append(("c", (top[0] - 1) // 2))
-    if len(top) == 2 and top[0] == top[1]:
-        if top[0] % 2 == 1:
-            out.append(("d", (top[0] - 1) // 2))
-        else:
-            out.append(("e", top[0] // 2))
-    if top and top[0] == 2:
-        ones = sum(1 for p in top if p == 1)
-        twos = sum(1 for p in top if p == 2)
-        if twos == 1 and ones % 2 == 0:
-            out.append(("g", (ones + 2) // 2))
-        if twos == 2:
-            if ones % 2 == 1:
-                out.append(("f", (ones + 3) // 2))
-            else:
-                out.append(("h", (ones + 4) // 2))
-    return out
+#: (family, n, bottom) of one table row.
+Row = tuple[str, Optional[int], Partition]
 
 
 @lru_cache(maxsize=4096)
@@ -104,14 +57,18 @@ def table_row(eps: int, top: tuple[int, ...]) -> Row | None:
 
     Memoized: a tuple and the Partition with the same parts share an entry.
     """
-    # a before g so that the shared shape reports the more specific label
-    if (eps, top) == (SYMPLECTIC, (2,)):
-        _, _, bottom, algebra = shapes("a", 0)
-        return "a", None, bottom, algebra
-    for family, n in _candidates(top):
-        if n < FAMILY_RANGES[family]:
+    size = sum(top)
+    for name, family in TABLE.items():
+        if family.eps != eps:
             continue
-        row_eps, row_top, bottom, algebra = shapes(family, n)
-        if (row_eps, row_top) == (eps, top):
-            return family, n, bottom, algebra
+        n = family.least
+        if n is not None:
+            # the top's size is base + step * (n - least) with step > 0
+            base = sum(family.top(n))
+            k, r = divmod(size - base, sum(family.top(n + 1)) - base)
+            if r or k < 0:
+                continue
+            n += k
+        if tuple(family.top(n)) == top:
+            return name, n, Partition(family.bottom(n))
     return None

@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
+from orbitnorm import table
 from orbitnorm.classification import (
     FAMILY_RANGES,
+    DegenType,
     classify_core,
     classify_minimal_degeneration,
     instantiate,
@@ -9,7 +13,15 @@ from orbitnorm.classification import (
 )
 from orbitnorm.degeneration import DegenPair, cover_family, minimal_degenerations
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
-from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
+from orbitnorm.partitions import (
+    ORTHOGONAL,
+    SYMPLECTIC,
+    EpsDiagram,
+    Partition,
+    enumerate_eps_diagrams,
+    partitions_of,
+)
+from orbitnorm.table import table_row
 
 
 def pair(eps, bottom, top):
@@ -141,3 +153,140 @@ class TestExhaustiveClosure:
                     _, t = classify_minimal_degeneration(p)
                     if t.codim == 2:
                         assert t.family in "abcde" or (t.family == "g" and t.n == 1)
+
+
+# --- the former table lookup, kept as a reference --------------------------
+
+def reference_shapes(family, n):
+    """(eps, top, bottom, algebra label) for one family instance: the former table.shapes."""
+    if family == "a":
+        return SYMPLECTIC, Partition([2]), Partition([1, 1]), "sp_2"
+    if family == "b":
+        return SYMPLECTIC, Partition([2 * n]), Partition([2 * n - 2, 2]), f"sp_{2 * n}"
+    if family == "c":
+        return ORTHOGONAL, Partition([2 * n + 1]), Partition([2 * n - 1, 1, 1]), f"so_{2 * n + 1}"
+    if family == "d":
+        return (SYMPLECTIC, Partition([2 * n + 1, 2 * n + 1]), Partition([2 * n, 2 * n, 2]),
+                f"sp_{4 * n + 2}")
+    if family == "e":
+        return (ORTHOGONAL, Partition([2 * n, 2 * n]),
+                Partition([2 * n - 1, 2 * n - 1, 1, 1]), f"so_{4 * n}")
+    if family == "f":
+        return (ORTHOGONAL, Partition([2, 2] + [1] * (2 * n - 3)), Partition([1] * (2 * n + 1)),
+                f"so_{2 * n + 1}")
+    if family == "g":
+        return (SYMPLECTIC, Partition([2] + [1] * (2 * n - 2)), Partition([1] * (2 * n)),
+                f"sp_{2 * n}")
+    if family == "h":
+        return (ORTHOGONAL, Partition([2, 2] + [1] * (2 * n - 4)), Partition([1] * (2 * n)),
+                f"so_{2 * n}")
+    raise ContractError(f"unknown family {family!r}")
+
+
+def reference_candidates(top):
+    """Family parameters solvable from the top shape alone: the former table._candidates."""
+    out = []
+    if len(top) == 1:
+        if top[0] % 2 == 0:
+            out.append(("b", top[0] // 2))
+        else:
+            out.append(("c", (top[0] - 1) // 2))
+    if len(top) == 2 and top[0] == top[1]:
+        if top[0] % 2 == 1:
+            out.append(("d", (top[0] - 1) // 2))
+        else:
+            out.append(("e", top[0] // 2))
+    if top and top[0] == 2:
+        ones = sum(1 for p in top if p == 1)
+        twos = sum(1 for p in top if p == 2)
+        if twos == 1 and ones % 2 == 0:
+            out.append(("g", (ones + 2) // 2))
+        if twos == 2:
+            if ones % 2 == 1:
+                out.append(("f", (ones + 3) // 2))
+            else:
+                out.append(("h", (ones + 4) // 2))
+    return out
+
+
+REFERENCE_RANGES = {"b": 2, "c": 1, "d": 1, "e": 1, "f": 2, "g": 1, "h": 3}
+
+
+def reference_table_row(eps, top):
+    """(family, n, bottom, algebra label) or None: the former table.table_row, unmemoized."""
+    if (eps, top) == (SYMPLECTIC, (2,)):
+        _, _, bottom, algebra = reference_shapes("a", 0)
+        return "a", None, bottom, algebra
+    for family, n in reference_candidates(top):
+        if n < REFERENCE_RANGES[family]:
+            continue
+        row_eps, row_top, bottom, algebra = reference_shapes(family, n)
+        if (row_eps, row_top) == (eps, top):
+            return family, n, bottom, algebra
+    return None
+
+
+def _without_label(row):
+    return None if row is None else row[:3]
+
+
+class TestTableAgainstReference:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_every_partition_up_to_20(self, eps):
+        # tuple and Partition keys, as the cover generator and classify_core pass them
+        hits = 0
+        for n in range(0, 21):
+            for p in partitions_of(n):
+                expected = _without_label(reference_table_row(eps, tuple(p)))
+                assert table_row(eps, tuple(p)) == expected, p
+                assert table_row(eps, p) == expected, p
+                hits += expected is not None
+        assert hits > 0
+
+    def test_ranges(self):
+        assert FAMILY_RANGES == REFERENCE_RANGES
+        assert list(table.TABLE) == list("abcdefgh")
+
+    @pytest.mark.parametrize("family", sorted(REFERENCE_RANGES))
+    def test_large_instance_is_solved_not_searched(self, family, monkeypatch):
+        # a lookup that tried n = least, least + 1, ... would evaluate tops hundreds of times
+        calls = []
+
+        def counted(top):
+            return lambda n: calls.append(n) or top(n)
+
+        monkeypatch.setattr(table, "TABLE", {
+            name: f._replace(top=counted(f.top)) for name, f in table.TABLE.items()
+        })
+        table_row.cache_clear()
+        try:
+            eps, top, bottom, _ = reference_shapes(family, 500)
+            row = table_row(eps, tuple(top))
+        finally:
+            table_row.cache_clear()
+        assert row == (family, 500, bottom)
+        assert row == _without_label(reference_table_row(eps, tuple(top)))
+        assert len(calls) <= 3 * len(table.TABLE)
+
+    def test_degen_type_holds_only_family_and_n(self):
+        assert [f.name for f in dataclasses.fields(DegenType)] == ["family", "n"]
+        assert DegenType("a", None).codim == 2
+        assert DegenType("g", 4).codim == 8
+        assert DegenType("h", 5).codim == 18
+
+    def test_instantiate_matches_reference(self):
+        assert instantiate("a") == DegenPair(*[reference_shapes("a", 0)[i] for i in (0, 2, 1)])
+        for family, lo in REFERENCE_RANGES.items():
+            for n in (lo, lo + 1, 500):
+                eps, top, bottom, _ = reference_shapes(family, n)
+                assert instantiate(family, n) == DegenPair(eps, bottom, top)
+
+    @pytest.mark.parametrize("family,n,message", [
+        ("a", 1, "family a takes no parameter"),
+        ("z", 1, "unknown family 'z'"),
+        ("b", None, r"family b needs n >= 2"),
+        ("h", 2, r"family h needs n >= 3"),
+    ])
+    def test_instantiate_errors(self, family, n, message):
+        with pytest.raises(ContractError, match=message):
+            instantiate(family, n)

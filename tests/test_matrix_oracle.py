@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -91,6 +92,12 @@ class TestBuild:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_nilpotent_model(Partition([25]), 1)
+
+    def test_bound_is_a_constant(self):
+        for f in (build_nilpotent_model, orbit_dim, codim_oracle):
+            assert "max_dim" not in inspect.signature(f).parameters
+        with pytest.raises(CapacityError, match="dimension 25 exceeds the oracle bound 24"):
+            orbit_dim(Partition([25]), 1)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_all_invariants_small(self, eps):
