@@ -12,6 +12,7 @@ from .classification import (
 from .degeneration import (
     DegenPair,
     PosetGraph,
+    covers,
     degenerations,
     dominates,
     hasse,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .degeneration import DegenPair, PosetGraph
+from .degeneration import DegenPair
 from .errors import ContractError, NotMinimalIrreducible
 from .reduction import ReductionResult, irreducible_core, is_irreducible
 from .table import FAMILY_RANGES, TABLE, table_row
@@ -22,7 +22,6 @@ __all__ = [
     "classify_core",
     "table_codim",
     "classify_minimal_degeneration",
-    "annotate",
 ]
 
 
@@ -76,12 +75,3 @@ def classify_minimal_degeneration(pair: DegenPair) -> tuple[ReductionResult, Deg
     result = irreducible_core(pair)
     return result, classify_core(result.core)
 
-
-def annotate(graph: PosetGraph) -> PosetGraph:
-    """Fill family and codimension annotations on every edge, in place."""
-    for edge in graph.edges:
-        pair = DegenPair(graph.eps, edge.bottom, edge.top)
-        _, degen_type = classify_minimal_degeneration(pair)
-        edge.family = degen_type.family
-        edge.codim = degen_type.codim
-    return graph

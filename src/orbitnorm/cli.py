@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .classification import annotate, classify_minimal_degeneration
+from .classification import classify_minimal_degeneration
 from .degeneration import DegenPair, hasse
 from .errors import CapacityError, ContractError, NotMinimalIrreducible, PartitionParseError
 from .matrix_oracle import (
@@ -25,7 +25,7 @@ from .matrix_oracle import (
     restrict_to_image,
 )
 from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
-from .partitions import EpsDiagram, Partition, parse_partition
+from .partitions import EpsDiagram, Partition, check_size, parse_partition
 from .reduction import irreducible_core
 
 EXIT_NORMAL = 0
@@ -133,6 +133,7 @@ def _verdict_text(report: dict) -> str:
 
 def run_check(args) -> int:
     eta = EpsDiagram(parse_partition(args.partition), args.eps)
+    check_size(eta.size, args.max_size)  # before the cache, so a hit honours the bound too
     report = None
     if args.cache:
         report = _cache_lookup(args.cache, eta.eps, eta.partition, args.oracle)
@@ -177,7 +178,7 @@ def run_survey(args) -> int:
 
 
 def run_hasse(args) -> int:
-    graph = annotate(hasse(args.size, args.eps, args.max_size))
+    graph = hasse(args.size, args.eps, args.max_size)
     if args.format == "json":
         _emit(_dumps(graph.to_json()))
         return EXIT_NORMAL

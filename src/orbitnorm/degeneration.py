@@ -9,29 +9,29 @@ Covers are generated locally (Kraft and Procesi, Comment. Math. Helv. 57,
 1982): every cover of eta agrees with eta on some leading rows and columns,
 and what remains of eta is the top of a row of the a–h table.  Running that
 cancellation backwards from eta yields exactly the covers, with no search
-over the other diagrams of the same size.
+over the other diagrams of the same size, and gives each cover's core and
+table row on the way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
-from .errors import CapacityError, ContractError
-from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams, max_size
-from .table import table_row
-
-#: Full-poset construction is quadratic in the diagram count; cap it lower.
-DEFAULT_HASSE_MAX = 26
+from .errors import ContractError
+from .partitions import EpsDiagram, Partition, check_size, enumerate_eps_diagrams
+from .table import TABLE, table_row
 
 __all__ = [
+    "Cover",
     "DegenPair",
     "PosetEdge",
     "PosetGraph",
     "dominates",
     "degenerations",
+    "covers",
     "minimal_degenerations",
-    "cover_family",
     "hasse",
 ]
 
@@ -96,58 +96,66 @@ def degenerations(eta: EpsDiagram, bound: int | None = None) -> list[EpsDiagram]
     ]
 
 
-def minimal_degenerations(eta: EpsDiagram, bound: int | None = None) -> list[DegenPair]:
+class Cover(NamedTuple):
+    """A cover sigma of eta, with the irreducible core and table row it comes from."""
+
+    sigma: Partition
+    core: DegenPair
+    family: str
+    n: Optional[int]
+
+
+def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Cover, ...]:
     """Covering relations below eta, in enumeration (descending) order."""
-    limit = max_size() if bound is None else bound
-    if eta.size > limit:
-        raise CapacityError(f"size {eta.size} exceeds the enumeration bound {limit}")
-    return [DegenPair(eta.eps, sigma, eta.partition) for sigma in _covers(eta.partition, eta.eps)]
+    check_size(eta.size, bound)
+    return _covers(eta.partition, eta.eps)
 
 
-def cover_family(pair: DegenPair) -> str:
-    """Table family of the core the cover generator found for this cover."""
-    family = _covers(pair.top, pair.eps).get(pair.bottom)
-    if family is None:
-        raise ContractError(f"{pair} is not a minimal degeneration")
-    return family
+def minimal_degenerations(eta: EpsDiagram, bound: int | None = None) -> list[DegenPair]:
+    """Covering relations below eta as pairs, in enumeration (descending) order."""
+    return [DegenPair(eta.eps, c.sigma, eta.partition) for c in covers(eta, bound)]
 
 
 @lru_cache(maxsize=256)
-def _covers(lam: Partition, eps: int) -> dict[Partition, str]:
-    """Cover sigma -> family of its core, sigma in descending order.
+def _covers(lam: Partition, eps: int) -> tuple[Cover, ...]:
+    """Every cover of (lam, eps) with its core and family, sigma in descending order.
 
     Strip the first i rows of lam, then the first s columns of what is left.
     If the remainder T is a table top of form type (-1)^s * eps with bottom
-    B, the cover keeps lam's first i rows, puts B + s (s added to each part)
-    in place of T + s, and keeps the rows below, which lie inside the s
-    erased columns.  B has len(B) - len(T) more rows than T; when s > 0 as
-    many rows of length exactly s leave from below, so that the first s
-    columns, and the size, stay those of lam.
+    B, the core is (B <= T) at that form type, and the cover keeps lam's
+    first i rows, puts B + s (s added to each part) in place of T + s, and
+    keeps the rows below, which lie inside the s erased columns.  B has
+    len(B) - len(T) more rows than T; when s > 0 as many rows of length
+    exactly s leave from below, so that the first s columns, and the size,
+    stay those of lam.
     """
-    found: dict[tuple[int, ...], str] = {}
+    found: dict[tuple[int, ...], Cover] = {}
     for i in range(len(lam)):
         for s in range(lam[i]):
-            core = tuple(x - s for x in lam[i:] if x > s)
-            row = table_row(eps if s % 2 == 0 else -eps, core)
+            top = tuple(x - s for x in lam[i:] if x > s)
+            core_eps = eps if s % 2 == 0 else -eps
+            row = table_row(core_eps, top)
             if row is None:
                 continue
-            family, _, bottom = row
-            below = lam[i + len(core):]
-            extra = len(bottom) - len(core) if s else 0
+            family, n, bottom = row
+            below = lam[i + len(top):]
+            extra = len(bottom) - len(top) if s else 0
             if below[:extra] != (s,) * extra:
                 continue
-            found[lam[:i] + tuple(b + s for b in bottom) + below[extra:]] = family
-    return {Partition(sigma): found[sigma] for sigma in sorted(found, reverse=True)}
+            sigma = lam[:i] + tuple(b + s for b in bottom) + below[extra:]
+            core = DegenPair(core_eps, bottom, Partition(top))
+            found[sigma] = Cover(Partition(sigma), core, family, n)
+    return tuple(found[sigma] for sigma in sorted(found, reverse=True))
 
 
 @dataclass
 class PosetEdge:
-    """A covering pair, optionally annotated by the classification pass."""
+    """A covering pair with its core's family and printed codimension."""
 
     top: Partition
     bottom: Partition
-    family: str | None = None
-    codim: int | None = None
+    family: str
+    codim: int
 
     def to_json(self) -> dict:
         return {
@@ -177,12 +185,11 @@ class PosetGraph:
 
 
 def hasse(n: int, eps: int, bound: int | None = None) -> PosetGraph:
-    """Cover graph on all eps-diagrams of n; annotations left to classification."""
-    if bound is None:
-        bound = max_size(DEFAULT_HASSE_MAX)
+    """Cover graph on all eps-diagrams of n, each edge labelled by its core's table row."""
     nodes = enumerate_eps_diagrams(n, eps, bound)
-    edges = []
-    for eta in nodes:
-        for pair in minimal_degenerations(eta, bound):
-            edges.append(PosetEdge(top=pair.top, bottom=pair.bottom))
+    edges = [
+        PosetEdge(eta.partition, c.sigma, c.family, TABLE[c.family].codim(c.n))
+        for eta in nodes
+        for c in covers(eta, bound)
+    ]
     return PosetGraph(eps=eps, n=n, nodes=nodes, edges=edges)

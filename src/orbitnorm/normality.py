@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classification import DegenType, classify_minimal_degeneration
-from .degeneration import cover_family, minimal_degenerations
-from .errors import NotMinimalIrreducible
+from .classification import DegenType
+from .degeneration import DegenPair, covers
 from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams
-from .reduction import ReductionResult
 
 __all__ = ["NORMAL", "NOT_NORMAL", "UNDETERMINED", "Witness", "NormalityVerdict", "decide", "survey"]
 
@@ -29,17 +27,13 @@ class Witness:
     """One classified minimal degeneration below the analyzed orbit."""
 
     sigma: Partition
-    reduction: ReductionResult
+    core: DegenPair
     degen_type: DegenType
-
-    @property
-    def codim(self) -> int:
-        return self.degen_type.codim
 
     def to_json(self) -> dict:
         return {
             "sigma": list(self.sigma),
-            "core": self.reduction.core.to_json(),
+            "core": self.core.to_json(),
             "family": self.degen_type.family,
             "n": self.degen_type.n,
             "codim": self.degen_type.codim,
@@ -62,20 +56,12 @@ class NormalityVerdict:
 
 
 def decide(eta: EpsDiagram, bound: int | None = None) -> NormalityVerdict:
-    """Classify every minimal degeneration of eta and apply the verdict rules.
+    """Apply the verdict rules to the families of eta's minimal degenerations.
 
-    Each cover's classified family must equal the family the cover generator
-    found for it; a mismatch is an internal error.
+    Each witness takes its core and family from the cover generator, which
+    finds them while it builds the cover; nothing is reduced a second time.
     """
-    witnesses = []
-    for pair in minimal_degenerations(eta, bound):
-        reduction, degen_type = classify_minimal_degeneration(pair)
-        generated = cover_family(pair)
-        if degen_type.family != generated:
-            raise NotMinimalIrreducible(
-                f"{pair} was generated as family {generated} but classifies as {degen_type}"
-            )
-        witnesses.append(Witness(pair.bottom, reduction, degen_type))
+    witnesses = [Witness(c.sigma, c.core, DegenType(c.family, c.n)) for c in covers(eta, bound)]
     families = {w.degen_type.family for w in witnesses}
     if "e" in families:
         verdict = NOT_NORMAL

@@ -26,15 +26,22 @@ SYMPLECTIC = -1
 VALID_EPS = (ORTHOGONAL, SYMPLECTIC)
 
 
-def max_size(default: int = DEFAULT_MAX_SIZE) -> int:
-    """Enumeration bound: the ORBIT_MAX_SIZE environment override, else default."""
+def max_size() -> int:
+    """Enumeration bound: the ORBIT_MAX_SIZE environment override, else the default."""
     env = os.environ.get("ORBIT_MAX_SIZE")
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise PartitionParseError(f"ORBIT_MAX_SIZE is not an integer: {env!r}")
-    return default
+    return DEFAULT_MAX_SIZE
+
+
+def check_size(n: int, bound: int | None = None) -> None:
+    """Raise CapacityError when n exceeds bound, or max_size() when bound is None."""
+    limit = max_size() if bound is None else bound
+    if n > limit:
+        raise CapacityError(f"size {n} exceeds the enumeration bound {limit}")
 
 
 class Partition(tuple):
@@ -184,9 +191,7 @@ def enumerate_eps_diagrams(n: int, eps: int, bound: int | None = None) -> list[E
     _check_eps(eps)
     if n < 0:
         raise ContractError(f"n must be nonnegative, got {n}")
-    limit = max_size() if bound is None else bound
-    if n > limit:
-        raise CapacityError(f"size {n} exceeds the enumeration bound {limit}")
+    check_size(n, bound)
     return [
         EpsDiagram(p, eps) for p in partitions_of(n) if is_eps_diagram(p, eps)
     ]

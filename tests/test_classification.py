@@ -11,7 +11,7 @@ from orbitnorm.classification import (
     instantiate,
     table_codim,
 )
-from orbitnorm.degeneration import DegenPair, cover_family, minimal_degenerations
+from orbitnorm.degeneration import DegenPair, covers, minimal_degenerations
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
 from orbitnorm.partitions import (
     ORTHOGONAL,
@@ -21,6 +21,7 @@ from orbitnorm.partitions import (
     enumerate_eps_diagrams,
     partitions_of,
 )
+from orbitnorm.reduction import irreducible_core
 from orbitnorm.table import table_row
 
 
@@ -138,12 +139,15 @@ class TestExhaustiveClosure:
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_generated_family_matches_classification(self, eps):
-        # the generator's table row and the reduce-then-classify path agree
-        for n in range(0, 21):
+        # the generator's core and table row equal what reduce-then-classify finds
+        sizes = list(range(0, 23)) + ([30] if eps == SYMPLECTIC else [])
+        for n in sizes:
             for eta in enumerate_eps_diagrams(n, eps):
-                for p in minimal_degenerations(eta):
-                    _, t = classify_minimal_degeneration(p)
-                    assert cover_family(p) == t.family, p
+                for c in covers(eta):
+                    core = irreducible_core(DegenPair(eps, c.sigma, eta.partition)).core
+                    assert core == c.core, (eta, c)
+                    t = classify_core(core)
+                    assert (t.family, t.n) == (c.family, c.n), (eta, c)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_codim2_families(self, eps):

@@ -104,6 +104,20 @@ class TestCache:
         assert err.startswith("warning: ")
         assert len(cache.read_bytes().splitlines()) == 2
 
+    @pytest.mark.parametrize("bound,env,code,message", [
+        ("5", None, 3, "error: size 11 exceeds the enumeration bound 5"),
+        (None, "abc", 2, "error: ORBIT_MAX_SIZE is not an integer: 'abc'"),
+    ], ids=["max-size", "bad-env"])
+    def test_hit_honours_the_bound(self, capsys, tmp_path, monkeypatch, bound, env, code, message):
+        cache = str(tmp_path / "cache.jsonl")
+        args = ("check", "--eps", "+1", "--partition", "7,2,2", "--cache", cache)
+        assert run(capsys, *args)[0] == 10
+        if env is not None:
+            monkeypatch.setenv("ORBIT_MAX_SIZE", env)
+        got, out, err = run(capsys, *args, *(("--max-size", bound) if bound else ()))
+        assert (got, out, err.strip()) == (code, "", message)
+        assert len(open(cache).readlines()) == 1
+
     @pytest.mark.parametrize("target", ["directory", "missing-parent"])
     def test_unwritable_cache_exit_2(self, capsys, tmp_path, target):
         cache = tmp_path if target == "directory" else tmp_path / "absent" / "cache.jsonl"
@@ -182,9 +196,9 @@ class TestMaxSize:
         assert "enumeration bound 4" in err
 
     def test_hasse_env_override(self, capsys, monkeypatch):
-        code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "28")
+        code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "41")
         assert code == 3
-        assert "enumeration bound 26" in err
+        assert "enumeration bound 40" in err
         monkeypatch.setenv("ORBIT_MAX_SIZE", "3")
         code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "4")
         assert code == 3

@@ -2,9 +2,10 @@ from itertools import accumulate, combinations
 
 import pytest
 
+from orbitnorm.classification import classify_minimal_degeneration
 from orbitnorm.degeneration import (
     DegenPair,
-    cover_family,
+    covers,
     degenerations,
     dominates,
     hasse,
@@ -150,16 +151,12 @@ class TestMinimalDegenerations:
             minimal_degenerations(eta, 20)
 
     def test_large_orbit_covers(self):
-        pairs = minimal_degenerations(EpsDiagram(Partition([13, 13, 7, 5, 1, 1]), 1))
-        assert [(tuple(p.bottom), cover_family(p)) for p in pairs] == [
+        found = covers(EpsDiagram(Partition([13, 13, 7, 5, 1, 1]), 1))
+        assert [(tuple(c.sigma), c.family) for c in found] == [
             ((13, 13, 7, 3, 3, 1), "b"),
             ((13, 13, 6, 6, 1, 1), "a"),
             ((13, 11, 9, 5, 1, 1), "b"),
         ]
-
-    def test_cover_family_rejects_non_cover(self):
-        with pytest.raises(ContractError):
-            cover_family(DegenPair(-1, Partition([3, 3, 2]), Partition([6, 1, 1])))
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_nothing_strictly_between(self, eps):
@@ -198,7 +195,8 @@ class TestHasse:
     @pytest.mark.parametrize("eps", [1, -1])
     @pytest.mark.parametrize("n", range(0, 13))
     def test_transitive_reduction(self, n, eps):
-        # independent pairwise pass: an edge iff comparable with nothing between
+        # independent pairwise pass: an edge iff comparable with nothing between;
+        # each edge's label is the one reduce-then-classify gives
         graph = hasse(n, eps)
         nodes = [d.partition for d in graph.nodes]
         expected = set()
@@ -213,6 +211,9 @@ class TestHasse:
                     continue
                 expected.add((top, bottom))
         assert {(e.top, e.bottom) for e in graph.edges} == expected
+        for e in graph.edges:
+            _, t = classify_minimal_degeneration(DegenPair(eps, e.bottom, e.top))
+            assert (e.family, e.codim) == (t.family, t.codim), e
 
     def test_acyclic(self):
         graph = hasse(10, -1)
