@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .classification import classify_minimal_degeneration
+from .classification import classify_core
 from .degeneration import DegenPair, hasse
 from .errors import CapacityError, ContractError, NotMinimalIrreducible, PartitionParseError
 from .matrix_oracle import (
@@ -215,7 +215,11 @@ def run_reduce(args) -> int:
 
 def run_classify(args) -> int:
     pair = DegenPair(args.eps, parse_partition(args.bottom), parse_partition(args.top))
-    reduction, degen_type = classify_minimal_degeneration(pair)
+    reduction = irreducible_core(pair)
+    try:
+        degen_type = classify_core(reduction.core)
+    except NotMinimalIrreducible as exc:  # the user's pair, not a gap in the table
+        raise ContractError(f"not a minimal degeneration: {exc}") from None
     report = {"reduction": reduction.to_json(), "type": degen_type.to_json()}
     if args.format == "json":
         _emit(_dumps(report))

@@ -1,7 +1,8 @@
 """Exact matrix models of nilpotent elements preserving a bilinear form.
 
-Everything here runs over the rationals with fractions.Fraction; no floating
-point.  Dimensions are counted by exact ranks, so centralizer and orbit
+Everything here is exact over the rationals, with no floating point: entries
+are plain ints, and a fractions.Fraction appears only for a quotient that is
+not integral.  Dimensions are counted by exact ranks, so centralizer and orbit
 dimensions are certificates, not estimates.  One sparse elimination does all
 row reduction: ranks, centralizer dimensions, and the basis of and coordinates
 in the image of a nilpotent map.  The construction is block-wise:
@@ -13,7 +14,8 @@ hyperbolic subspaces with the shift acting on both halves.
 The model works in characteristic 0.  The quantities checked through it
 (orbit dimensions, degeneration codimensions, the column-erasure identity)
 are the same in any good characteristic, which is why a characteristic-0
-oracle can back combinatorics stated for characteristic p > 2.
+oracle can back combinatorics stated for characteristic p > 2; the tests
+compare centralizer ranks over Q and over F_p for p in {3, 5, 7, 11}.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ __all__ = [
 #: Centralizer systems have N^2 unknowns; keep exact solves comfortable.
 DEFAULT_MAX_DIM = 24
 
-Matrix = list[list[Fraction]]
-Row = dict[int, Fraction]  # sparse row: variable -> coefficient
+Scalar = int | Fraction  # an int wherever the value is integral
+Matrix = list[list[Scalar]]
+Row = dict[int, Scalar]  # sparse row: variable -> coefficient
 
 
 def _zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -84,6 +87,12 @@ def _reduce(pivots: dict[int, Row], raw: Row) -> Row:
     return row
 
 
+def _quotient(v: Scalar, c: Scalar) -> Scalar:
+    """v / c, exact: an int when c divides v, else a Fraction."""
+    q, r = divmod(v, c)
+    return Fraction(v, c) if r else q
+
+
 def _eliminate(rows: list[Row]) -> tuple[dict[int, Row], list[int]]:
     """Gaussian elimination of sparse rows, pivoting on the largest variable.
 
@@ -97,7 +106,7 @@ def _eliminate(rows: list[Row]) -> tuple[dict[int, Row], list[int]]:
         if row:
             var = max(row)
             coeff = row.pop(var)
-            pivots[var] = {k: v / coeff for k, v in row.items()}
+            pivots[var] = {k: _quotient(v, coeff) for k, v in row.items()}
             raised.append(index)
     return pivots, raised
 
@@ -117,8 +126,8 @@ class NilpotentModel:
 
     dim: int
     eps: int
-    gram: tuple[tuple[Fraction, ...], ...]
-    nilpotent: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[Scalar, ...], ...]
+    nilpotent: tuple[tuple[Scalar, ...], ...]
 
     @property
     def J(self) -> Matrix:
@@ -140,8 +149,8 @@ class NilpotentModel:
         }
 
 
-def _freeze(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+def _freeze(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:
+    return tuple(tuple(row) for row in m)
 
 
 def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
@@ -161,24 +170,24 @@ def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
         if m % 2 == self_dual_parity:
             # single block: Gram (e_i, e_j) = (-1)^(i+1) on the anti-diagonal
             for i in range(m):
-                J[offset + i][offset + m - 1 - i] = Fraction((-1) ** (i + 1))
+                J[offset + i][offset + m - 1 - i] = (-1) ** (i + 1)
                 if i + 1 < m:
-                    D[offset + i][offset + i + 1] = Fraction(1)
+                    D[offset + i][offset + i + 1] = 1
             offset += m
         elif m in pending:
             # hyperbolic pairing with the earlier block of the same size
             first = pending.pop(m)
             for i in range(m):
-                sign = Fraction((-1) ** (i + 1))
+                sign = (-1) ** (i + 1)
                 J[first + i][offset + m - 1 - i] = sign
                 J[offset + m - 1 - i][first + i] = eps * sign
                 if i + 1 < m:
-                    D[offset + i][offset + i + 1] = Fraction(1)
+                    D[offset + i][offset + i + 1] = 1
             offset += m
         else:
             pending[m] = offset
             for i in range(m - 1):
-                D[offset + i][offset + i + 1] = Fraction(1)
+                D[offset + i][offset + i + 1] = 1
             offset += m
     if pending:
         raise ContractError(f"{lam} leaves unpaired blocks {sorted(pending)} for eps={eps:+d}")
@@ -190,7 +199,7 @@ def jordan_type(m: Matrix) -> Partition:
     n = len(m)
     if n == 0:
         return Partition()
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
     ranks = [n]
     for _ in range(n):
         power = mat_mul(power, m)
@@ -212,35 +221,37 @@ def algebra_dim(n: int, eps: int) -> int:
     return n * (n - eps) // 2
 
 
+def _centralizer_rows(model: NilpotentModel) -> list[Row]:
+    """The equations Y^T J + J Y = 0 and Y D = D Y, with Y_kl as variable kN + l.
+
+    Entry (i, j) is read from the nonzeros of row i and of column j of J and D,
+    at most one each in a built model, so writing the system down is O(N^2).
+    """
+    n, J, D = model.dim, model.gram, model.nilpotent
+    nonzeros = lambda m: [[(k, x) for k, x in enumerate(line) if x] for line in m]
+    j_rows, j_cols, d_rows, d_cols = map(nonzeros, (J, zip(*J), D, zip(*D)))
+    equations = [
+        # (Y^T J + J Y)_{ij} = sum_k Y_{ki} J_{kj} + J_{ik} Y_{kj}
+        [(k * n + i, c) for k, c in j_cols[j]] + [(k * n + j, c) for k, c in j_rows[i]]
+        for i in range(n) for j in range(n)
+    ] + [
+        # (Y D - D Y)_{ij} = sum_k Y_{ik} D_{kj} - D_{ik} Y_{kj}
+        [(i * n + k, c) for k, c in d_cols[j]] + [(k * n + j, -c) for k, c in d_rows[i]]
+        for i in range(n) for j in range(n)
+    ]
+    rows: list[Row] = []
+    for terms in equations:
+        row: Row = {}
+        for var, c in terms:
+            row[var] = row.get(var, 0) + c
+        if row:
+            rows.append(row)
+    return rows
+
+
 def centralizer_dim(model: NilpotentModel) -> int:
     """dim { Y : Y^T J + J Y = 0 and Y D = D Y }, by exact nullspace count."""
-    n = model.dim
-    J, D = model.J, model.D
-    var = lambda i, j: i * n + j
-    rows: list[dict[int, Fraction]] = []
-    # (Y^T J + J Y)_{ij} = sum_k Y_{ki} J_{kj} + J_{ik} Y_{kj}
-    for i in range(n):
-        for j in range(n):
-            row: dict[int, Fraction] = {}
-            for k in range(n):
-                if J[k][j]:
-                    row[var(k, i)] = row.get(var(k, i), Fraction(0)) + J[k][j]
-                if J[i][k]:
-                    row[var(k, j)] = row.get(var(k, j), Fraction(0)) + J[i][k]
-            if row:
-                rows.append(row)
-    # (Y D - D Y)_{ij}
-    for i in range(n):
-        for j in range(n):
-            row = {}
-            for k in range(n):
-                if D[k][j]:
-                    row[var(i, k)] = row.get(var(i, k), Fraction(0)) + D[k][j]
-                if D[i][k]:
-                    row[var(k, j)] = row.get(var(k, j), Fraction(0)) - D[i][k]
-            if row:
-                rows.append(row)
-    return n * n - len(_eliminate(rows)[0])
+    return model.dim ** 2 - len(_eliminate(_centralizer_rows(model))[0])
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +273,7 @@ def codim_oracle(pair: DegenPair) -> int:
 def _solve_in_span(basis: list[Row], targets: list[Row]) -> Matrix:
     """Coordinates of each target in the span of the basis, one list per target."""
     # tag u_j with variable -1-j; a reduced target keeps minus its coordinates there
-    pivots = _eliminate([{**u, -1 - j: Fraction(1)} for j, u in enumerate(basis)])[0]
+    pivots = _eliminate([{**u, -1 - j: 1} for j, u in enumerate(basis)])[0]
     if min(pivots, default=0) < 0:
         raise ContractError("basis columns are dependent")
     coords = []
@@ -270,7 +281,7 @@ def _solve_in_span(basis: list[Row], targets: list[Row]) -> Matrix:
         rest = _reduce(pivots, target)
         if max(rest, default=-1) >= 0:
             raise ContractError("target column outside the span")
-        coords.append([-rest.get(-1 - j, Fraction(0)) for j in range(len(basis))])
+        coords.append([-rest.get(-1 - j, 0) for j in range(len(basis))])
     return coords
 
 

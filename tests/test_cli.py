@@ -224,6 +224,15 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["type"] == {"family": "c", "n": 2, "codim": 2}
 
+    def test_classify_not_minimal_exit_2(self, capsys):
+        # (1^5) <= (5) is a degeneration but not a minimal one: an input error
+        code, out, err = run(capsys, "classify", "--eps", "1", "--top", "5",
+                             "--bottom", "1,1,1,1,1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: not a minimal degeneration:"
+                       " no family matches ([1,1,1,1,1] <= [5], eps=+1)\n")
+
     def test_dim(self, capsys):
         code, out, _ = run(capsys, "dim", "--eps", "-1", "--partition", "1,1",
                            "--format", "json")

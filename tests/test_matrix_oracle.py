@@ -1,5 +1,6 @@
 import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from orbitnorm.matrix_oracle import (
     orbit_dim,
     restrict_to_image,
 )
-from orbitnorm.partitions import Partition, enumerate_eps_diagrams
+from orbitnorm.partitions import Partition, enumerate_eps_diagrams, is_eps_diagram
 
 
 def frac_matrix(rows):
@@ -46,6 +47,67 @@ def reference_rank(m):
         if rank == rows:
             break
     return rank
+
+
+def reference_centralizer_dim(model):
+    """Dense O(N^3) scan of J and D for the centralizer system: the former centralizer_dim."""
+    n = model.dim
+    J, D = model.J, model.D
+    var = lambda i, j: i * n + j
+    rows = []
+    # (Y^T J + J Y)_{ij} = sum_k Y_{ki} J_{kj} + J_{ik} Y_{kj}
+    for i in range(n):
+        for j in range(n):
+            row = {}
+            for k in range(n):
+                if J[k][j]:
+                    row[var(k, i)] = row.get(var(k, i), Fraction(0)) + J[k][j]
+                if J[i][k]:
+                    row[var(k, j)] = row.get(var(k, j), Fraction(0)) + J[i][k]
+            if row:
+                rows.append(row)
+    # (Y D - D Y)_{ij}
+    for i in range(n):
+        for j in range(n):
+            row = {}
+            for k in range(n):
+                if D[k][j]:
+                    row[var(i, k)] = row.get(var(i, k), Fraction(0)) + D[k][j]
+                if D[i][k]:
+                    row[var(k, j)] = row.get(var(k, j), Fraction(0)) - D[i][k]
+            if row:
+                rows.append(row)
+    return n * n - len(matrix_oracle._eliminate(rows)[0])
+
+
+def closed_form_orbit_dim(lam, eps):
+    """Collingwood-McGovern, Cor. 6.1.4: N(N-eps)/2 - (sum (lam*_i)^2 - eps #odd parts)/2."""
+    n = sum(lam)
+    squares = sum(c * c for c in Partition(lam).dual())
+    odd = sum(1 for part in lam if part % 2)
+    return n * (n - eps) // 2 - (squares - eps * odd) // 2
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p of sparse integer rows, pivoting on the largest variable."""
+    pivots = {}
+    for raw in rows:
+        row = {k: v % p for k, v in raw.items() if v % p}
+        while row:
+            var = max(row)
+            pivot = pivots.get(var)
+            if pivot is None:
+                inverse = pow(row[var], -1, p)
+                pivots[var] = {k: v * inverse % p for k, v in row.items()}
+                break
+            factor = row[var]
+            for k, v in pivot.items():
+                new = (row.get(k, 0) - factor * v) % p
+                if new:
+                    row[k] = new
+                else:
+                    row.pop(k, None)
+    return len(pivots)
 
 
 def check_model_invariants(model):
@@ -170,6 +232,55 @@ class TestDimensions:
         assert orbit_dim(Partition([1] * 6), -1) == 0
         assert orbit_dim(Partition([2, 1, 1]), -1) == 4
         assert orbit_dim(Partition([2, 2, 1]), 1) == 4
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_centralizer_against_dense_reference(self, eps):
+        for n in range(0, 13):
+            for d in enumerate_eps_diagrams(n, eps):
+                model = build_nilpotent_model(d.partition, eps)
+                rows = matrix_oracle._centralizer_rows(model)
+                assert all(len(row) <= 2 for row in rows)
+                assert centralizer_dim(model) == reference_centralizer_dim(model), d.partition
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_orbit_dim_closed_form(self, eps):
+        diagrams = [d.partition for n in range(0, 17) for d in enumerate_eps_diagrams(n, eps)]
+        diagrams += [lam for lam in (Partition([24]), Partition([1] * 24), Partition([12, 12]))
+                     if is_eps_diagram(lam, eps)]
+        for lam in diagrams:
+            assert orbit_dim(lam, eps) == closed_form_orbit_dim(lam, eps), lam
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_centralizer_same_in_good_characteristic(self, p):
+        # the paper works over a field of characteristic p > 2; the oracle over Q
+        for eps in (1, -1):
+            for n in range(0, 17):
+                for d in enumerate_eps_diagrams(n, eps):
+                    model = build_nilpotent_model(d.partition, eps)
+                    rows = matrix_oracle._centralizer_rows(model)
+                    assert all(type(v) is int for row in rows for v in row.values())
+                    over_p = n * n - rank_mod_p(rows, p)
+                    assert over_p == centralizer_dim(model), (p, eps, d.partition)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_integer_path_builds_no_fraction(self, eps):
+        # every quotient in a built model's system is exact, so no Fraction is made;
+        # matched by code object, as in test_decide_does_not_reduce_or_classify
+        made = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is Fraction.__new__.__code__:
+                made.append(frame.f_code.co_name)
+
+        diagrams = [d.partition for d in enumerate_eps_diagrams(20, eps)]
+        matrix_oracle._orbit_dim_cached.cache_clear()
+        sys.setprofile(profile)
+        try:
+            dims = [orbit_dim(lam, eps) for lam in diagrams]
+        finally:
+            sys.setprofile(None)
+        assert made == []
+        assert dims == [closed_form_orbit_dim(lam, eps) for lam in diagrams]
 
 
 class TestCodim:
@@ -296,3 +407,5 @@ class TestSerialization:
         doc = model.to_json()
         assert doc["dim"] == 2 and doc["eps"] == -1
         assert all(isinstance(x, str) and "/" in x for row in doc["gram"] for x in row)
+        assert doc["gram"] == [["0/1", "-1/1"], ["1/1", "0/1"]]
+        assert doc["nilpotent"] == [["0/1", "1/1"], ["0/1", "0/1"]]
