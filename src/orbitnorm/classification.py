@@ -7,8 +7,7 @@ bottom shape with the row's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .degeneration import DegenPair
 from .errors import ContractError, NotMinimalIrreducible
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DegenType:
+class DegenType(NamedTuple):
     family: str
     n: Optional[int]
 

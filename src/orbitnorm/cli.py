@@ -78,14 +78,21 @@ def _valid_report(record: dict) -> bool:
     )
 
 
+#: _dumps sorts keys, so every record the program writes starts with one of these.
+_RECORD_PREFIXES = (b'{"eps":1,"partition":[', b'{"eps":-1,"partition":[')
+
+
 def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> dict | None:
     """First usable record for the orbit; with oracle, only one that has oracle codims."""
     try:
         handle = open(path, "rb")
     except OSError:
         return None
+    own = f'{{"eps":{eps},"partition":[{_partition_csv(partition)}],'.encode()
     with handle:
         for line in handle:
+            if line.startswith(_RECORD_PREFIXES) and not line.startswith(own):
+                continue  # a record the program wrote for another orbit: skip it unparsed
             line = line.strip()
             if not line:
                 continue

@@ -15,9 +15,8 @@ table row on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ContractError
 from .partitions import EpsDiagram, Partition, check_size, enumerate_eps_diagrams
@@ -55,22 +54,23 @@ def dominates(top: Partition, bottom: Partition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DegenPair:
+class DegenPair(NamedTuple("DegenPair", [("eps", int), ("bottom", Partition), ("top", Partition)])):
     """An ordered degeneration: bottom <= top, same size, same form type."""
 
-    eps: int
-    bottom: Partition
-    top: Partition
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bottom", Partition(self.bottom))
-        object.__setattr__(self, "top", Partition(self.top))
+    def __new__(cls, eps: int, bottom: Iterable[int], top: Iterable[int]) -> "DegenPair":
+        bottom, top = Partition(bottom), Partition(top)
         # EpsDiagram construction validates the parity condition
-        EpsDiagram(self.bottom, self.eps)
-        EpsDiagram(self.top, self.eps)
-        if not dominates(self.top, self.bottom):
-            raise ContractError(f"{self.bottom} is not a degeneration of {self.top}")
+        EpsDiagram(bottom, eps)
+        EpsDiagram(top, eps)
+        if not dominates(top, bottom):
+            raise ContractError(f"{bottom} is not a degeneration of {top}")
+        return super().__new__(cls, eps, bottom, top)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "DegenPair":
+        return cls(*iterable)  # _replace builds through _make, so it validates too
 
     @property
     def size(self) -> int:
@@ -148,8 +148,7 @@ def _covers(lam: Partition, eps: int) -> tuple[Cover, ...]:
     return tuple(found[sigma] for sigma in sorted(found, reverse=True))
 
 
-@dataclass
-class PosetEdge:
+class PosetEdge(NamedTuple):
     """A covering pair with its core's family and printed codimension."""
 
     top: Partition
@@ -166,14 +165,13 @@ class PosetEdge:
         }
 
 
-@dataclass
-class PosetGraph:
+class PosetGraph(NamedTuple):
     """Cover graph of the degeneration order on all diagrams of one size."""
 
     eps: int
     n: int
     nodes: list[EpsDiagram]
-    edges: list[PosetEdge] = field(default_factory=list)
+    edges: list[PosetEdge]
 
     def to_json(self) -> dict:
         return {

@@ -1,15 +1,16 @@
 """Exact matrix models of nilpotent elements preserving a bilinear form.
 
 Everything here is exact over the rationals, with no floating point: entries
-are plain ints, and a fractions.Fraction appears only for a quotient that is
-not integral.  Dimensions are counted by exact ranks, so centralizer and orbit
-dimensions are certificates, not estimates.  One sparse elimination does all
-row reduction: ranks, centralizer dimensions, and the basis of and coordinates
-in the image of a nilpotent map.  The construction is block-wise:
-a part whose parity matches the form type gets a single Jordan block with an
-alternating-sign anti-diagonal Gram block; the remaining parts (which the
-diagram condition forces to come in even multiplicities) are paired on
-hyperbolic subspaces with the shift acting on both halves.
+are plain ints, and a fractions.Fraction appears (and the fractions module is
+imported) only for a quotient that is not integral.  Dimensions are counted by
+exact ranks, so centralizer and orbit dimensions are certificates, not
+estimates.  One sparse elimination does all row reduction: ranks, centralizer
+dimensions, and the basis of and coordinates in the image of a nilpotent map.
+The construction is block-wise: a part whose parity matches the form type gets
+a single Jordan block with an alternating-sign anti-diagonal Gram block; the
+remaining parts (which the diagram condition forces to come in even
+multiplicities) are paired on hyperbolic subspaces with the shift acting on
+both halves.
 
 The model works in characteristic 0.  The quantities checked through it
 (orbit dimensions, degeneration codimensions, the column-erasure identity)
@@ -20,9 +21,8 @@ compare centralizer ranks over Q and over F_p for p in {3, 5, 7, 11}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .degeneration import DegenPair
 from .errors import CapacityError, ContractError
@@ -44,9 +44,12 @@ __all__ = [
 #: Centralizer systems have N^2 unknowns; keep exact solves comfortable.
 DEFAULT_MAX_DIM = 24
 
-Scalar = int | Fraction  # an int wherever the value is integral
-Matrix = list[list[Scalar]]
-Row = dict[int, Scalar]  # sparse row: variable -> coefficient
+if TYPE_CHECKING:  # annotations only, so importing the module does not import fractions
+    from fractions import Fraction
+
+    Scalar = int | Fraction  # an int wherever the value is integral
+    Matrix = list[list[Scalar]]
+    Row = dict[int, Scalar]  # sparse row: variable -> coefficient
 
 
 def _zeros(rows: int, cols: int) -> Matrix:
@@ -90,7 +93,11 @@ def _reduce(pivots: dict[int, Row], raw: Row) -> Row:
 def _quotient(v: Scalar, c: Scalar) -> Scalar:
     """v / c, exact: an int when c divides v, else a Fraction."""
     q, r = divmod(v, c)
-    return Fraction(v, c) if r else q
+    if not r:
+        return q
+    from fractions import Fraction  # on demand: the systems of built models never get here
+
+    return Fraction(v, c)
 
 
 def _eliminate(rows: list[Row]) -> tuple[dict[int, Row], list[int]]:
@@ -120,8 +127,7 @@ def mat_rank(m: Matrix) -> int:
     return len(_eliminate([dict(enumerate(row)) for row in m])[0])
 
 
-@dataclass(frozen=True)
-class NilpotentModel:
+class NilpotentModel(NamedTuple):
     """A nilpotent matrix inside the isometry Lie algebra of an exact form."""
 
     dim: int

@@ -9,7 +9,7 @@ and f, g, h exceed codimension 2, so only d and e enter the decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classification import DegenType
 from .degeneration import DegenPair, covers
@@ -22,8 +22,7 @@ NOT_NORMAL = "NotNormal"
 UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One classified minimal degeneration below the analyzed orbit."""
 
     sigma: Partition
@@ -40,8 +39,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class NormalityVerdict:
+class NormalityVerdict(NamedTuple):
     eta: EpsDiagram
     verdict: str
     witnesses: tuple[Witness, ...]

@@ -12,9 +12,8 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, ContractError, PartitionParseError
 
@@ -144,20 +143,23 @@ def is_eps_diagram(p: Iterable[int], eps: int) -> bool:
     return eps_violation(p, eps) is None
 
 
-@dataclass(frozen=True)
-class EpsDiagram:
+class EpsDiagram(NamedTuple("EpsDiagram", [("partition", Partition), ("eps", int)])):
     """A partition that is a valid diagram for its form type."""
 
-    partition: Partition
-    eps: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "partition", Partition(self.partition))
-        violation = eps_violation(self.partition, self.eps)
+    def __new__(cls, partition: Iterable[int], eps: int) -> "EpsDiagram":
+        partition = Partition(partition)
+        violation = eps_violation(partition, eps)
         if violation is not None:
             raise ContractError(
-                f"{self.partition} is not a valid diagram for eps={self.eps:+d}: {violation}"
+                f"{partition} is not a valid diagram for eps={eps:+d}: {violation}"
             )
+        return super().__new__(cls, partition, eps)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "EpsDiagram":
+        return cls(*iterable)  # _replace builds through _make, so it validates too
 
     @property
     def size(self) -> int:

@@ -9,7 +9,7 @@ package README for why the sign carries the original eps along.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .degeneration import DegenPair
 from .errors import ContractError, NotMinimalIrreducible
@@ -80,8 +80,7 @@ def is_irreducible(pair: DegenPair) -> bool:
     return common_leading_rows(pair) == 0 and common_leading_columns(pair) == 0
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Irreducible core of a pair together with the full erasure ledger."""
 
     core: DegenPair

@@ -104,6 +104,51 @@ class TestCache:
         assert err.startswith("warning: ")
         assert len(cache.read_bytes().splitlines()) == 2
 
+    def test_garbled_line_for_another_orbit_is_skipped_silently(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "-1", "--partition", "6,1,1", "--cache", str(cache))
+        _, fresh, _ = run(capsys, *args)
+        cache.write_bytes(b'{"eps":-1,"partition":[4,4],garbage\n' + cache.read_bytes())
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (0, fresh, "")
+        assert len(cache.read_bytes().splitlines()) == 2  # a hit appends nothing
+
+    def test_garbled_line_for_this_orbit_still_warns(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(b'{"eps":-1,"partition":[6,1,1],garbage\n')
+        code, _, err = run(capsys, "check", "--eps", "-1", "--partition", "6,1,1",
+                           "--cache", str(cache))
+        assert (code, err) == (0, "warning: ignoring unparseable cache line\n")
+        assert len(cache.read_bytes().splitlines()) == 2
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda record: json.dumps(record),
+        lambda record: json.dumps(dict(reversed(record.items())), separators=(",", ":")),
+        lambda record: "  " + json.dumps(record, separators=(",", ":")),
+    ], ids=["spaces", "key-order", "leading-blanks"])
+    def test_hand_written_record_for_this_orbit_hits(self, capsys, tmp_path, rewrite):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "+1", "--partition", "7,2,2", "--format", "json")
+        _, fresh, _ = run(capsys, *args)
+        cache.write_text(rewrite(json.loads(fresh)) + "\n")
+        code, out, err = run(capsys, *args, "--cache", str(cache))
+        assert (code, out, err) == (10, fresh, "")
+        assert len(cache.read_bytes().splitlines()) == 1
+
+    @pytest.mark.parametrize("eps,cached,asked", [
+        ("+1", "7,1", "7,1,1"), ("+1", "7,1,1", "7,1"),
+        ("-1", "6,1,1", "6,1,1,1,1"), ("-1", "6,1,1,1,1", "6,1,1"),
+    ])
+    def test_record_for_a_longer_or_shorter_partition_does_not_answer(
+            self, capsys, tmp_path, eps, cached, asked):
+        cache = str(tmp_path / "cache.jsonl")
+        check = ("check", "--eps", eps, "--format", "json", "--partition")
+        run(capsys, *check, cached, "--cache", cache)
+        fresh = run(capsys, *check, asked)
+        assert run(capsys, *check, asked, "--cache", cache) == fresh
+        assert [json.loads(line)["partition"] for line in open(cache)] == [
+            [int(x) for x in cached.split(",")], [int(x) for x in asked.split(",")]]
+
     @pytest.mark.parametrize("bound,env,code,message", [
         ("5", None, 3, "error: size 11 exceeds the enumeration bound 5"),
         (None, "abc", 2, "error: ORBIT_MAX_SIZE is not an integer: 'abc'"),

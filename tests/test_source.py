@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import orbitnorm
@@ -25,3 +29,33 @@ def test_no_raise_assertion_error_in_package():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _fresh_modules(code):
+    """Output lines of code run in a fresh `python -S` on the package's src, then sys.modules."""
+    src = str(Path(orbitnorm.__file__).parent.parent)
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *lines, modules = proc.stdout.splitlines()
+    return lines, set(json.loads(modules))
+
+
+NOT_AT_IMPORT = {"dataclasses", "decimal", "fractions", "inspect"}
+
+
+def test_cli_import_leaves_out_what_no_command_needs():
+    _, loaded = _fresh_modules("import orbitnorm.cli")
+    assert loaded & NOT_AT_IMPORT == set()
+    # the oracle module itself stays eager, so a per-layer trace still wraps it
+    assert "orbitnorm.matrix_oracle" in loaded
+
+
+def test_an_oracle_command_does_not_import_fractions():
+    lines, loaded = _fresh_modules(
+        "from orbitnorm.cli import main\n"
+        "print(main(['dim', '--eps', '1', '--partition', '9,7,3,3,1,1']))")
+    assert lines == ["[9,7,3,3,1,1] eps +1: orbit dim 236, centralizer dim 40, algebra dim 276",
+                     "0"]
+    assert "fractions" not in loaded
