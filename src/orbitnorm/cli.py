@@ -9,6 +9,7 @@ All output is byte-deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -337,6 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # run as the program: no later collection, the one at exit included,
+        # rescans the objects that start-up made
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import ContractError
 from .partitions import EpsDiagram, Partition, check_size, enumerate_eps_diagrams
-from .table import TABLE, table_row
+from .table import TABLE, table_row, top_heads
 
 __all__ = [
     "Cover",
@@ -116,6 +116,16 @@ def minimal_degenerations(eta: EpsDiagram, bound: int | None = None) -> list[Deg
     return [DegenPair(eta.eps, c.sigma, eta.partition) for c in covers(eta, bound)]
 
 
+@lru_cache(maxsize=None)
+def _core(eps: int, top: tuple[int, ...]) -> tuple[str, Optional[int], DegenPair] | None:
+    """(family, n, core) of the table row whose top is top at form type eps, if any."""
+    row = table_row(eps, top)
+    if row is None:
+        return None
+    family, n, bottom = row
+    return family, n, DegenPair(eps, bottom, top)
+
+
 @lru_cache(maxsize=256)
 def _covers(lam: Partition, eps: int) -> tuple[Cover, ...]:
     """Every cover of (lam, eps) with its core and family, sigma in descending order.
@@ -128,22 +138,30 @@ def _covers(lam: Partition, eps: int) -> tuple[Cover, ...]:
     len(B) - len(T) more rows than T; when s > 0 as many rows of length
     exactly s leave from below, so that the first s columns, and the size,
     stay those of lam.
+
+    Every bottom has more rows than its top, so for s > 0 a row of length s
+    sits right below T: T ends at a drop lam[j-1] > lam[j] = s.  With s = 0,
+    T is all of lam[i:].  Only those (i, j) are tried, and only when T's
+    form type, row count and first part head some table top.
     """
+    heads = top_heads(lam.size)
+    # (j, s, form type (-1)^s * eps) of each place where T can end
+    ends = [(j, lam[j], -eps if lam[j] % 2 else eps)
+            for j in range(1, len(lam)) if lam[j] < lam[j - 1]]
+    ends.append((len(lam), 0, eps))
     found: dict[tuple[int, ...], Cover] = {}
-    for i in range(len(lam)):
-        for s in range(lam[i]):
-            top = tuple(x - s for x in lam[i:] if x > s)
-            core_eps = eps if s % 2 == 0 else -eps
-            row = table_row(core_eps, top)
-            if row is None:
+    for j, s, core_eps in ends:
+        for i in range(j):
+            if (core_eps, j - i, lam[i] - s) not in heads:
                 continue
-            family, n, bottom = row
-            below = lam[i + len(top):]
-            extra = len(bottom) - len(top) if s else 0
-            if below[:extra] != (s,) * extra:
+            shape = _core(core_eps, tuple([x - s for x in lam[i:j]]))
+            if shape is None:
                 continue
-            sigma = lam[:i] + tuple(b + s for b in bottom) + below[extra:]
-            core = DegenPair(core_eps, bottom, Partition(top))
+            family, n, core = shape
+            extra = len(core.bottom) - (j - i) if s else 0
+            if lam[j:j + extra] != (s,) * extra:
+                continue
+            sigma = lam[:i] + tuple([b + s for b in core.bottom]) + lam[j + extra:]
             found[sigma] = Cover(Partition(sigma), core, family, n)
     return tuple(found[sigma] for sigma in sorted(found, reverse=True))
 
@@ -185,9 +203,10 @@ class PosetGraph(NamedTuple):
 def hasse(n: int, eps: int, bound: int | None = None) -> PosetGraph:
     """Cover graph on all eps-diagrams of n, each edge labelled by its core's table row."""
     nodes = enumerate_eps_diagrams(n, eps, bound)
+    # enumeration checked n against the bound, so no node checks it again
     edges = [
         PosetEdge(eta.partition, c.sigma, c.family, TABLE[c.family].codim(c.n))
         for eta in nodes
-        for c in covers(eta, bound)
+        for c in _covers(eta.partition, eps)
     ]
     return PosetGraph(eps=eps, n=n, nodes=nodes, edges=edges)

@@ -72,4 +72,5 @@ def decide(eta: EpsDiagram, bound: int | None = None) -> NormalityVerdict:
 
 def survey(n: int, eps: int, bound: int | None = None) -> list[NormalityVerdict]:
     """decide() over every eps-diagram of n, in enumeration order."""
-    return [decide(eta, bound) for eta in enumerate_eps_diagrams(n, eps, bound)]
+    # enumeration checks n against the bound; every diagram has size n, so n bounds its own check
+    return [decide(eta, n) for eta in enumerate_eps_diagrams(n, eps, bound)]

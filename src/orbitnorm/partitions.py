@@ -188,12 +188,29 @@ def partitions_of(n: int) -> Iterator[Partition]:
     return iter(_partitions_desc(n, n))
 
 
+@lru_cache(maxsize=None)
+def _diagrams_desc(n: int, cap: int, eps: int) -> tuple[tuple[int, ...], ...]:
+    """Parts of every eps-diagram of n with parts <= cap, in reverse-lexicographic order.
+
+    Part sizes run largest first and each size's multiplicity highest first,
+    which is that order; a size of the constrained parity steps by 2.
+    """
+    if n == 0:
+        return ((),)
+    out: list[tuple[int, ...]] = []
+    for part in range(min(n, cap), 0, -1):
+        step = 2 if part % 2 == (eps == SYMPLECTIC) else 1
+        most = n // part
+        for m in range(most - most % step, 0, -step):
+            head = (part,) * m
+            out += [head + rest for rest in _diagrams_desc(n - m * part, part - 1, eps)]
+    return tuple(out)
+
+
 def enumerate_eps_diagrams(n: int, eps: int, bound: int | None = None) -> list[EpsDiagram]:
     """Valid eps-diagrams of n, reverse-lexicographic; capacity-bounded."""
     _check_eps(eps)
     if n < 0:
         raise ContractError(f"n must be nonnegative, got {n}")
     check_size(n, bound)
-    return [
-        EpsDiagram(p, eps) for p in partitions_of(n) if is_eps_diagram(p, eps)
-    ]
+    return [EpsDiagram(p, eps) for p in _diagrams_desc(n, n, eps)]

@@ -72,3 +72,20 @@ def table_row(eps: int, top: tuple[int, ...]) -> Row | None:
         if tuple(family.top(n)) == top:
             return name, n, Partition(family.bottom(n))
     return None
+
+
+@lru_cache(maxsize=None)
+def top_heads(size: int) -> frozenset[tuple[int, int, int]]:
+    """(form type, rows, first part) of every table top of size at most size.
+
+    Every top grows with n, so each family is walked from its least n up.
+    """
+    heads = set()
+    for family in TABLE.values():
+        n = family.least
+        while sum(top := family.top(n)) <= size:
+            heads.add((family.eps, len(top), top[0]))
+            if n is None:
+                break
+            n += 1
+    return frozenset(heads)

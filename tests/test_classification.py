@@ -249,6 +249,24 @@ class TestTableAgainstReference:
         assert FAMILY_RANGES == REFERENCE_RANGES
         assert list(table.TABLE) == list("abcdefgh")
 
+    def test_every_bottom_has_more_rows_than_its_top(self):
+        # the cover generator's candidate rule rests on this: with s > 0 erased
+        # columns, a row of length exactly s must sit right below the top
+        for name, family in table.TABLE.items():
+            for n in [None] if family.least is None else range(family.least, 61):
+                assert len(family.bottom(n)) > len(family.top(n)), (name, n)
+
+    def test_top_heads_index(self):
+        # every table top is a diagram of its form type; the former lookup finds them all
+        expected = set()
+        for size in range(0, 41):
+            for eps in (1, -1):
+                for d in enumerate_eps_diagrams(size, eps, 40):
+                    top = tuple(d.partition)
+                    if reference_table_row(eps, top) is not None:
+                        expected.add((eps, len(top), top[0]))
+            assert table.top_heads(size) == expected, size
+
     @pytest.mark.parametrize("family", sorted(REFERENCE_RANGES))
     def test_large_instance_is_solved_not_searched(self, family, monkeypatch):
         # a lookup that tried n = least, least + 1, ... would evaluate tops hundreds of times

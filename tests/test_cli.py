@@ -1,8 +1,13 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from orbitnorm import cli, matrix_oracle
+from orbitnorm import cli, matrix_oracle, partitions
 from orbitnorm.cli import main
 
 
@@ -240,6 +245,15 @@ class TestMaxSize:
         assert code == 3
         assert "enumeration bound 4" in err
 
+    @pytest.mark.parametrize("command", ["survey", "hasse"])
+    def test_whole_size_commands_read_the_bound_once(self, capsys, monkeypatch, command):
+        reads = []
+        real = partitions.max_size
+        monkeypatch.setattr(partitions, "max_size", lambda: reads.append(1) or real())
+        code, _, _ = run(capsys, command, "--eps", "-1", "--size", "10")
+        assert code == 0
+        assert len(reads) == 1
+
     def test_hasse_env_override(self, capsys, monkeypatch):
         code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "41")
         assert code == 3
@@ -252,6 +266,29 @@ class TestMaxSize:
         code, out, _ = run(capsys, "hasse", "--eps", "-1", "--size", "4")
         assert code == 0
         assert out.count("->") == 3
+
+
+class TestExitFreeze:
+    SURVEY = ("survey", "--eps", "-1", "--size", "8", "--format", "json")
+
+    def test_program_entry_freezes_and_prints_the_same(self, capsys):
+        # main() reads sys.argv, as the installed script runs it
+        src = str(Path(cli.__file__).parent.parent)
+        script = ("import gc, sys\nfrom orbitnorm.cli import main\ncode = main()\n"
+                  "print(gc.get_freeze_count(), file=sys.stderr)\nsys.exit(code)")
+        env = {k: v for k, v in os.environ.items() if k != "ORBIT_MAX_SIZE"}
+        proc = subprocess.run([sys.executable, "-c", script, *self.SURVEY], capture_output=True,
+                              env={**env, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr.split()[-1]) > 0
+        _, out, _ = run(capsys, *self.SURVEY)
+        assert proc.stdout == out.encode()
+
+    def test_in_process_call_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = run(capsys, *self.SURVEY)
+        assert code == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestOtherCommands:

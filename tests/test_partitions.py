@@ -198,6 +198,19 @@ class TestEnumerate:
         with pytest.raises(CapacityError):
             enumerate_eps_diagrams(4, -1)
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_direct_generation_matches_filtered_partitions(self, eps):
+        # the generator against the filter it replaced, order included
+        for n in range(0, 31):
+            expected = [EpsDiagram(p, eps) for p in partitions_of(n) if is_eps_diagram(p, eps)]
+            got = enumerate_eps_diagrams(n, eps)
+            assert got == expected, n
+            assert all(type(d) is EpsDiagram and type(d.partition) is Partition for d in got)
+
+    def test_counts_at_the_default_bound(self):
+        assert len(enumerate_eps_diagrams(40, 1, 40)) == 5096
+        assert len(enumerate_eps_diagrams(40, -1, 40)) == 7336
+
     def test_subset_of_all_partitions(self):
         for n in range(0, 10):
             everything = set(partitions_of(n))
