@@ -7,7 +7,8 @@ bottom shape with the row's.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 from .degeneration import DegenPair
 from .errors import ContractError, NotMinimalIrreducible
@@ -24,7 +25,9 @@ __all__ = [
 ]
 
 
-class DegenType(NamedTuple):
+class DegenType(namedtuple("DegenType", "family n")):
+    __slots__ = ()
+
     family: str
     n: Optional[int]
 

@@ -8,10 +8,13 @@ All output is byte-deterministic for fixed inputs.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import os
+import stat
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import __version__
 from .classification import classify_core
@@ -57,8 +60,9 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
-def _partition_csv(p: Partition) -> str:
-    return ",".join(str(x) for x in p)
+def _partition_csv(parts) -> str:
+    """A partition, or a report's list of parts, as the comma-separated text every format prints."""
+    return ",".join(map(str, parts))
 
 
 # --- cache -----------------------------------------------------------------
@@ -83,15 +87,36 @@ def _valid_report(record: dict) -> bool:
 _RECORD_PREFIXES = (b'{"eps":1,"partition":[', b'{"eps":-1,"partition":[')
 
 
+#: Longest cache line read whole; a record the program writes is a few kB at most.
+_CACHE_LINE_LIMIT = 1 << 20
+
+
 def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> dict | None:
-    """First usable record for the orbit; with oracle, only one that has oracle codims."""
+    """First usable record for the orbit; with oracle, only one that has oracle codims.
+
+    The cache must be a regular file or not exist yet: a FIFO would block the
+    read and a device need not end, so either is an input error.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise ContractError(f"cannot write cache {path}: {exc.strerror or exc}")
+    if not stat.S_ISREG(mode):
+        raise ContractError(f"cannot write cache {path}: not a regular file")
     try:
         handle = open(path, "rb")
     except OSError:
         return None
     own = f'{{"eps":{eps},"partition":[{_partition_csv(partition)}],'.encode()
     with handle:
-        for line in handle:
+        while line := handle.readline(_CACHE_LINE_LIMIT):
+            if len(line) == _CACHE_LINE_LIMIT and not line.endswith(b"\n"):
+                print("warning: ignoring over-long cache line", file=sys.stderr)
+                while line and not line.endswith(b"\n"):  # skip the rest, a bounded piece at a time
+                    line = handle.readline(_CACHE_LINE_LIMIT)
+                continue
             if line.startswith(_RECORD_PREFIXES) and not line.startswith(own):
                 continue  # a record the program wrote for another orbit: skip it unparsed
             line = line.strip()
@@ -130,9 +155,9 @@ def _verdict_text(report: dict) -> str:
     lines = [f"partition [{_partition_csv(report['partition'])}] eps {report['eps']:+d}: {report['verdict']}"]
     for w in report["witnesses"]:
         lines.append(
-            f"  witness [{','.join(map(str, w['sigma']))}]"
-            f" -> core ([{','.join(map(str, w['core']['bottom']))}] <="
-            f" [{','.join(map(str, w['core']['top']))}], eps {w['core']['eps']:+d})"
+            f"  witness [{_partition_csv(w['sigma'])}]"
+            f" -> core ([{_partition_csv(w['core']['bottom'])}] <="
+            f" [{_partition_csv(w['core']['top'])}], eps {w['core']['eps']:+d})"
             f" type {w['family']} codim {w['codim']}"
             + (f" oracle_codim {w['codim_oracle']}" if "codim_oracle" in w else "")
         )
@@ -173,7 +198,7 @@ def run_survey(args) -> int:
         lines = ["partition;verdict;witness_families"]
         for r in reports:
             families = ",".join(w["family"] for w in r["witnesses"])
-            lines.append(f"{','.join(map(str, r['partition']))};{r['verdict']};{families}")
+            lines.append(f"{_partition_csv(r['partition'])};{r['verdict']};{families}")
         _emit("\n".join(lines))
     else:
         lines = [_verdict_text(r) for r in reports]
@@ -266,13 +291,16 @@ def run_verify(args) -> int:
     p = parse_partition(args.partition)
     EpsDiagram(p, args.eps)  # rejects a diagram that breaks the parity rule
     model = build_nilpotent_model(p, args.eps)
-    restricted = restrict_to_image(model)
-    got = jordan_type(restricted.D)
     expected = p.erase_first_column()
-    ok = got == expected and restricted.eps == -args.eps
+    if expected:
+        restricted = restrict_to_image(model)
+        got, image_eps = jordan_type(restricted.D), restricted.eps
+    else:  # a zero map: its image is the zero space, whose empty form counts as either type
+        got, image_eps = expected, -args.eps
+    ok = got == expected and image_eps == -args.eps
     status = "PASS" if ok else "FAIL"
     _emit(
-        f"restriction type [{_partition_csv(got)}] eps {restricted.eps:+d},"
+        f"restriction type [{_partition_csv(got)}] eps {image_eps:+d},"
         f" expected [{_partition_csv(expected)}] eps {-args.eps:+d}: {status}"
     )
     return EXIT_NORMAL if ok else EXIT_INTERNAL
@@ -280,61 +308,118 @@ def run_verify(args) -> int:
 
 # --- argument wiring -------------------------------------------------------
 
+#: One option of a subcommand.  convert is argparse's type (str for plain text),
+#: or None for a flag that takes no value.
+_Option = namedtuple("_Option", "flag convert required help choices default",
+                     defaults=(False, None, None, None))
+
+#: One subcommand.  Each takes --eps and --format (from formats, default_format),
+#: the bounded ones also --max-size, and then its own options.
+_Command = namedtuple("_Command", "run help formats default_format bounded options")
+
+_EPS = _Option("--eps", _parse_eps, required=True, help="+1 orthogonal, -1 symplectic")
+_MAX_SIZE = _Option("--max-size", int, help="override the enumeration bound")
+_PARTITION = (_Option("--partition", str, required=True),)
+_SIZE = (_Option("--size", int, required=True),)
+_PAIR = (_Option("--top", str, required=True), _Option("--bottom", str, required=True))
+
+#: The whole command line, in the order help lists it; both parsers derive from it.
+COMMANDS = {
+    "check": _Command(run_check, "normality verdict for one orbit", ("json", "text"), "text", True,
+                      _PARTITION + (
+                          _Option("--cache", str, help="append-only JSONL verdict cache"),
+                          _Option("--oracle", None, help="cross-check codims with the matrix oracle",
+                                  default=False),
+                      )),
+    "survey": _Command(run_survey, "verdicts for every diagram of a size",
+                       ("json", "csv", "text"), "text", True, _SIZE),
+    "hasse": _Command(run_hasse, "annotated cover graph as DOT or JSON",
+                      ("dot", "json"), "dot", True, _SIZE),
+    "reduce": _Command(run_reduce, "irreducible core of a degeneration pair",
+                       ("json", "text"), "text", False, _PAIR),
+    "classify": _Command(run_classify, "reduce and classify a minimal degeneration",
+                         ("json", "text"), "text", False, _PAIR),
+    "dim": _Command(run_dim, "orbit/centralizer dimensions from the matrix oracle",
+                    ("json", "text"), "text", False, _PARTITION),
+    "verify": _Command(run_verify, "check the column-erasure identity on one orbit",
+                       ("text",), "text", False, _PARTITION),
+}
+
+
+def _options(command: _Command) -> list[_Option]:
+    """Every option of a command, in the order help lists them."""
+    fmt = _Option("--format", str, choices=command.formats, default=command.default_format)
+    # only the commands that enumerate take a bound
+    return [_EPS, fmt, *([_MAX_SIZE] if command.bounded else []), *command.options]
+
+
+def _print_version(args) -> int:
+    _emit(__version__)
+    return EXIT_NORMAL
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for the whole command line: its help, usage and error output."""
+    import argparse  # a well-formed command line never gets here; see _parse
+
     parser = argparse.ArgumentParser(
         prog="orbitnorm",
         description="Decide normality of orthogonal/symplectic nilpotent orbit closures.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_choices, fmt_default, bounded=False):
-        p.add_argument("--eps", required=True, type=_parse_eps, help="+1 orthogonal, -1 symplectic")
-        p.add_argument("--format", choices=fmt_choices, default=fmt_default)
-        if bounded:
-            # only the commands that enumerate take a bound
-            p.add_argument("--max-size", type=int, default=None, help="override the enumeration bound")
-
-    p = sub.add_parser("check", help="normality verdict for one orbit")
-    common(p, ["json", "text"], "text", bounded=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--cache", default=None, help="append-only JSONL verdict cache")
-    p.add_argument("--oracle", action="store_true", help="cross-check codims with the matrix oracle")
-    p.set_defaults(func=run_check)
-
-    p = sub.add_parser("survey", help="verdicts for every diagram of a size")
-    common(p, ["json", "csv", "text"], "text", bounded=True)
-    p.add_argument("--size", required=True, type=int)
-    p.set_defaults(func=run_survey)
-
-    p = sub.add_parser("hasse", help="annotated cover graph as DOT or JSON")
-    common(p, ["dot", "json"], "dot", bounded=True)
-    p.add_argument("--size", required=True, type=int)
-    p.set_defaults(func=run_hasse)
-
-    p = sub.add_parser("reduce", help="irreducible core of a degeneration pair")
-    common(p, ["json", "text"], "text")
-    p.add_argument("--top", required=True)
-    p.add_argument("--bottom", required=True)
-    p.set_defaults(func=run_reduce)
-
-    p = sub.add_parser("classify", help="reduce and classify a minimal degeneration")
-    common(p, ["json", "text"], "text")
-    p.add_argument("--top", required=True)
-    p.add_argument("--bottom", required=True)
-    p.set_defaults(func=run_classify)
-
-    p = sub.add_parser("dim", help="orbit/centralizer dimensions from the matrix oracle")
-    common(p, ["json", "text"], "text")
-    p.add_argument("--partition", required=True)
-    p.set_defaults(func=run_dim)
-
-    p = sub.add_parser("verify", help="check the column-erasure identity on one orbit")
-    common(p, ["text"], "text")
-    p.add_argument("--partition", required=True)
-    p.set_defaults(func=run_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in _options(command):
+            if opt.convert is None:
+                p.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, type=opt.convert, required=opt.required,
+                               choices=opt.choices, default=opt.default, help=opt.help)
+        p.set_defaults(func=command.run)
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a canonical command line, else None.
+
+    Canonical is `--version` alone, or a command and then its options, each
+    spelled in full and given once, as `--opt value` or `--flag`.  No value
+    starts with "-" unless it is an ASCII negative integer, every value
+    converts and is among its choices, and every required option is there.
+    Anything else (help, abbreviations, `--opt=value`, repeats, `--`, any
+    error) gives None, so argparse answers it with its own output.
+    """
+    if argv == ["--version"]:
+        return SimpleNamespace(func=_print_version)
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {opt.flag: opt for opt in _options(command)}
+    found = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        opt = options.get(flag)
+        if opt is None or flag in found:
+            return None
+        if opt.convert is None:
+            found[flag] = True
+            continue
+        text = next(rest, None)
+        if text is None or text.startswith("-") and not (text.isascii() and text[1:].isdigit()):
+            return None
+        try:
+            value = opt.convert(text)
+        except (TypeError, ValueError):
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        found[flag] = value
+    if any(opt.required and flag not in found for flag, opt in options.items()):
+        return None
+    values = {flag[2:].replace("-", "_"): found.get(flag, opt.default)
+              for flag, opt in options.items()}
+    return SimpleNamespace(command=argv[0], func=command.run, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -342,12 +427,14 @@ def main(argv: list[str] | None = None) -> int:
         # run as the program: no later collection, the one at exit included,
         # rescans the objects that start-up made
         gc.freeze()
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors, which matches our input-error code
-        return int(exc.code or 0)
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse uses 2 for usage errors, which matches our input-error code
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (PartitionParseError, ContractError) as exc:

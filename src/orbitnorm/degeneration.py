@@ -15,8 +15,9 @@ table row on the way.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import ContractError
 from .partitions import EpsDiagram, Partition, check_size, enumerate_eps_diagrams
@@ -54,10 +55,14 @@ def dominates(top: Partition, bottom: Partition) -> bool:
     return True
 
 
-class DegenPair(NamedTuple("DegenPair", [("eps", int), ("bottom", Partition), ("top", Partition)])):
+class DegenPair(namedtuple("DegenPair", "eps bottom top")):
     """An ordered degeneration: bottom <= top, same size, same form type."""
 
     __slots__ = ()
+
+    eps: int
+    bottom: Partition
+    top: Partition
 
     def __new__(cls, eps: int, bottom: Iterable[int], top: Iterable[int]) -> "DegenPair":
         bottom, top = Partition(bottom), Partition(top)
@@ -96,8 +101,10 @@ def degenerations(eta: EpsDiagram, bound: int | None = None) -> list[EpsDiagram]
     ]
 
 
-class Cover(NamedTuple):
+class Cover(namedtuple("Cover", "sigma core family n")):
     """A cover sigma of eta, with the irreducible core and table row it comes from."""
+
+    __slots__ = ()
 
     sigma: Partition
     core: DegenPair
@@ -166,8 +173,10 @@ def _covers(lam: Partition, eps: int) -> tuple[Cover, ...]:
     return tuple(found[sigma] for sigma in sorted(found, reverse=True))
 
 
-class PosetEdge(NamedTuple):
+class PosetEdge(namedtuple("PosetEdge", "top bottom family codim")):
     """A covering pair with its core's family and printed codimension."""
+
+    __slots__ = ()
 
     top: Partition
     bottom: Partition
@@ -183,8 +192,10 @@ class PosetEdge(NamedTuple):
         }
 
 
-class PosetGraph(NamedTuple):
+class PosetGraph(namedtuple("PosetGraph", "eps n nodes edges")):
     """Cover graph of the degeneration order on all diagrams of one size."""
+
+    __slots__ = ()
 
     eps: int
     n: int

@@ -21,8 +21,9 @@ compare centralizer ranks over Q and over F_p for p in {3, 5, 7, 11}.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .degeneration import DegenPair
 from .errors import CapacityError, ContractError
@@ -127,8 +128,10 @@ def mat_rank(m: Matrix) -> int:
     return len(_eliminate([dict(enumerate(row)) for row in m])[0])
 
 
-class NilpotentModel(NamedTuple):
+class NilpotentModel(namedtuple("NilpotentModel", "dim eps gram nilpotent")):
     """A nilpotent matrix inside the isometry Lie algebra of an exact form."""
+
+    __slots__ = ()
 
     dim: int
     eps: int

@@ -9,7 +9,7 @@ and f, g, h exceed codimension 2, so only d and e enter the decision.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .classification import DegenType
 from .degeneration import DegenPair, covers
@@ -22,8 +22,10 @@ NOT_NORMAL = "NotNormal"
 UNDETERMINED = "Undetermined"
 
 
-class Witness(NamedTuple):
+class Witness(namedtuple("Witness", "sigma core degen_type")):
     """One classified minimal degeneration below the analyzed orbit."""
+
+    __slots__ = ()
 
     sigma: Partition
     core: DegenPair
@@ -39,7 +41,9 @@ class Witness(NamedTuple):
         }
 
 
-class NormalityVerdict(NamedTuple):
+class NormalityVerdict(namedtuple("NormalityVerdict", "eta verdict witnesses")):
+    __slots__ = ()
+
     eta: EpsDiagram
     verdict: str
     witnesses: tuple[Witness, ...]

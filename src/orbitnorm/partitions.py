@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import os
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, ContractError, PartitionParseError
 
@@ -143,10 +143,13 @@ def is_eps_diagram(p: Iterable[int], eps: int) -> bool:
     return eps_violation(p, eps) is None
 
 
-class EpsDiagram(NamedTuple("EpsDiagram", [("partition", Partition), ("eps", int)])):
+class EpsDiagram(namedtuple("EpsDiagram", "partition eps")):
     """A partition that is a valid diagram for its form type."""
 
     __slots__ = ()
+
+    partition: Partition
+    eps: int
 
     def __new__(cls, partition: Iterable[int], eps: int) -> "EpsDiagram":
         partition = Partition(partition)

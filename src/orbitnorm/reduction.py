@@ -9,7 +9,7 @@ package README for why the sign carries the original eps along.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .degeneration import DegenPair
 from .errors import ContractError, NotMinimalIrreducible
@@ -80,8 +80,10 @@ def is_irreducible(pair: DegenPair) -> bool:
     return common_leading_rows(pair) == 0 and common_leading_columns(pair) == 0
 
 
-class ReductionResult(NamedTuple):
+class ReductionResult(namedtuple("ReductionResult", "core steps")):
     """Irreducible core of a pair together with the full erasure ledger."""
+
+    __slots__ = ()
 
     core: DegenPair
     steps: tuple[Step, ...]

@@ -13,13 +13,16 @@ reading.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .partitions import ORTHOGONAL, SYMPLECTIC, Partition
 
 
-class Family(NamedTuple):
+class Family(namedtuple("Family", "eps least top bottom codim")):
+    __slots__ = ()
+
     eps: int
     least: Optional[int]  # least admissible n; None for the parameterless a
     top: Callable[[int], list[int]]

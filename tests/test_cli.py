@@ -178,6 +178,48 @@ class TestCache:
         assert [l for l in err.splitlines() if l] == [err.strip()]
         assert err.startswith("error: cannot write cache ")
 
+    @pytest.mark.parametrize("kind", ["fifo", "device"])
+    def test_cache_that_is_not_a_regular_file_exit_2(self, capsys, tmp_path, monkeypatch, kind):
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            cache = tmp_path / "fifo"
+            os.mkfifo(cache)
+        else:
+            cache = Path("/dev/zero")
+            if not cache.exists():
+                pytest.skip("no /dev/zero on this platform")
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("the cache was opened")
+
+        # refused by its stat alone: a read would block on the FIFO and never end on /dev/zero
+        monkeypatch.setattr(cli, "open", no_open, raising=False)
+        code, out, err = run(capsys, "check", "--eps", "-1", "--partition", "6,1,1",
+                             "--cache", str(cache))
+        assert (code, out, err) == (2, "", f"error: cannot write cache {cache}: not a regular file\n")
+
+    def test_over_long_line_warns_once_and_the_scan_goes_on(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "-1", "--partition", "6,1,1", "--cache", str(cache))
+        _, fresh, _ = run(capsys, *args)
+        record = cache.read_bytes()
+        monkeypatch.setattr(cli, "_CACHE_LINE_LIMIT", len(record))  # the record just fits
+        cache.write_bytes(b"x" * (3 * len(record)) + b"\n" + record)
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (0, fresh, "warning: ignoring over-long cache line\n")
+        assert cache.read_bytes().endswith(b"\n" + record)  # a hit appends nothing
+
+    def test_over_long_record_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "-1", "--partition", "6,1,1", "--cache", str(cache))
+        _, fresh, _ = run(capsys, *args)
+        record = cache.read_bytes()
+        monkeypatch.setattr(cli, "_CACHE_LINE_LIMIT", len(record) - 1)
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (0, fresh, "warning: ignoring over-long cache line\n")
+        assert cache.read_bytes() == record + record  # the miss decided again and appended
+
 
 class TestSurvey:
     def test_csv_row(self, capsys):
@@ -343,6 +385,12 @@ class TestOtherCommands:
         assert code == 0
         assert "PASS" in out
         assert "restriction type [5]" in out
+
+    @pytest.mark.parametrize("eps,parts,image_eps", [("1", "1,1,1", "-1"), ("-1", "1,1", "+1")])
+    def test_verify_zero_map_passes(self, capsys, eps, parts, image_eps):
+        # [1^k] erases to [], and the zero image carries the empty form of the other type
+        assert run(capsys, "verify", "--eps", eps, "--partition", parts) == (
+            0, f"restriction type [] eps {image_eps}, expected [] eps {image_eps}: PASS\n", "")
 
     def test_bad_order_is_input_error(self, capsys):
         code, _, err = run(capsys, "reduce", "--eps", "-1", "--top", "4,2,2",

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -42,7 +43,7 @@ def _fresh_modules(code):
     return lines, set(json.loads(modules))
 
 
-NOT_AT_IMPORT = {"dataclasses", "decimal", "fractions", "inspect"}
+NOT_AT_IMPORT = {"argparse", "dataclasses", "decimal", "fractions", "inspect"}
 
 
 def test_cli_import_leaves_out_what_no_command_needs():
@@ -59,3 +60,35 @@ def test_an_oracle_command_does_not_import_fractions():
     assert lines == ["[9,7,3,3,1,1] eps +1: orbit dim 236, centralizer dim 40, algebra dim 276",
                      "0"]
     assert "fractions" not in loaded
+
+
+def test_a_well_formed_command_does_not_import_argparse():
+    lines, loaded = _fresh_modules(
+        "from orbitnorm.cli import main\n"
+        "print(main(['survey', '--eps', '-1', '--size', '2', '--format', 'csv']))")
+    assert lines == ["partition;verdict;witness_families", "2;Normal;a", "1,1;Normal;", "0"]
+    assert "argparse" not in loaded
+
+
+def test_help_imports_argparse():
+    lines, loaded = _fresh_modules("from orbitnorm.cli import main\nprint(main(['--help']))")
+    assert lines[0].startswith("usage: orbitnorm ") and lines[-1] == "0"
+    assert "argparse" in loaded
+
+
+def test_records_are_collections_namedtuples_with_their_annotations():
+    # typing.NamedTuple compiles a ForwardRef per field at import; the records do without it
+    records = []
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id == "NamedTuple"], path.name
+        names = [node.name for node in tree.body if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+            for base in node.bases)]
+        if names:
+            module = importlib.import_module(f"orbitnorm.{path.stem}")
+            records += [getattr(module, name) for name in names]
+    assert len(records) == 11
+    for cls in records:
+        assert tuple(cls.__annotations__) == cls._fields, cls.__name__
