@@ -4,8 +4,12 @@ Everything here is exact over the rationals, with no floating point: entries
 are plain ints, and a fractions.Fraction appears (and the fractions module is
 imported) only for a quotient that is not integral.  Dimensions are counted by
 exact ranks, so centralizer and orbit dimensions are certificates, not
-estimates.  One sparse elimination does all row reduction: ranks, centralizer
-dimensions, and the basis of and coordinates in the image of a nilpotent map.
+estimates.  The orbit dimension is the rank of ad D on the isometry algebra g,
+written in the form's own coordinates: Y in g is S = J Y with S^T = -eps S,
+and Y commutes with D exactly when S D + D^T S = 0.  One sparse elimination
+does all row reduction: ranks, centralizer dimensions, and the basis of and
+coordinates in the image of a nilpotent map.  Models obey the one enumeration
+bound (ORBIT_MAX_SIZE, else 40) that check, survey and hasse obey.
 The construction is block-wise: a part whose parity matches the form type gets
 a single Jordan block with an alternating-sign anti-diagonal Gram block; the
 remaining parts (which the diagram condition forces to come in even
@@ -23,11 +27,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from numbers import Rational
 
 from .degeneration import DegenPair
-from .errors import CapacityError, ContractError
-from .partitions import EpsDiagram, Partition, is_eps_diagram
+from .errors import ContractError
+from .partitions import EpsDiagram, Partition, check_size, is_eps_diagram
 
 __all__ = [
     "NilpotentModel",
@@ -42,15 +46,9 @@ __all__ = [
     "mat_rank",
 ]
 
-#: Centralizer systems have N^2 unknowns; keep exact solves comfortable.
-DEFAULT_MAX_DIM = 24
-
-if TYPE_CHECKING:  # annotations only, so importing the module does not import fractions
-    from fractions import Fraction
-
-    Scalar = int | Fraction  # an int wherever the value is integral
-    Matrix = list[list[Scalar]]
-    Row = dict[int, Scalar]  # sparse row: variable -> coefficient
+Scalar = Rational  # an int wherever the value is integral, else a fractions.Fraction
+Matrix = list[list[Scalar]]
+Row = dict[int, Scalar]  # sparse row: variable -> coefficient
 
 
 def _zeros(rows: int, cols: int) -> Matrix:
@@ -168,8 +166,7 @@ def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
     if not is_eps_diagram(lam, eps):
         raise ContractError(f"{lam} is not a valid diagram for eps={eps:+d}")
     n = lam.size
-    if n > DEFAULT_MAX_DIM:
-        raise CapacityError(f"dimension {n} exceeds the oracle bound {DEFAULT_MAX_DIM}")
+    check_size(n)
     J = _zeros(n, n)
     D = _zeros(n, n)
     offset = 0
@@ -231,36 +228,37 @@ def algebra_dim(n: int, eps: int) -> int:
 
 
 def _centralizer_rows(model: NilpotentModel) -> list[Row]:
-    """The equations Y^T J + J Y = 0 and Y D = D Y, with Y_kl as variable kN + l.
+    """The entries i <= j of S D + D^T S = 0, with S = J Y and S_kl (k <= l) as variable kN + l.
 
-    Entry (i, j) is read from the nonzeros of row i and of column j of J and D,
-    at most one each in a built model, so writing the system down is O(N^2).
+    Y is in g exactly when S^T = -eps S (so S_kk = 0 for eps = +1), and then commutes with D
+    exactly when S D + D^T S = 0, as J is invertible, J^T = eps J and D^T J + J D = 0, checked
+    first.  Entry (i, j) has one term per nonzero of columns i and j of D, two in a built model.
     """
-    n, J, D = model.dim, model.gram, model.nilpotent
-    nonzeros = lambda m: [[(k, x) for k, x in enumerate(line) if x] for line in m]
-    j_rows, j_cols, d_rows, d_cols = map(nonzeros, (J, zip(*J), D, zip(*D)))
-    equations = [
-        # (Y^T J + J Y)_{ij} = sum_k Y_{ki} J_{kj} + J_{ik} Y_{kj}
-        [(k * n + i, c) for k, c in j_cols[j]] + [(k * n + j, c) for k, c in j_rows[i]]
-        for i in range(n) for j in range(n)
-    ] + [
-        # (Y D - D Y)_{ij} = sum_k Y_{ik} D_{kj} - D_{ik} Y_{kj}
-        [(i * n + k, c) for k, c in d_cols[j]] + [(k * n + j, -c) for k, c in d_rows[i]]
-        for i in range(n) for j in range(n)
-    ]
+    n, eps, J, D = model
+    # (J D)^T = eps D^T J once J^T = eps J, so D^T J + J D = 0 reads (J D)^T = -eps J D
+    sym = lambda m, sign: all(m[j][i] == sign * m[i][j] for i in range(n) for j in range(i, n))
+    for holds, problem in ((mat_rank(J) == n, "gram matrix is singular"),
+                           (sym(J, eps), f"gram matrix is not eps={eps:+d} symmetric"),
+                           (sym(mat_mul(J, D), -eps), "nilpotent map does not preserve the form")):
+        if not holds:
+            raise ContractError(problem)
+    d_cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*D)]
     rows: list[Row] = []
-    for terms in equations:
-        row: Row = {}
-        for var, c in terms:
-            row[var] = row.get(var, 0) + c
-        if row:
-            rows.append(row)
+    for i in range(n):
+        for j in range(i + (eps == 1), n):  # (S D + D^T S)_ij = sum_k S_ik D_kj + D_ki S_kj
+            row: Row = {}
+            for a, b, c in [(i, k, c) for k, c in d_cols[j]] + [(k, j, c) for k, c in d_cols[i]]:
+                if a != b or eps == -1:
+                    var = min(a, b) * n + max(a, b)
+                    row[var] = row.get(var, 0) + (c if a <= b else -eps * c)
+            if row:
+                rows.append(row)
     return rows
 
 
 def centralizer_dim(model: NilpotentModel) -> int:
-    """dim { Y : Y^T J + J Y = 0 and Y D = D Y }, by exact nullspace count."""
-    return model.dim ** 2 - len(_eliminate(_centralizer_rows(model))[0])
+    """dim { Y in g : Y D = D Y } = dim g minus the rank of ad D on g, by exact elimination."""
+    return algebra_dim(model.dim, model.eps) - len(_eliminate(_centralizer_rows(model))[0])
 
 
 @lru_cache(maxsize=None)

@@ -310,6 +310,44 @@ class TestMaxSize:
         assert out.count("->") == 3
 
 
+class TestOracleBound:
+    """The oracle obeys the one enumeration bound, so it answers every orbit check answers."""
+
+    @pytest.mark.parametrize("eps,parts", [
+        ("1", "39,1"), ("1", "9,9,7,7,3,3,1,1"), ("-1", "40"), ("-1", "10,10,6,6,4,4"),
+    ])
+    def test_oracle_commands_answer_at_40(self, capsys, monkeypatch, eps, parts):
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        orbit = ("--eps", eps, "--partition", parts)
+        code, out, err = run(capsys, "check", *orbit, "--format", "json")
+        oracle_code, oracle_out, oracle_err = run(capsys, "check", *orbit, "--format", "json",
+                                                  "--oracle")
+        assert (oracle_code, oracle_err) == (code, err) == (code, "")
+        report = json.loads(oracle_out)
+        codims = [(w["family"], w.pop("codim_oracle")) for w in report["witnesses"]]
+        assert report == json.loads(out)
+        assert all(codim == 2 for family, codim in codims if family in "abcde")
+        code, out, err = run(capsys, "dim", *orbit, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["algebra_dim"] == 40 * (40 - int(eps)) // 2
+        code, out, err = run(capsys, "verify", *orbit)
+        assert (code, err) == (0, "")
+        assert out.endswith(": PASS\n")
+
+    def test_env_bound_caps_the_oracle(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORBIT_MAX_SIZE", "20")
+        assert run(capsys, "dim", "--eps", "-1", "--partition", "22") == (
+            3, "", "error: size 22 exceeds the enumeration bound 20\n")
+
+    def test_max_size_above_the_bound_does_not_lift_the_oracle(self, capsys, monkeypatch):
+        # --max-size bounds check's enumeration only; the oracle keeps the enumeration bound
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        orbit = ("check", "--eps", "1", "--partition", "43,1,1", "--max-size", "50")
+        assert run(capsys, *orbit)[0] == 0
+        assert run(capsys, *orbit, "--oracle") == (
+            3, "", "error: size 45 exceeds the enumeration bound 40\n")
+
+
 class TestExitFreeze:
     SURVEY = ("survey", "--eps", "-1", "--size", "8", "--format", "json")
 

@@ -151,15 +151,17 @@ class TestBuild:
         with pytest.raises(ContractError, match="unpaired blocks"):
             build_nilpotent_model(Partition([3, 1]), -1)
 
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            build_nilpotent_model(Partition([25]), 1)
+    def test_capacity(self, monkeypatch):
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        with pytest.raises(CapacityError, match="size 41 exceeds the enumeration bound 40"):
+            build_nilpotent_model(Partition([41]), 1)
 
-    def test_bound_is_a_constant(self):
+    def test_bound_is_a_constant(self, monkeypatch):
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
         for f in (build_nilpotent_model, orbit_dim, codim_oracle):
             assert "max_dim" not in inspect.signature(f).parameters
-        with pytest.raises(CapacityError, match="dimension 25 exceeds the oracle bound 24"):
-            orbit_dim(Partition([25]), 1)
+        with pytest.raises(CapacityError, match="size 41 exceeds the enumeration bound 40"):
+            orbit_dim(Partition([41]), 1)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_all_invariants_small(self, eps):
@@ -259,7 +261,7 @@ class TestDimensions:
                     model = build_nilpotent_model(d.partition, eps)
                     rows = matrix_oracle._centralizer_rows(model)
                     assert all(type(v) is int for row in rows for v in row.values())
-                    over_p = n * n - rank_mod_p(rows, p)
+                    over_p = algebra_dim(n, eps) - rank_mod_p(rows, p)
                     assert over_p == centralizer_dim(model), (p, eps, d.partition)
 
     @pytest.mark.parametrize("eps", [1, -1])
@@ -281,6 +283,58 @@ class TestDimensions:
             sys.setprofile(None)
         assert made == []
         assert dims == [closed_form_orbit_dim(lam, eps) for lam in diagrams]
+
+
+def _bad_models():
+    """Models that break one property the centralizer system rests on, with its message."""
+    shift = build_nilpotent_model(Partition([3, 1]), 1)
+    D = shift.D
+    D[0][2] += 1  # still nilpotent, but no longer in so(J)
+    return {
+        "singular": (build_nilpotent_model(Partition([1, 1, 1]), 1)._replace(
+            gram=((1, 0, 0), (0, 1, 0), (0, 0, 0))), "gram matrix is singular"),
+        "symmetry": (build_nilpotent_model(Partition([1, 1]), -1)._replace(
+            gram=((1, 0), (0, 1))), "gram matrix is not eps=-1 symmetric"),
+        "outside-g": (shift._replace(nilpotent=tuple(map(tuple, D))),
+                      "nilpotent map does not preserve the form"),
+    }
+
+
+class TestCentralizerSystem:
+    @pytest.mark.parametrize("kind", ["singular", "symmetry", "outside-g"])
+    def test_bad_model_is_refused(self, kind, monkeypatch):
+        # explicit raises, not asserts: a bad model never yields a dimension
+        model, message = _bad_models()[kind]
+        with pytest.raises(ContractError, match=message):
+            centralizer_dim(model)
+        monkeypatch.setattr(matrix_oracle, "build_nilpotent_model", lambda lam, eps: model)
+        matrix_oracle._orbit_dim_cached.cache_clear()
+        with pytest.raises(ContractError, match=message):
+            orbit_dim(Partition([1] * model.dim), model.eps)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_system_counts(self, eps):
+        # counts that do not drift with the machine: at most dim g rows of at most two
+        # int terms, over the unknowns S_kl with k <= l (k < l for eps = +1)
+        for n in range(0, 17):
+            for d in enumerate_eps_diagrams(n, eps):
+                rows = matrix_oracle._centralizer_rows(build_nilpotent_model(d.partition, eps))
+                assert len(rows) <= algebra_dim(n, eps), d.partition
+                for row in rows:
+                    assert 0 < len(row) <= 2 and all(type(c) is int for c in row.values())
+                    for var in row:
+                        k, l = divmod(var, n)
+                        assert k < l or (k == l and eps == -1), (d.partition, var)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_orbit_dim_closed_form_at_the_bound(self, eps, monkeypatch):
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        diagrams = [d.partition for d in enumerate_eps_diagrams(40, eps)]
+        sample = random.Random(f"orbit-dim-40:{eps}").sample(diagrams, 12)
+        sample += [lam for lam in (Partition([40]), Partition([39, 1]), Partition([1] * 40))
+                   if is_eps_diagram(lam, eps)]
+        for lam in sample:
+            assert orbit_dim(lam, eps) == closed_form_orbit_dim(lam, eps), lam
 
 
 class TestCodim:

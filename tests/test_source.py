@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import orbitnorm
@@ -92,3 +93,4 @@ def test_records_are_collections_namedtuples_with_their_annotations():
     assert len(records) == 11
     for cls in records:
         assert tuple(cls.__annotations__) == cls._fields, cls.__name__
+        assert tuple(typing.get_type_hints(cls)) == cls._fields, cls.__name__
