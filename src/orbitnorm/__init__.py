@@ -13,7 +13,6 @@ from .degeneration import (
     DegenPair,
     PosetGraph,
     covers,
-    degenerations,
     dominates,
     hasse,
     minimal_degenerations,
@@ -40,7 +39,6 @@ from .partitions import (
     EpsDiagram,
     Partition,
     enumerate_eps_diagrams,
-    erase_first_column,
     is_eps_diagram,
     parse_partition,
 )

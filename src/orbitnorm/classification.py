@@ -7,13 +7,12 @@ bottom shape with the row's.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Optional
 
 from .degeneration import DegenPair
 from .errors import ContractError, NotMinimalIrreducible
 from .reduction import ReductionResult, irreducible_core, is_irreducible
-from .table import FAMILY_RANGES, TABLE, table_row
+from .table import FAMILY_RANGES, TABLE, DegenType, table_row
 
 __all__ = [
     "DegenType",
@@ -23,25 +22,6 @@ __all__ = [
     "table_codim",
     "classify_minimal_degeneration",
 ]
-
-
-class DegenType(namedtuple("DegenType", "family n")):
-    __slots__ = ()
-
-    family: str
-    n: Optional[int]
-
-    @property
-    def codim(self) -> int:
-        """The codimension the table prints for this family instance."""
-        return TABLE[self.family].codim(self.n)
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "n": self.n, "codim": self.codim}
-
-    def __str__(self) -> str:
-        suffix = "" if self.n is None else f"(n={self.n})"
-        return f"type {self.family}{suffix}, codim {self.codim}"
 
 
 def table_codim(t: DegenType) -> int:

@@ -167,6 +167,8 @@ def _verdict_text(report: dict) -> str:
 def run_check(args) -> int:
     eta = EpsDiagram(parse_partition(args.partition), args.eps)
     check_size(eta.size, args.max_size)  # before the cache, so a hit honours the bound too
+    if args.oracle:
+        check_size(eta.size)  # the oracle's bound, which --max-size does not lift
     report = None
     if args.cache:
         report = _cache_lookup(args.cache, eta.eps, eta.partition, args.oracle)

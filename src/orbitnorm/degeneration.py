@@ -17,19 +17,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import ContractError
 from .partitions import EpsDiagram, Partition, check_size, enumerate_eps_diagrams
-from .table import TABLE, table_row, top_heads
+from .table import DegenType, table_row, top_heads
 
 __all__ = [
-    "Cover",
     "DegenPair",
+    "Witness",
     "PosetEdge",
     "PosetGraph",
     "dominates",
-    "degenerations",
     "covers",
     "minimal_degenerations",
     "hasse",
@@ -92,50 +91,48 @@ class DegenPair(namedtuple("DegenPair", "eps bottom top")):
         return f"({self.bottom} <= {self.top}, eps={self.eps:+d})"
 
 
-def degenerations(eta: EpsDiagram, bound: int | None = None) -> list[EpsDiagram]:
-    """All strictly smaller valid diagrams below eta, in enumeration order."""
-    return [
-        d
-        for d in enumerate_eps_diagrams(eta.size, eta.eps, bound)
-        if d.partition != eta.partition and dominates(eta.partition, d.partition)
-    ]
-
-
-class Cover(namedtuple("Cover", "sigma core family n")):
+class Witness(namedtuple("Witness", "sigma core degen_type")):
     """A cover sigma of eta, with the irreducible core and table row it comes from."""
 
     __slots__ = ()
 
     sigma: Partition
     core: DegenPair
-    family: str
-    n: Optional[int]
+    degen_type: DegenType
+
+    def to_json(self) -> dict:
+        return {
+            "sigma": list(self.sigma),
+            "core": self.core.to_json(),
+            "family": self.degen_type.family,
+            "n": self.degen_type.n,
+            "codim": self.degen_type.codim,
+        }
 
 
-def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Cover, ...]:
-    """Covering relations below eta, in enumeration (descending) order."""
+def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
+    """Covering relations below eta, each with its core and type, in enumeration order."""
     check_size(eta.size, bound)
     return _covers(eta.partition, eta.eps)
 
 
 def minimal_degenerations(eta: EpsDiagram, bound: int | None = None) -> list[DegenPair]:
     """Covering relations below eta as pairs, in enumeration (descending) order."""
-    return [DegenPair(eta.eps, c.sigma, eta.partition) for c in covers(eta, bound)]
+    return [DegenPair(eta.eps, w.sigma, eta.partition) for w in covers(eta, bound)]
 
 
 @lru_cache(maxsize=None)
-def _core(eps: int, top: tuple[int, ...]) -> tuple[str, Optional[int], DegenPair] | None:
-    """(family, n, core) of the table row whose top is top at form type eps, if any."""
+def _core(eps: int, top: tuple[int, ...]) -> tuple[DegenPair, DegenType] | None:
+    """(core, type) of the table row whose top is top at form type eps, if any."""
     row = table_row(eps, top)
     if row is None:
         return None
     family, n, bottom = row
-    return family, n, DegenPair(eps, bottom, top)
+    return DegenPair(eps, bottom, top), DegenType(family, n)
 
 
-@lru_cache(maxsize=256)
-def _covers(lam: Partition, eps: int) -> tuple[Cover, ...]:
-    """Every cover of (lam, eps) with its core and family, sigma in descending order.
+def _covers(lam: Partition, eps: int) -> tuple[Witness, ...]:
+    """Every cover of (lam, eps) with its core and type, sigma in descending order.
 
     Strip the first i rows of lam, then the first s columns of what is left.
     If the remainder T is a table top of form type (-1)^s * eps with bottom
@@ -156,7 +153,7 @@ def _covers(lam: Partition, eps: int) -> tuple[Cover, ...]:
     ends = [(j, lam[j], -eps if lam[j] % 2 else eps)
             for j in range(1, len(lam)) if lam[j] < lam[j - 1]]
     ends.append((len(lam), 0, eps))
-    found: dict[tuple[int, ...], Cover] = {}
+    found: dict[tuple[int, ...], Witness] = {}
     for j, s, core_eps in ends:
         for i in range(j):
             if (core_eps, j - i, lam[i] - s) not in heads:
@@ -164,12 +161,12 @@ def _covers(lam: Partition, eps: int) -> tuple[Cover, ...]:
             shape = _core(core_eps, tuple([x - s for x in lam[i:j]]))
             if shape is None:
                 continue
-            family, n, core = shape
+            core, degen_type = shape
             extra = len(core.bottom) - (j - i) if s else 0
             if lam[j:j + extra] != (s,) * extra:
                 continue
             sigma = lam[:i] + tuple([b + s for b in core.bottom]) + lam[j + extra:]
-            found[sigma] = Cover(Partition(sigma), core, family, n)
+            found[sigma] = Witness(Partition(sigma), core, degen_type)
     return tuple(found[sigma] for sigma in sorted(found, reverse=True))
 
 
@@ -216,8 +213,8 @@ def hasse(n: int, eps: int, bound: int | None = None) -> PosetGraph:
     nodes = enumerate_eps_diagrams(n, eps, bound)
     # enumeration checked n against the bound, so no node checks it again
     edges = [
-        PosetEdge(eta.partition, c.sigma, c.family, TABLE[c.family].codim(c.n))
+        PosetEdge(eta.partition, w.sigma, w.degen_type.family, w.degen_type.codim)
         for eta in nodes
-        for c in _covers(eta.partition, eps)
+        for w in _covers(eta.partition, eps)
     ]
     return PosetGraph(eps=eps, n=n, nodes=nodes, edges=edges)

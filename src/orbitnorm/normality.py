@@ -11,34 +11,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .classification import DegenType
-from .degeneration import DegenPair, covers
-from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams
+from .degeneration import Witness, covers
+from .partitions import EpsDiagram, enumerate_eps_diagrams
 
 __all__ = ["NORMAL", "NOT_NORMAL", "UNDETERMINED", "Witness", "NormalityVerdict", "decide", "survey"]
 
 NORMAL = "Normal"
 NOT_NORMAL = "NotNormal"
 UNDETERMINED = "Undetermined"
-
-
-class Witness(namedtuple("Witness", "sigma core degen_type")):
-    """One classified minimal degeneration below the analyzed orbit."""
-
-    __slots__ = ()
-
-    sigma: Partition
-    core: DegenPair
-    degen_type: DegenType
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": list(self.sigma),
-            "core": self.core.to_json(),
-            "family": self.degen_type.family,
-            "n": self.degen_type.n,
-            "codim": self.degen_type.codim,
-        }
 
 
 class NormalityVerdict(namedtuple("NormalityVerdict", "eta verdict witnesses")):
@@ -60,10 +40,10 @@ class NormalityVerdict(namedtuple("NormalityVerdict", "eta verdict witnesses")):
 def decide(eta: EpsDiagram, bound: int | None = None) -> NormalityVerdict:
     """Apply the verdict rules to the families of eta's minimal degenerations.
 
-    Each witness takes its core and family from the cover generator, which
-    finds them while it builds the cover; nothing is reduced a second time.
+    The witnesses are the cover generator's records, which carry the core and
+    type it found while it built each cover; nothing is reduced a second time.
     """
-    witnesses = [Witness(c.sigma, c.core, DegenType(c.family, c.n)) for c in covers(eta, bound)]
+    witnesses = covers(eta, bound)
     families = {w.degen_type.family for w in witnesses}
     if "e" in families:
         verdict = NOT_NORMAL
@@ -71,7 +51,7 @@ def decide(eta: EpsDiagram, bound: int | None = None) -> NormalityVerdict:
         verdict = UNDETERMINED
     else:
         verdict = NORMAL
-    return NormalityVerdict(eta=eta, verdict=verdict, witnesses=tuple(witnesses))
+    return NormalityVerdict(eta=eta, verdict=verdict, witnesses=witnesses)
 
 
 def survey(n: int, eps: int, bound: int | None = None) -> list[NormalityVerdict]:

@@ -13,7 +13,7 @@ import os
 import re
 from collections import Counter, namedtuple
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapacityError, ContractError, PartitionParseError
 
@@ -105,10 +105,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def erase_first_column(p: Partition) -> Partition:
-    return Partition(p).erase_first_column()
-
-
 def _check_eps(eps: int) -> None:
     if eps not in VALID_EPS:
         raise ContractError(f"eps must be +1 or -1, got {eps}")
@@ -117,11 +113,7 @@ def _check_eps(eps: int) -> None:
 def eps_violation(p: Partition, eps: int) -> str | None:
     """Name of the parity rule violated by p for this eps, or None if valid."""
     _check_eps(eps)
-    return _parity_violation(Partition(p), eps)
-
-
-@lru_cache(maxsize=4096)
-def _parity_violation(p: Partition, eps: int) -> str | None:
+    p = Partition(p)
     # p is sorted, so equal parts form runs.  Parts of the constrained parity
     # must pair up within their run; the largest unpaired one is named first,
     # as the most salient violation.
@@ -170,25 +162,6 @@ class EpsDiagram(namedtuple("EpsDiagram", "partition eps")):
 
     def __str__(self) -> str:
         return f"O({self.eps:+d},{self.partition})"
-
-
-@lru_cache(maxsize=None)
-def _partitions_desc(n: int, cap: int) -> tuple[Partition, ...]:
-    """All partitions of n with parts <= cap, in reverse-lexicographic order."""
-    if n == 0:
-        return (Partition(),)
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_desc(n - first, first):
-            out.append(Partition((first,) + tuple(rest)))
-    return tuple(out)
-
-
-def partitions_of(n: int) -> Iterator[Partition]:
-    """Partitions of n in reverse-lexicographic order."""
-    if n < 0:
-        raise ContractError(f"n must be nonnegative, got {n}")
-    return iter(_partitions_desc(n, n))
 
 
 @lru_cache(maxsize=None)

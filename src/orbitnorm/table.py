@@ -50,16 +50,32 @@ TABLE = {
 #: Least admissible parameter per family (a is parameterless).
 FAMILY_RANGES = {name: f.least for name, f in TABLE.items() if f.least is not None}
 
+
+class DegenType(namedtuple("DegenType", "family n")):
+    __slots__ = ()
+
+    family: str
+    n: Optional[int]
+
+    @property
+    def codim(self) -> int:
+        """The codimension the table prints for this family instance."""
+        return TABLE[self.family].codim(self.n)
+
+    def to_json(self) -> dict:
+        return {"family": self.family, "n": self.n, "codim": self.codim}
+
+    def __str__(self) -> str:
+        suffix = "" if self.n is None else f"(n={self.n})"
+        return f"type {self.family}{suffix}, codim {self.codim}"
+
+
 #: (family, n, bottom) of one table row.
 Row = tuple[str, Optional[int], Partition]
 
 
-@lru_cache(maxsize=4096)
 def table_row(eps: int, top: tuple[int, ...]) -> Row | None:
-    """The table row whose top shape is top at form type eps, if any.
-
-    Memoized: a tuple and the Partition with the same parts share an entry.
-    """
+    """The table row whose top shape is top at form type eps, if any."""
     size = sum(top)
     for name, family in TABLE.items():
         if family.eps != eps:

@@ -347,6 +347,26 @@ class TestOracleBound:
         assert run(capsys, *orbit, "--oracle") == (
             3, "", "error: size 45 exceeds the enumeration bound 40\n")
 
+    @pytest.mark.parametrize("parts", ["43,1,1", ",".join(["1"] * 45)], ids=["43,1,1", "1^45"])
+    def test_oracle_refuses_before_the_cache_and_decide(self, capsys, monkeypatch, tmp_path,
+                                                         parts):
+        # [43,1,1] has a witness for the oracle to check and [1^45] has none; both refuse
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        orbit = ("check", "--eps", "1", "--partition", parts, "--max-size", "50")
+        cache = tmp_path / "cache.jsonl"
+        assert run(capsys, *orbit, "--cache", str(cache))[0] == 0
+        primed = cache.read_bytes()
+
+        def no_decide(*args):
+            raise AssertionError("decide ran")
+
+        monkeypatch.setattr(cli, "decide", no_decide)
+        refusal = (3, "", "error: size 45 exceeds the enumeration bound 40\n")
+        assert run(capsys, *orbit, "--oracle") == refusal
+        # the plain record of [1^45] has no witness, so the cache would serve it to --oracle
+        assert run(capsys, *orbit, "--oracle", "--cache", str(cache)) == refusal
+        assert cache.read_bytes() == primed
+
 
 class TestExitFreeze:
     SURVEY = ("survey", "--eps", "-1", "--size", "8", "--format", "json")

@@ -1,18 +1,44 @@
+import random
 from itertools import accumulate, combinations
 
 import pytest
 
 from orbitnorm.classification import classify_minimal_degeneration
-from orbitnorm.degeneration import (
-    DegenPair,
-    covers,
-    degenerations,
-    dominates,
-    hasse,
-    minimal_degenerations,
-)
+from orbitnorm.degeneration import DegenPair, covers, dominates, hasse, minimal_degenerations
 from orbitnorm.errors import CapacityError, ContractError
-from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams, partitions_of
+from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
+from test_partitions import partitions_of
+
+
+def degenerations(eta, diagrams=None):
+    """All strictly smaller valid diagrams below eta, in enumeration order.
+
+    diagrams, if given, is enumerate_eps_diagrams(eta.size, eta.eps), built once.
+    """
+    if diagrams is None:
+        diagrams = enumerate_eps_diagrams(eta.size, eta.eps)
+    return [d for d in diagrams
+            if d.partition != eta.partition and dominates(eta.partition, d.partition)]
+
+
+def linear_extension_covers(eta, diagrams=None):
+    """Test oracle: the covers of eta from one pass over the diagrams below it.
+
+    Enumeration (reverse-lexicographic) order is a linear extension of
+    dominance, so every diagram between eta and sigma comes before sigma, and
+    so does a cover of eta above it.  A diagram below eta is therefore a cover
+    exactly when no cover found before it dominates it: O(k * #covers) for
+    the k diagrams below eta, against O(k^2) for the pairwise search.
+    """
+    found = []
+    for sigma in degenerations(eta, diagrams):
+        if not any(dominates(cover, sigma.partition) for cover in found):
+            found.append(sigma.partition)
+    return found
+
+
+#: Seeded diagrams per eps on which covers() meets the oracle at n = 40.
+SAMPLE_AT_40 = 25
 
 
 def brute_force_minimal_degenerations(eta):
@@ -152,11 +178,27 @@ class TestMinimalDegenerations:
 
     def test_large_orbit_covers(self):
         found = covers(EpsDiagram(Partition([13, 13, 7, 5, 1, 1]), 1))
-        assert [(tuple(c.sigma), c.family) for c in found] == [
+        assert [(tuple(c.sigma), c.degen_type.family) for c in found] == [
             ((13, 13, 7, 3, 3, 1), "b"),
             ((13, 13, 6, 6, 1, 1), "a"),
             ((13, 11, 9, 5, 1, 1), "b"),
         ]
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_matches_linear_extension_oracle(self, eps):
+        for n in range(0, 23):
+            diagrams = enumerate_eps_diagrams(n, eps)
+            for eta in diagrams:
+                got = [w.sigma for w in covers(eta)]
+                assert got == linear_extension_covers(eta, diagrams), eta
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_matches_linear_extension_oracle_at_40(self, eps):
+        # the top diagram has every other diagram of the size below it
+        diagrams = enumerate_eps_diagrams(40, eps)
+        for eta in [diagrams[0], *random.Random(40).sample(diagrams, SAMPLE_AT_40)]:
+            got = [w.sigma for w in covers(eta)]
+            assert got == linear_extension_covers(eta, diagrams), eta
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_nothing_strictly_between(self, eps):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbitnorm import matrix_oracle
-from orbitnorm.degeneration import DegenPair, dominates
+from orbitnorm.degeneration import DegenPair, covers, dominates
 from orbitnorm.errors import CapacityError, ContractError
 from orbitnorm.matrix_oracle import (
     algebra_dim,
@@ -371,6 +371,25 @@ class TestCodim:
                 for bot in diagrams:
                     if dominates(top, bot):
                         assert codim_oracle(DegenPair(eps, bot, top)) % 2 == 0
+
+
+#: dim eta - dim sigma for a cover whose core is of family f, g or h with
+#: parameter n: the dimension of the minimal orbit of so_{2n+1}, sp_{2n} and
+#: so_{2n}.  The other families, a-e, have codimension 2.
+TRUE_CODIM = {"f": lambda n: 4 * n - 4, "g": lambda n: 2 * n, "h": lambda n: 4 * n - 6}
+
+
+class TestCoverCodim:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_closed_form_codim_of_every_cover(self, eps):
+        # the closed form and the table's family agree on every cover up to n = 30
+        for n in range(0, 31):
+            for eta in enumerate_eps_diagrams(n, eps):
+                top = closed_form_orbit_dim(eta.partition, eps)
+                for w in covers(eta):
+                    family, k = w.degen_type
+                    expected = TRUE_CODIM[family](k) if family in TRUE_CODIM else 2
+                    assert top - closed_form_orbit_dim(w.sigma, eps) == expected, (eta, w)
 
 
 class TestRestrictToImage:

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,6 @@ from orbitnorm.partitions import (
     eps_violation,
     is_eps_diagram,
     parse_partition,
-    partitions_of,
 )
 
 partitions = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(Partition)
@@ -40,6 +40,24 @@ def reference_eps_violation(p, eps):
         if eps == -1 and part % 2 == 1 and mult % 2 == 1:
             return f"odd part {part} has odd multiplicity"
     return None
+
+
+@cache
+def _partitions_desc(n, cap):
+    """All partitions of n with parts <= cap, in reverse-lexicographic order."""
+    if n == 0:
+        return (Partition(),)
+    return tuple(Partition((first, *rest))
+                 for first in range(min(n, cap), 0, -1) for rest in _partitions_desc(n - first, first))
+
+
+def partitions_of(n):
+    """Every partition of n in reverse-lexicographic order.
+
+    The enumeration the library used before it generated diagrams directly;
+    the other test modules use it as the list of all partitions of a size.
+    """
+    return iter(_partitions_desc(n, n))
 
 
 def reference_dual(p):

@@ -90,7 +90,30 @@ def test_records_are_collections_namedtuples_with_their_annotations():
         if names:
             module = importlib.import_module(f"orbitnorm.{path.stem}")
             records += [getattr(module, name) for name in names]
-    assert len(records) == 11
+    assert len(records) == 10
     for cls in records:
         assert tuple(cls.__annotations__) == cls._fields, cls.__name__
         assert tuple(typing.get_type_hints(cls)) == cls._fields, cls.__name__
+
+
+
+#: Every memoized function of the package, as module.function.  Each one hits
+#: within a single command (README, "Where validation happens"); a new cache
+#: needs a line here and one there.
+CACHED = {
+    "degeneration._core",
+    "matrix_oracle._orbit_dim_cached",
+    "partitions.dual",
+    "partitions._diagrams_desc",
+    "table.top_heads",
+}
+
+
+def test_only_the_listed_functions_are_memoized():
+    found = set()
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any("cache" in ast.unparse(d) for d in node.decorator_list)}
+    assert found == CACHED
