@@ -67,20 +67,25 @@ def _partition_csv(parts) -> str:
 
 # --- cache -----------------------------------------------------------------
 
+def _is_parts(value) -> bool:
+    """A list of positive ints.  JSON true loads as a bool, an int subclass, so types are exact."""
+    return isinstance(value, list) and all(type(x) is int and x > 0 for x in value)
+
+
 def _valid_report(record: dict) -> bool:
-    """A known verdict and witnesses carrying every key the text output reads."""
+    """A known verdict and witnesses carrying every key the text output reads, of its type.
+
+    The lookup matched eps and partition by ==, which JSON true and 7.0 pass for 1 and 7.
+    """
     witnesses = record.get("witnesses")
-    return (
-        record.get("verdict") in VERDICT_EXIT
-        and isinstance(witnesses, list)
-        and all(
-            isinstance(w, dict)
-            and {"sigma", "core", "family", "codim"} <= w.keys()
-            and isinstance(w["core"], dict)
-            and {"eps", "top", "bottom"} <= w["core"].keys()
-            for w in witnesses
-        )
-    )
+    orbit = type(record.get("eps")) is int and _is_parts(record.get("partition"))
+    return orbit and record.get("verdict") in VERDICT_EXIT and isinstance(witnesses, list) and all(
+        isinstance(w, dict) and isinstance(w.get("core"), dict)
+        and _is_parts(w.get("sigma")) and isinstance(w.get("family"), str)
+        and type(w.get("codim")) is int and type(w.get("codim_oracle", 0)) is int
+        and type(w["core"].get("eps")) is int and w["core"]["eps"] in (1, -1)
+        and _is_parts(w["core"].get("top")) and _is_parts(w["core"].get("bottom"))
+        for w in witnesses)
 
 
 #: _dumps sorts keys, so every record the program writes starts with one of these.
@@ -230,8 +235,15 @@ def run_hasse(args) -> int:
     return EXIT_NORMAL
 
 
-def run_reduce(args) -> int:
+def _pair(args) -> DegenPair:
+    """The --bottom <= --top pair, within the enumeration bound, checked before any reduction."""
     pair = DegenPair(args.eps, parse_partition(args.bottom), parse_partition(args.top))
+    check_size(pair.size)
+    return pair
+
+
+def run_reduce(args) -> int:
+    pair = _pair(args)
     if not pair.is_strict:
         raise ContractError("top and bottom are equal; nothing to reduce")
     reduction = irreducible_core(pair)
@@ -249,8 +261,7 @@ def run_reduce(args) -> int:
 
 
 def run_classify(args) -> int:
-    pair = DegenPair(args.eps, parse_partition(args.bottom), parse_partition(args.top))
-    reduction = irreducible_core(pair)
+    reduction = irreducible_core(_pair(args))
     try:
         degen_type = classify_core(reduction.core)
     except NotMinimalIrreducible as exc:  # the user's pair, not a gap in the table

@@ -110,17 +110,6 @@ class Witness(namedtuple("Witness", "sigma core degen_type")):
         }
 
 
-def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
-    """Covering relations below eta, each with its core and type, in enumeration order."""
-    check_size(eta.size, bound)
-    return _covers(eta.partition, eta.eps)
-
-
-def minimal_degenerations(eta: EpsDiagram, bound: int | None = None) -> list[DegenPair]:
-    """Covering relations below eta as pairs, in enumeration (descending) order."""
-    return [DegenPair(eta.eps, w.sigma, eta.partition) for w in covers(eta, bound)]
-
-
 @lru_cache(maxsize=None)
 def _core(eps: int, top: tuple[int, ...]) -> tuple[DegenPair, DegenType] | None:
     """(core, type) of the table row whose top is top at form type eps, if any."""
@@ -131,8 +120,8 @@ def _core(eps: int, top: tuple[int, ...]) -> tuple[DegenPair, DegenType] | None:
     return DegenPair(eps, bottom, top), DegenType(family, n)
 
 
-def _covers(lam: Partition, eps: int) -> tuple[Witness, ...]:
-    """Every cover of (lam, eps) with its core and type, sigma in descending order.
+def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
+    """Every cover of eta = (lam, eps) with its core and type, sigma in descending order.
 
     Strip the first i rows of lam, then the first s columns of what is left.
     If the remainder T is a table top of form type (-1)^s * eps with bottom
@@ -148,6 +137,8 @@ def _covers(lam: Partition, eps: int) -> tuple[Witness, ...]:
     T is all of lam[i:].  Only those (i, j) are tried, and only when T's
     form type, row count and first part head some table top.
     """
+    check_size(eta.size, bound)
+    lam, eps = eta
     heads = top_heads(lam.size)
     # (j, s, form type (-1)^s * eps) of each place where T can end
     ends = [(j, lam[j], -eps if lam[j] % 2 else eps)
@@ -168,6 +159,11 @@ def _covers(lam: Partition, eps: int) -> tuple[Witness, ...]:
             sigma = lam[:i] + tuple([b + s for b in core.bottom]) + lam[j + extra:]
             found[sigma] = Witness(Partition(sigma), core, degen_type)
     return tuple(found[sigma] for sigma in sorted(found, reverse=True))
+
+
+def minimal_degenerations(eta: EpsDiagram, bound: int | None = None) -> list[DegenPair]:
+    """Covering relations below eta as pairs, in enumeration (descending) order."""
+    return [DegenPair(eta.eps, w.sigma, eta.partition) for w in covers(eta, bound)]
 
 
 class PosetEdge(namedtuple("PosetEdge", "top bottom family codim")):
@@ -211,10 +207,10 @@ class PosetGraph(namedtuple("PosetGraph", "eps n nodes edges")):
 def hasse(n: int, eps: int, bound: int | None = None) -> PosetGraph:
     """Cover graph on all eps-diagrams of n, each edge labelled by its core's table row."""
     nodes = enumerate_eps_diagrams(n, eps, bound)
-    # enumeration checked n against the bound, so no node checks it again
+    # enumeration checks n against the bound; every node has size n, so n bounds its own check
     edges = [
         PosetEdge(eta.partition, w.sigma, w.degen_type.family, w.degen_type.codim)
         for eta in nodes
-        for w in _covers(eta.partition, eps)
+        for w in covers(eta, n)
     ]
     return PosetGraph(eps=eps, n=n, nodes=nodes, edges=edges)

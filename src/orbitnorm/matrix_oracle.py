@@ -31,7 +31,7 @@ from numbers import Rational
 
 from .degeneration import DegenPair
 from .errors import ContractError
-from .partitions import EpsDiagram, Partition, check_size, is_eps_diagram
+from .partitions import Partition, check_size, is_eps_diagram
 
 __all__ = [
     "NilpotentModel",
@@ -126,15 +126,18 @@ def mat_rank(m: Matrix) -> int:
     return len(_eliminate([dict(enumerate(row)) for row in m])[0])
 
 
-class NilpotentModel(namedtuple("NilpotentModel", "dim eps gram nilpotent")):
+class NilpotentModel(namedtuple("NilpotentModel", "eps gram nilpotent")):
     """A nilpotent matrix inside the isometry Lie algebra of an exact form."""
 
     __slots__ = ()
 
-    dim: int
     eps: int
     gram: tuple[tuple[Scalar, ...], ...]
     nilpotent: tuple[tuple[Scalar, ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.gram)
 
     @property
     def J(self) -> Matrix:
@@ -197,7 +200,7 @@ def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
             offset += m
     if pending:
         raise ContractError(f"{lam} leaves unpaired blocks {sorted(pending)} for eps={eps:+d}")
-    return NilpotentModel(dim=n, eps=eps, gram=_freeze(J), nilpotent=_freeze(D))
+    return NilpotentModel(eps=eps, gram=_freeze(J), nilpotent=_freeze(D))
 
 
 def jordan_type(m: Matrix) -> Partition:
@@ -234,7 +237,8 @@ def _centralizer_rows(model: NilpotentModel) -> list[Row]:
     exactly when S D + D^T S = 0, as J is invertible, J^T = eps J and D^T J + J D = 0, checked
     first.  Entry (i, j) has one term per nonzero of columns i and j of D, two in a built model.
     """
-    n, eps, J, D = model
+    eps, J, D = model
+    n = len(J)
     # (J D)^T = eps D^T J once J^T = eps J, so D^T J + J D = 0 reads (J D)^T = -eps J D
     sym = lambda m, sign: all(m[j][i] == sign * m[i][j] for i in range(n) for j in range(i, n))
     for holds, problem in ((mat_rank(J) == n, "gram matrix is singular"),
@@ -313,6 +317,4 @@ def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     square = _columns(mat_mul(D, D))
     coords = _solve_in_span([columns[c] for c in pivot_cols], [square[c] for c in pivot_cols])
     restricted = [list(row) for row in zip(*coords)]
-    return NilpotentModel(
-        dim=len(gram), eps=-model.eps, gram=_freeze(gram), nilpotent=_freeze(restricted)
-    )
+    return NilpotentModel(eps=-model.eps, gram=_freeze(gram), nilpotent=_freeze(restricted))

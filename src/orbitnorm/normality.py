@@ -21,12 +21,19 @@ NOT_NORMAL = "NotNormal"
 UNDETERMINED = "Undetermined"
 
 
-class NormalityVerdict(namedtuple("NormalityVerdict", "eta verdict witnesses")):
+class NormalityVerdict(namedtuple("NormalityVerdict", "eta witnesses")):
     __slots__ = ()
 
     eta: EpsDiagram
-    verdict: str
     witnesses: tuple[Witness, ...]
+
+    @property
+    def verdict(self) -> str:
+        """The verdict rules applied to the families of the witnesses."""
+        families = {w.degen_type.family for w in self.witnesses}
+        if "e" in families:
+            return NOT_NORMAL
+        return UNDETERMINED if "d" in families else NORMAL
 
     def to_json(self) -> dict:
         return {
@@ -38,20 +45,12 @@ class NormalityVerdict(namedtuple("NormalityVerdict", "eta verdict witnesses")):
 
 
 def decide(eta: EpsDiagram, bound: int | None = None) -> NormalityVerdict:
-    """Apply the verdict rules to the families of eta's minimal degenerations.
+    """eta's verdict, from its minimal degenerations.
 
     The witnesses are the cover generator's records, which carry the core and
     type it found while it built each cover; nothing is reduced a second time.
     """
-    witnesses = covers(eta, bound)
-    families = {w.degen_type.family for w in witnesses}
-    if "e" in families:
-        verdict = NOT_NORMAL
-    elif "d" in families:
-        verdict = UNDETERMINED
-    else:
-        verdict = NORMAL
-    return NormalityVerdict(eta=eta, verdict=verdict, witnesses=witnesses)
+    return NormalityVerdict(eta, covers(eta, bound))
 
 
 def survey(n: int, eps: int, bound: int | None = None) -> list[NormalityVerdict]:

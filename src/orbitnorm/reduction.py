@@ -1,10 +1,10 @@
 """Cancellation of common leading rows and columns of a degeneration pair.
 
 Erasing a shared leading row removes it from both diagrams; erasing a shared
-leading column decrements every part and flips the form type.  Iterating both
-to a fixpoint yields the irreducible core, against which the classification
-table is matched.  The sign rule used here is eps' = (-1)^s * eps; see the
-package README for why the sign carries the original eps along.
+leading column decrements every part and flips the form type.  Erasing every
+common row, then every common column, yields the irreducible core, against
+which the classification table is matched.  The sign rule is
+eps' = (-1)^s * eps; the package README says why it carries the original eps.
 """
 
 from __future__ import annotations
@@ -110,38 +110,24 @@ class ReductionResult(namedtuple("ReductionResult", "core steps")):
 
 
 def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionResult:
-    """Cancel rows and columns to a fixpoint; records every erasure in order."""
+    """Erase every common row, then every common column (columns_first: the other order).
+
+    Neither phase makes anything common for the other, so this is the fixpoint.
+    With no common row left the first parts differ; erasing common columns
+    keeps the sizes equal, so they cannot both vanish, and they stay different.
+    With no common column left the row counts differ, and erasing common rows
+    lowers both by as much.  Every erasure is recorded in order.
+    """
     if not pair.is_strict:
         raise ContractError("cannot reduce an equal pair")
     current = pair
     steps: list[Step] = []
-
-    def take_rows() -> bool:
-        nonlocal current
-        r = common_leading_rows(current)
-        if r == 0:
-            return False
-        steps.extend(("row", length) for length in current.top[:r])
-        current = erase(current, r, 0)
-        return True
-
-    def take_columns() -> bool:
-        nonlocal current
-        changed = False
-        while common_leading_columns(current) > 0:
-            steps.append(("col", current.top.dual()[0]))
-            current = erase(current, 0, 1)
-            changed = True
-        return changed
-
-    order = (take_columns, take_rows) if columns_first else (take_rows, take_columns)
-    while True:
-        changed = False
-        for step in order:
-            changed |= step()
-        if not changed:
-            break
-
+    for rows in (not columns_first, columns_first):
+        count = common_leading_rows(current) if rows else common_leading_columns(current)
+        if count:  # an empty phase would only rebuild the pair
+            erased = current.top[:count] if rows else current.top.dual()[:count]
+            steps.extend(("row" if rows else "col", value) for value in erased)
+            current = erase(current, count, 0) if rows else erase(current, 0, count)
     if not is_irreducible(current):
         raise NotMinimalIrreducible(f"reduction of {pair} stopped at the reducible {current}")
     return ReductionResult(core=current, steps=tuple(steps))

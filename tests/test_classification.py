@@ -11,13 +11,7 @@ from orbitnorm.classification import (
 )
 from orbitnorm.degeneration import DegenPair, covers, minimal_degenerations
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
-from orbitnorm.partitions import (
-    ORTHOGONAL,
-    SYMPLECTIC,
-    EpsDiagram,
-    Partition,
-    enumerate_eps_diagrams,
-)
+from orbitnorm.partitions import ORTHOGONAL, SYMPLECTIC, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import irreducible_core
 from orbitnorm.table import table_row
 from test_partitions import partitions_of

@@ -109,6 +109,33 @@ class TestCache:
         assert err.startswith("warning: ")
         assert len(cache.read_bytes().splitlines()) == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("field,value", [
+        ("eps", True), ("partition", [7.0, 2, 2]),
+        ("w.sigma", 5), ("w.sigma", [7, 0, 1, 1, 1]), ("w.sigma", ["7", 1, 1, 1, 1]),
+        ("w.sigma", [True, 1, 1, 1, 1]), ("w.core.top", "2,2"), ("w.core.top", [2.0, 2]),
+        ("w.core.bottom", None), ("w.core.bottom", [1, 1, -1, 1]), ("w.core.eps", "x"),
+        ("w.core.eps", 2), ("w.core.eps", True), ("w.family", 5), ("w.codim", "2"),
+        ("w.codim", 2.0), ("w.codim_oracle", "2"), ("w.core", [1, 1, 1, 1]),
+    ])
+    def test_record_with_a_field_of_the_wrong_type_is_a_miss(self, capsys, tmp_path, fmt,
+                                                               field, value):
+        # w is the first witness; eps and partition equal the orbit's under ==, not in type
+        args = ("check", "--eps", "+1", "--partition", "7,2,2", "--format", fmt)
+        fresh = run(capsys, *args)
+        record = json.loads(run(capsys, *args[:-1], "json")[1])
+        *path, key = field.split(".")
+        target = record
+        for step in path:
+            target = target["witnesses"][0] if step == "w" else target[step]
+        target[key] = value
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps(record) + "\n")
+        code, out, err = run(capsys, *args, "--cache", str(cache))
+        assert (code, out) == (10, fresh[1])
+        assert err == "warning: ignoring malformed cache record for [7,2,2]\n"
+        assert len(cache.read_bytes().splitlines()) == 2
+
     def test_garbled_line_for_another_orbit_is_skipped_silently(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         args = ("check", "--eps", "-1", "--partition", "6,1,1", "--cache", str(cache))
@@ -449,6 +476,18 @@ class TestOtherCommands:
         # [1^k] erases to [], and the zero image carries the empty form of the other type
         assert run(capsys, "verify", "--eps", eps, "--partition", parts) == (
             0, f"restriction type [] eps {image_eps}, expected [] eps {image_eps}: PASS\n", "")
+
+    @pytest.mark.parametrize("command", ["reduce", "classify"])
+    def test_pair_commands_obey_the_enumeration_bound(self, capsys, monkeypatch, command):
+        pair = (command, "--eps", "1", "--top", "41", "--bottom", "39,1,1")
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        assert run(capsys, *pair) == (3, "", "error: size 41 exceeds the enumeration bound 40\n")
+        monkeypatch.setenv("ORBIT_MAX_SIZE", "41")
+        code, out, err = run(capsys, *pair, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        reduction = doc if command == "reduce" else doc["reduction"]
+        assert reduction["core"] == {"eps": 1, "top": [41], "bottom": [39, 1, 1]}
 
     def test_bad_order_is_input_error(self, capsys):
         code, _, err = run(capsys, "reduce", "--eps", "-1", "--top", "4,2,2",

@@ -108,3 +108,15 @@ class TestHashing:
     def test_rebuilt_validated_records_hash_equal(self):
         assert hash(EpsDiagram([1, 1, 6], -1)) == hash(ETA._replace(partition=[6, 1, 1]))
         assert hash(DegenPair(-1, (2, 2, 4), (1, 1, 6))) == hash(PAIR)
+
+
+class TestDerivedFields:
+    def test_verdict_is_derived_from_the_witnesses(self):
+        assert NormalityVerdict._fields == ("eta", "witnesses")
+        verdict = decide(EpsDiagram(Partition([7, 2, 2]), 1))
+        assert verdict.verdict == "NotNormal"
+        assert verdict._replace(witnesses=()).verdict == "Normal"
+
+    def test_model_dimension_is_derived_from_the_gram_matrix(self):
+        assert NilpotentModel._fields == ("eps", "gram", "nilpotent")
+        assert build_nilpotent_model(Partition([3, 3, 1]), 1).dim == 7

@@ -5,6 +5,7 @@ from orbitnorm import reduction
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
 from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import (
+    ReductionResult,
     common_leading_columns,
     common_leading_rows,
     erase,
@@ -16,6 +17,39 @@ from orbitnorm.reduction import (
 
 def pair(eps, bottom, top):
     return DegenPair(eps, Partition(bottom), Partition(top))
+
+
+def fixpoint_core(pair, columns_first=False):
+    """Reference reduction: erase common rows and single columns until neither is left."""
+    current = pair
+    steps = []
+
+    def take_rows():
+        nonlocal current
+        r = common_leading_rows(current)
+        if r == 0:
+            return False
+        steps.extend(("row", length) for length in current.top[:r])
+        current = erase(current, r, 0)
+        return True
+
+    def take_columns():
+        nonlocal current
+        changed = False
+        while common_leading_columns(current) > 0:
+            steps.append(("col", current.top.dual()[0]))
+            current = erase(current, 0, 1)
+            changed = True
+        return changed
+
+    order = (take_columns, take_rows) if columns_first else (take_rows, take_columns)
+    while True:
+        changed = False
+        for step in order:
+            changed |= step()
+        if not changed:
+            break
+    return ReductionResult(core=current, steps=tuple(steps))
 
 
 def all_strict_pairs(n, eps):
@@ -115,6 +149,15 @@ class TestReductionProperties:
                 assert rows_first.core == cols_first.core, p
                 assert reconstruct(rows_first) == p
                 assert reconstruct(cols_first) == p
+
+    @pytest.mark.parametrize("columns_first", [False, True], ids=["rows-first", "columns-first"])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_fixed_sequence_is_the_fixpoint(self, eps, columns_first):
+        # the same core and the same ledger, entry for entry, as erasing to a fixpoint
+        for n in range(2, 13):
+            for p in all_strict_pairs(n, eps):
+                got = irreducible_core(p, columns_first=columns_first)
+                assert got == fixpoint_core(p, columns_first=columns_first), p
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_sign_rule(self, eps):

@@ -117,3 +117,30 @@ def test_only_the_listed_functions_are_memoized():
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and any("cache" in ast.unparse(d) for d in node.decorator_list)}
     assert found == CACHED
+
+
+def _unused_imports(path):
+    """Names a module imports but neither uses nor lists in __all__ (from __future__ aside)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used and name not in exported]
+
+
+def test_every_import_of_the_package_is_used_or_exported():
+    offenders = []
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        if path.name != "__init__.py":
+            offenders += _unused_imports(path)
+    assert offenders == []
