@@ -50,12 +50,6 @@ def _parse_eps(text: str) -> int:
     raise PartitionParseError(f"eps must be +1 or -1, got {text!r}")
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
@@ -187,9 +181,9 @@ def run_check(args) -> int:
         if args.cache:
             _cache_append(args.cache, report)
     if args.format == "json":
-        _emit(_dumps(report))
+        print(_dumps(report))
     else:
-        _emit(_verdict_text(report))
+        print(_verdict_text(report))
     return VERDICT_EXIT[report["verdict"]]
 
 
@@ -200,27 +194,27 @@ def run_survey(args) -> int:
     for r in reports:
         counts[r["verdict"]] += 1
     if args.format == "json":
-        _emit(_dumps({"eps": args.eps, "n": args.size, "results": reports, "counts": counts}))
+        print(_dumps({"eps": args.eps, "n": args.size, "results": reports, "counts": counts}))
     elif args.format == "csv":
         lines = ["partition;verdict;witness_families"]
         for r in reports:
             families = ",".join(w["family"] for w in r["witnesses"])
             lines.append(f"{_partition_csv(r['partition'])};{r['verdict']};{families}")
-        _emit("\n".join(lines))
+        print("\n".join(lines))
     else:
         lines = [_verdict_text(r) for r in reports]
         lines.append(
             f"summary: {counts[NORMAL]} Normal, {counts[NOT_NORMAL]} NotNormal,"
             f" {counts[UNDETERMINED]} Undetermined"
         )
-        _emit("\n".join(lines))
+        print("\n".join(lines))
     return EXIT_NORMAL
 
 
 def run_hasse(args) -> int:
     graph = hasse(args.size, args.eps, args.max_size)
     if args.format == "json":
-        _emit(_dumps(graph.to_json()))
+        print(_dumps(graph.to_json()))
         return EXIT_NORMAL
     lines = ["digraph hasse {"]
     for node in graph.nodes:
@@ -231,7 +225,7 @@ def run_hasse(args) -> int:
             f' [label="{edge.family},{edge.codim}"];'
         )
     lines.append("}")
-    _emit("\n".join(lines))
+    print("\n".join(lines))
     return EXIT_NORMAL
 
 
@@ -243,16 +237,13 @@ def _pair(args) -> DegenPair:
 
 
 def run_reduce(args) -> int:
-    pair = _pair(args)
-    if not pair.is_strict:
-        raise ContractError("top and bottom are equal; nothing to reduce")
-    reduction = irreducible_core(pair)
+    reduction = irreducible_core(_pair(args))
     report = reduction.to_json()
     if args.format == "json":
-        _emit(_dumps(report))
+        print(_dumps(report))
     else:
         core = reduction.core
-        _emit(
+        print(
             f"core: [{_partition_csv(core.bottom)}] <= [{_partition_csv(core.top)}]"
             f" eps' {core.eps:+d}; erased {reduction.row_count} rows"
             f" {list(reduction.erased_rows)}, {reduction.erased_columns} columns"
@@ -268,9 +259,9 @@ def run_classify(args) -> int:
         raise ContractError(f"not a minimal degeneration: {exc}") from None
     report = {"reduction": reduction.to_json(), "type": degen_type.to_json()}
     if args.format == "json":
-        _emit(_dumps(report))
+        print(_dumps(report))
     else:
-        _emit(
+        print(
             f"core [{_partition_csv(reduction.core.bottom)}] <="
             f" [{_partition_csv(reduction.core.top)}]: {degen_type}"
         )
@@ -279,7 +270,6 @@ def run_classify(args) -> int:
 
 def run_dim(args) -> int:
     p = parse_partition(args.partition)
-    EpsDiagram(p, args.eps)  # rejects a diagram that breaks the parity rule
     model = build_nilpotent_model(p, args.eps)
     cent = centralizer_dim(model)
     total = algebra_dim(p.size, args.eps)
@@ -291,9 +281,9 @@ def run_dim(args) -> int:
         "orbit_dim": total - cent,
     }
     if args.format == "json":
-        _emit(_dumps(report))
+        print(_dumps(report))
     else:
-        _emit(
+        print(
             f"[{_partition_csv(p)}] eps {args.eps:+d}: orbit dim {report['orbit_dim']},"
             f" centralizer dim {cent}, algebra dim {report['algebra_dim']}"
         )
@@ -302,7 +292,6 @@ def run_dim(args) -> int:
 
 def run_verify(args) -> int:
     p = parse_partition(args.partition)
-    EpsDiagram(p, args.eps)  # rejects a diagram that breaks the parity rule
     model = build_nilpotent_model(p, args.eps)
     expected = p.erase_first_column()
     if expected:
@@ -312,7 +301,7 @@ def run_verify(args) -> int:
         got, image_eps = expected, -args.eps
     ok = got == expected and image_eps == -args.eps
     status = "PASS" if ok else "FAIL"
-    _emit(
+    print(
         f"restriction type [{_partition_csv(got)}] eps {image_eps:+d},"
         f" expected [{_partition_csv(expected)}] eps {-args.eps:+d}: {status}"
     )
@@ -326,48 +315,49 @@ def run_verify(args) -> int:
 _Option = namedtuple("_Option", "flag convert required help choices default",
                      defaults=(False, None, None, None))
 
-#: One subcommand.  Each takes --eps and --format (from formats, default_format),
-#: the bounded ones also --max-size, and then its own options.
-_Command = namedtuple("_Command", "run help formats default_format bounded options")
+#: One subcommand.  Each takes --eps and then its options, in the order help lists them.
+_Command = namedtuple("_Command", "run help options")
+
+
+def _format(*choices: str, default: str = "text") -> _Option:
+    return _Option("--format", str, choices=choices, default=default)
+
 
 _EPS = _Option("--eps", _parse_eps, required=True, help="+1 orthogonal, -1 symplectic")
 _MAX_SIZE = _Option("--max-size", int, help="override the enumeration bound")
-_PARTITION = (_Option("--partition", str, required=True),)
-_SIZE = (_Option("--size", int, required=True),)
+_PARTITION = _Option("--partition", str, required=True)
+_SIZE = _Option("--size", int, required=True)
 _PAIR = (_Option("--top", str, required=True), _Option("--bottom", str, required=True))
 
 #: The whole command line, in the order help lists it; both parsers derive from it.
 COMMANDS = {
-    "check": _Command(run_check, "normality verdict for one orbit", ("json", "text"), "text", True,
-                      _PARTITION + (
-                          _Option("--cache", str, help="append-only JSONL verdict cache"),
-                          _Option("--oracle", None, help="cross-check codims with the matrix oracle",
-                                  default=False),
-                      )),
+    "check": _Command(run_check, "normality verdict for one orbit", (
+        _format("json", "text"), _MAX_SIZE, _PARTITION,
+        _Option("--cache", str, help="append-only JSONL verdict cache"),
+        _Option("--oracle", None, help="cross-check codims with the matrix oracle", default=False),
+    )),
     "survey": _Command(run_survey, "verdicts for every diagram of a size",
-                       ("json", "csv", "text"), "text", True, _SIZE),
+                       (_format("json", "csv", "text"), _MAX_SIZE, _SIZE)),
     "hasse": _Command(run_hasse, "annotated cover graph as DOT or JSON",
-                      ("dot", "json"), "dot", True, _SIZE),
+                      (_format("dot", "json", default="dot"), _MAX_SIZE, _SIZE)),
     "reduce": _Command(run_reduce, "irreducible core of a degeneration pair",
-                       ("json", "text"), "text", False, _PAIR),
+                       (_format("json", "text"), *_PAIR)),
     "classify": _Command(run_classify, "reduce and classify a minimal degeneration",
-                         ("json", "text"), "text", False, _PAIR),
+                         (_format("json", "text"), *_PAIR)),
     "dim": _Command(run_dim, "orbit/centralizer dimensions from the matrix oracle",
-                    ("json", "text"), "text", False, _PARTITION),
+                    (_format("json", "text"), _PARTITION)),
     "verify": _Command(run_verify, "check the column-erasure identity on one orbit",
-                       ("text",), "text", False, _PARTITION),
+                       (_format("text"), _PARTITION)),
 }
 
 
 def _options(command: _Command) -> list[_Option]:
     """Every option of a command, in the order help lists them."""
-    fmt = _Option("--format", str, choices=command.formats, default=command.default_format)
-    # only the commands that enumerate take a bound
-    return [_EPS, fmt, *([_MAX_SIZE] if command.bounded else []), *command.options]
+    return [_EPS, *command.options]
 
 
 def _print_version(args) -> int:
-    _emit(__version__)
+    print(__version__)
     return EXIT_NORMAL
 
 

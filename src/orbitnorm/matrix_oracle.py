@@ -28,10 +28,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from numbers import Rational
+from operator import neg
 
 from .degeneration import DegenPair
 from .errors import ContractError
-from .partitions import Partition, check_size, is_eps_diagram
+from .partitions import EpsDiagram, Partition, check_size
 
 __all__ = [
     "NilpotentModel",
@@ -123,7 +124,7 @@ def _columns(m: Matrix) -> list[Row]:
 
 def mat_rank(m: Matrix) -> int:
     """Rank over the rationals by exact elimination."""
-    return len(_eliminate([dict(enumerate(row)) for row in m])[0])
+    return len(_eliminate([{j: x for j, x in enumerate(row) if x} for row in m])[0])
 
 
 class NilpotentModel(namedtuple("NilpotentModel", "eps gram nilpotent")):
@@ -147,17 +148,6 @@ class NilpotentModel(namedtuple("NilpotentModel", "eps gram nilpotent")):
     def D(self) -> Matrix:
         return [list(row) for row in self.nilpotent]
 
-    def to_json(self) -> dict:
-        def fmt(m):
-            return [[f"{x.numerator}/{x.denominator}" for x in row] for row in m]
-
-        return {
-            "dim": self.dim,
-            "eps": self.eps,
-            "gram": fmt(self.gram),
-            "nilpotent": fmt(self.nilpotent),
-        }
-
 
 def _freeze(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(row) for row in m)
@@ -165,9 +155,7 @@ def _freeze(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:
 
 def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
     """Deterministic block-wise model with Jordan type lam."""
-    lam = Partition(lam)
-    if not is_eps_diagram(lam, eps):
-        raise ContractError(f"{lam} is not a valid diagram for eps={eps:+d}")
+    lam = EpsDiagram(lam, eps).partition
     n = lam.size
     check_size(n)
     J = _zeros(n, n)
@@ -230,6 +218,20 @@ def algebra_dim(n: int, eps: int) -> int:
     return n * (n - eps) // 2
 
 
+def _check_model(model: NilpotentModel) -> NilpotentModel:
+    """The model, once J is invertible, J^T = eps J and D^T J + J D = 0; else ContractError."""
+    eps, J, D = model
+    n = len(J)
+    # (J D)^T = eps D^T J once J^T = eps J, so D^T J + J D = 0 reads (J D)^T = -eps J D
+    sym = lambda m, sign: list(zip(*m)) == [tuple(row if sign == 1 else map(neg, row)) for row in m]
+    for holds, problem in ((mat_rank(J) == n, "gram matrix is singular"),
+                           (sym(J, eps), f"gram matrix is not eps={eps:+d} symmetric"),
+                           (sym(mat_mul(J, D), -eps), "nilpotent map does not preserve the form")):
+        if not holds:
+            raise ContractError(problem)
+    return model
+
+
 def _centralizer_rows(model: NilpotentModel) -> list[Row]:
     """The entries i <= j of S D + D^T S = 0, with S = J Y and S_kl (k <= l) as variable kN + l.
 
@@ -237,15 +239,8 @@ def _centralizer_rows(model: NilpotentModel) -> list[Row]:
     exactly when S D + D^T S = 0, as J is invertible, J^T = eps J and D^T J + J D = 0, checked
     first.  Entry (i, j) has one term per nonzero of columns i and j of D, two in a built model.
     """
-    eps, J, D = model
+    eps, J, D = _check_model(model)
     n = len(J)
-    # (J D)^T = eps D^T J once J^T = eps J, so D^T J + J D = 0 reads (J D)^T = -eps J D
-    sym = lambda m, sign: all(m[j][i] == sign * m[i][j] for i in range(n) for j in range(i, n))
-    for holds, problem in ((mat_rank(J) == n, "gram matrix is singular"),
-                           (sym(J, eps), f"gram matrix is not eps={eps:+d} symmetric"),
-                           (sym(mat_mul(J, D), -eps), "nilpotent map does not preserve the form")):
-        if not holds:
-            raise ContractError(problem)
     d_cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*D)]
     rows: list[Row] = []
     for i in range(n):
@@ -299,8 +294,9 @@ def _solve_in_span(basis: list[Row], targets: list[Row]) -> Matrix:
 def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     """Model induced on the image of the nilpotent map, with the form flipped.
 
-    The image carries the nondegenerate form beta(Dv, u) = (v, u); the map
-    restricts to the image, and its Jordan type loses its first column.
+    The image carries the form beta(Dv, u) = (v, u); the map restricts to the
+    image, and its Jordan type loses its first column.  The result is checked
+    like any model, so a bad input cannot come back labelled with form type -eps.
     """
     D, J = model.D, model.J
     # the columns of D that raise the rank give a basis u_j = D e_{c_j} of the image
@@ -311,10 +307,8 @@ def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     # beta(u_i, u_j) = e_{c_i}^T J D e_{c_j}
     JD = mat_mul(J, D)
     gram = [[JD[ci][cj] for cj in pivot_cols] for ci in pivot_cols]
-    if mat_rank(gram) != len(gram):
-        raise ContractError("induced form is degenerate")
     # D maps the image into itself; D u_j is column c_j of D^2
     square = _columns(mat_mul(D, D))
     coords = _solve_in_span([columns[c] for c in pivot_cols], [square[c] for c in pivot_cols])
     restricted = [list(row) for row in zip(*coords)]
-    return NilpotentModel(eps=-model.eps, gram=_freeze(gram), nilpotent=_freeze(restricted))
+    return _check_model(NilpotentModel(-model.eps, _freeze(gram), _freeze(restricted)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable
 
@@ -37,8 +37,10 @@ def max_size() -> int:
 
 
 def check_size(n: int, bound: int | None = None) -> None:
-    """Raise CapacityError when n exceeds bound, or max_size() when bound is None."""
+    """Raise CapacityError if n exceeds bound (max_size() if None), ContractError if it is < 0."""
     limit = max_size() if bound is None else bound
+    if limit < 0:
+        raise ContractError(f"the enumeration bound must be nonnegative, got {limit}")
     if n > limit:
         raise CapacityError(f"size {n} exceeds the enumeration bound {limit}")
 
@@ -74,10 +76,6 @@ class Partition(tuple):
             heights += [k + 1] * (self[k] - width)
             width = self[k]
         return Partition(heights)
-
-    def multiplicities(self) -> dict[int, int]:
-        """Map part size -> number of occurrences."""
-        return dict(Counter(self))
 
     def erase_first_column(self) -> "Partition":
         """Decrement every part, dropping parts that vanish."""

@@ -336,6 +336,19 @@ class TestMaxSize:
         assert code == 0
         assert out.count("->") == 3
 
+    @pytest.mark.parametrize("argv,env", [
+        (("hasse", "--size", "0", "--max-size", "-1"), None),
+        (("survey", "--size", "0"), "-1"),
+        (("check", "--partition", "3,1", "--max-size", "-1"), None),
+        (("check", "--partition", "3,1"), "-1"),
+    ], ids=["hasse-max-size", "survey-env", "check-max-size", "check-env"])
+    def test_negative_bound_is_input_error(self, capsys, monkeypatch, argv, env):
+        # a bound below 0 is bad input, not a size beyond the capacity
+        if env is not None:
+            monkeypatch.setenv("ORBIT_MAX_SIZE", env)
+        assert run(capsys, *argv, "--eps", "1") == (
+            2, "", "error: the enumeration bound must be nonnegative, got -1\n")
+
 
 class TestOracleBound:
     """The oracle obeys the one enumeration bound, so it answers every orbit check answers."""
@@ -488,6 +501,11 @@ class TestOtherCommands:
         doc = json.loads(out)
         reduction = doc if command == "reduce" else doc["reduction"]
         assert reduction["core"] == {"eps": 1, "top": [41], "bottom": [39, 1, 1]}
+
+    @pytest.mark.parametrize("command", ["reduce", "classify"])
+    def test_equal_pair_is_input_error(self, capsys, command):
+        assert run(capsys, command, "--eps", "1", "--top", "3", "--bottom", "3") == (
+            2, "", "error: cannot reduce an equal pair\n")
 
     def test_bad_order_is_input_error(self, capsys):
         code, _, err = run(capsys, "reduce", "--eps", "-1", "--top", "4,2,2",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitnorm import matrix_oracle
+from orbitnorm import matrix_oracle, partitions
 from orbitnorm.degeneration import DegenPair, covers, dominates
 from orbitnorm.errors import CapacityError, ContractError
 from orbitnorm.matrix_oracle import (
@@ -147,7 +147,7 @@ class TestBuild:
 
     def test_unpaired_blocks_raise(self, monkeypatch):
         # an explicit raise, not an assert, so the check survives python -O
-        monkeypatch.setattr(matrix_oracle, "is_eps_diagram", lambda lam, eps: True)
+        monkeypatch.setattr(partitions, "eps_violation", lambda p, eps: None)
         with pytest.raises(ContractError, match="unpaired blocks"):
             build_nilpotent_model(Partition([3, 1]), -1)
 
@@ -414,6 +414,19 @@ class TestRestrictToImage:
         with pytest.raises(ContractError):
             restrict_to_image(build_nilpotent_model(Partition([1, 1]), -1))
 
+    @pytest.mark.parametrize("lam,eps,field,entry,message", [
+        ([3, 1], 1, "gram", (1, 0), "gram matrix is not eps=-1 symmetric"),
+        ([3, 1], 1, "gram", (2, 0), "gram matrix is singular"),
+        ([4, 2], -1, "nilpotent", (0, 4), "nilpotent map does not preserve the form"),
+    ], ids=["symmetry", "singular", "outside-g"])
+    def test_bad_image_is_refused(self, lam, eps, field, entry, message):
+        # the image is checked like any model, so its form type -eps is checked, not assumed
+        model = build_nilpotent_model(Partition(lam), eps)
+        bent = [list(row) for row in getattr(model, field)]
+        bent[entry[0]][entry[1]] += 1
+        with pytest.raises(ContractError, match=message):
+            restrict_to_image(model._replace(**{field: tuple(map(tuple, bent))}))
+
     @pytest.mark.parametrize("eps", [1, -1])
     def test_column_erasure_identity_small(self, eps):
         for n in range(1, 13):
@@ -473,12 +486,3 @@ class TestSolveInSpan:
         assert matrix_oracle._solve_in_span(basis, [target, {}]) == [
             [Fraction(2), Fraction(1, 2)], [Fraction(0), Fraction(0)]]
 
-
-class TestSerialization:
-    def test_json_rationals(self):
-        model = build_nilpotent_model(Partition([2]), -1)
-        doc = model.to_json()
-        assert doc["dim"] == 2 and doc["eps"] == -1
-        assert all(isinstance(x, str) and "/" in x for row in doc["gram"] for x in row)
-        assert doc["gram"] == [["0/1", "-1/1"], ["1/1", "0/1"]]
-        assert doc["nilpotent"] == [["0/1", "1/1"], ["0/1", "0/1"]]

@@ -155,20 +155,6 @@ class TestDual:
         assert p.dual().size == p.size
 
 
-class TestMultiplicities:
-    def test_counting(self):
-        assert Partition([7, 2, 2]).multiplicities() == {7: 1, 2: 2}
-        assert Partition([1, 1, 1, 1]).multiplicities() == {1: 4}
-        assert Partition().multiplicities() == {}
-
-    @given(partitions)
-    def test_round_trip(self, p):
-        mults = p.multiplicities()
-        rebuilt = Partition(part for part, r in mults.items() for _ in range(r))
-        assert rebuilt == p
-        assert sum(part * r for part, r in mults.items()) == p.size
-
-
 class TestEpsDiagram:
     def test_orthogonal_examples(self):
         assert is_eps_diagram(Partition([7, 2, 2]), 1)
