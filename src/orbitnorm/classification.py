@@ -7,7 +7,6 @@ bottom shape with the row's.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from .degeneration import DegenPair
 from .errors import ContractError, NotMinimalIrreducible
@@ -28,7 +27,7 @@ def table_codim(t: DegenType) -> int:
     return t.codim
 
 
-def instantiate(family: str, n: Optional[int] = None) -> DegenPair:
+def instantiate(family: str, n: int | None = None) -> DegenPair:
     """Build the degeneration pair of one family instance."""
     if family not in TABLE:
         raise ContractError(f"unknown family {family!r}")

@@ -2,14 +2,13 @@
 
 Subcommands: check, survey, hasse, reduce, classify, dim, verify.
 Exit codes: 0 Normal/success, 10 NotNormal, 11 Undetermined,
-2 input error, 3 capacity exceeded, 1 internal error.
+2 input error, 3 capacity exceeded, 1 internal error or output that cannot be written.
 All output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-import gc
-import json
+import atexit
 import os
 import stat
 import sys
@@ -18,7 +17,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .classification import classify_core
-from .degeneration import DegenPair, hasse
+from .degeneration import DegenPair, PosetGraph, hasse
 from .errors import CapacityError, ContractError, NotMinimalIrreducible, PartitionParseError
 from .matrix_oracle import (
     algebra_dim,
@@ -28,7 +27,7 @@ from .matrix_oracle import (
     jordan_type,
     restrict_to_image,
 )
-from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
+from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, Witness, decide, survey
 from .partitions import EpsDiagram, Partition, check_size, parse_partition
 from .reduction import irreducible_core
 
@@ -51,6 +50,8 @@ def _parse_eps(text: str) -> int:
 
 
 def _dumps(obj) -> str:
+    import json  # on demand: survey, hasse and a plain check write their JSON from fragments
+
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
@@ -108,6 +109,8 @@ def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> di
         handle = open(path, "rb")
     except OSError:
         return None
+    import json  # on demand, as in _dumps
+
     own = f'{{"eps":{eps},"partition":[{_partition_csv(partition)}],'.encode()
     with handle:
         while line := handle.readline(_CACHE_LINE_LIMIT):
@@ -163,12 +166,31 @@ def _verdict_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def run_check(args) -> int:
+def _witness_json(w: Witness, heads: dict) -> str:
+    """_dumps(w.to_json()); the text before sigma is built once per (core, type) into heads."""
+    head = heads.get((w.core, w.degen_type))
+    if head is None:
+        core, t = w.core, w.degen_type
+        head = heads[core, t] = (
+            f'{{"codim":{t.codim},"core":{{"bottom":[{_partition_csv(core.bottom)}],'
+            f'"eps":{core.eps},"top":[{_partition_csv(core.top)}]}},"family":"{t.family}",'
+            f'"n":{"null" if t.n is None else t.n},"sigma":[')
+    return f"{head}{_partition_csv(w.sigma)}]}}"
+
+
+def _verdict_json(verdict: NormalityVerdict, heads: dict) -> str:
+    """_dumps(verdict.to_json()), written from fragments without the json module."""
+    witnesses = ",".join([_witness_json(w, heads) for w in verdict.witnesses])
+    return (f'{{"eps":{verdict.eta.eps},"partition":[{_partition_csv(verdict.eta.partition)}],'
+            f'"verdict":"{verdict.verdict}","witnesses":[{witnesses}]}}')
+
+
+def run_check(args) -> tuple[int, str]:
     eta = EpsDiagram(parse_partition(args.partition), args.eps)
     check_size(eta.size, args.max_size)  # before the cache, so a hit honours the bound too
     if args.oracle:
         check_size(eta.size)  # the oracle's bound, which --max-size does not lift
-    report = None
+    report = verdict = None
     if args.cache:
         report = _cache_lookup(args.cache, eta.eps, eta.partition, args.oracle)
     if report is None:
@@ -180,42 +202,53 @@ def run_check(args) -> int:
                 w["codim_oracle"] = codim_oracle(pair)
         if args.cache:
             _cache_append(args.cache, report)
-    if args.format == "json":
-        print(_dumps(report))
-    else:
-        print(_verdict_text(report))
-    return VERDICT_EXIT[report["verdict"]]
+    code = VERDICT_EXIT[report["verdict"]]
+    if args.format == "text":
+        return code, _verdict_text(report)
+    if verdict is None or args.oracle:  # a cached record, or witnesses with oracle codims
+        return code, _dumps(report)
+    return code, _verdict_json(verdict, {})
 
 
-def run_survey(args) -> int:
+def run_survey(args) -> tuple[int, str]:
     verdicts = survey(args.size, args.eps, args.max_size)
-    reports = [v.to_json() for v in verdicts]
     counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
-    for r in reports:
-        counts[r["verdict"]] += 1
+    for v in verdicts:
+        counts[v.verdict] += 1
     if args.format == "json":
-        print(_dumps({"eps": args.eps, "n": args.size, "results": reports, "counts": counts}))
-    elif args.format == "csv":
+        heads = {}
+        results = ",".join([_verdict_json(v, heads) for v in verdicts])
+        tally = ",".join(f'"{name}":{count}' for name, count in sorted(counts.items()))
+        return EXIT_NORMAL, (f'{{"counts":{{{tally}}},"eps":{args.eps},"n":{args.size},'
+                             f'"results":[{results}]}}')
+    reports = [v.to_json() for v in verdicts]
+    if args.format == "csv":
         lines = ["partition;verdict;witness_families"]
         for r in reports:
             families = ",".join(w["family"] for w in r["witnesses"])
             lines.append(f"{_partition_csv(r['partition'])};{r['verdict']};{families}")
-        print("\n".join(lines))
-    else:
-        lines = [_verdict_text(r) for r in reports]
-        lines.append(
-            f"summary: {counts[NORMAL]} Normal, {counts[NOT_NORMAL]} NotNormal,"
-            f" {counts[UNDETERMINED]} Undetermined"
-        )
-        print("\n".join(lines))
-    return EXIT_NORMAL
+        return EXIT_NORMAL, "\n".join(lines)
+    lines = [_verdict_text(r) for r in reports]
+    lines.append(
+        f"summary: {counts[NORMAL]} Normal, {counts[NOT_NORMAL]} NotNormal,"
+        f" {counts[UNDETERMINED]} Undetermined"
+    )
+    return EXIT_NORMAL, "\n".join(lines)
 
 
-def run_hasse(args) -> int:
+def _hasse_json(graph: PosetGraph) -> str:
+    """_dumps(graph.to_json()), written from fragments without the json module."""
+    edges = ",".join([
+        f'{{"bottom":[{_partition_csv(e.bottom)}],"codim":{e.codim},'
+        f'"top":[{_partition_csv(e.top)}],"type":"{e.family}"}}' for e in graph.edges])
+    nodes = ",".join([f"[{_partition_csv(d.partition)}]" for d in graph.nodes])
+    return f'{{"edges":[{edges}],"eps":{graph.eps},"n":{graph.n},"nodes":[{nodes}]}}'
+
+
+def run_hasse(args) -> tuple[int, str]:
     graph = hasse(args.size, args.eps, args.max_size)
     if args.format == "json":
-        print(_dumps(graph.to_json()))
-        return EXIT_NORMAL
+        return EXIT_NORMAL, _hasse_json(graph)
     lines = ["digraph hasse {"]
     for node in graph.nodes:
         lines.append(f'  "{node.partition}";')
@@ -225,8 +258,7 @@ def run_hasse(args) -> int:
             f' [label="{edge.family},{edge.codim}"];'
         )
     lines.append("}")
-    print("\n".join(lines))
-    return EXIT_NORMAL
+    return EXIT_NORMAL, "\n".join(lines)
 
 
 def _pair(args) -> DegenPair:
@@ -236,39 +268,33 @@ def _pair(args) -> DegenPair:
     return pair
 
 
-def run_reduce(args) -> int:
+def run_reduce(args) -> tuple[int, str]:
     reduction = irreducible_core(_pair(args))
-    report = reduction.to_json()
     if args.format == "json":
-        print(_dumps(report))
-    else:
-        core = reduction.core
-        print(
-            f"core: [{_partition_csv(core.bottom)}] <= [{_partition_csv(core.top)}]"
-            f" eps' {core.eps:+d}; erased {reduction.row_count} rows"
-            f" {list(reduction.erased_rows)}, {reduction.erased_columns} columns"
-        )
-    return EXIT_NORMAL
+        return EXIT_NORMAL, _dumps(reduction.to_json())
+    core = reduction.core
+    return EXIT_NORMAL, (
+        f"core: [{_partition_csv(core.bottom)}] <= [{_partition_csv(core.top)}]"
+        f" eps' {core.eps:+d}; erased {reduction.row_count} rows"
+        f" {list(reduction.erased_rows)}, {reduction.erased_columns} columns"
+    )
 
 
-def run_classify(args) -> int:
+def run_classify(args) -> tuple[int, str]:
     reduction = irreducible_core(_pair(args))
     try:
         degen_type = classify_core(reduction.core)
     except NotMinimalIrreducible as exc:  # the user's pair, not a gap in the table
         raise ContractError(f"not a minimal degeneration: {exc}") from None
-    report = {"reduction": reduction.to_json(), "type": degen_type.to_json()}
     if args.format == "json":
-        print(_dumps(report))
-    else:
-        print(
-            f"core [{_partition_csv(reduction.core.bottom)}] <="
-            f" [{_partition_csv(reduction.core.top)}]: {degen_type}"
-        )
-    return EXIT_NORMAL
+        return EXIT_NORMAL, _dumps({"reduction": reduction.to_json(), "type": degen_type.to_json()})
+    return EXIT_NORMAL, (
+        f"core [{_partition_csv(reduction.core.bottom)}] <="
+        f" [{_partition_csv(reduction.core.top)}]: {degen_type}"
+    )
 
 
-def run_dim(args) -> int:
+def run_dim(args) -> tuple[int, str]:
     p = parse_partition(args.partition)
     model = build_nilpotent_model(p, args.eps)
     cent = centralizer_dim(model)
@@ -281,16 +307,14 @@ def run_dim(args) -> int:
         "orbit_dim": total - cent,
     }
     if args.format == "json":
-        print(_dumps(report))
-    else:
-        print(
-            f"[{_partition_csv(p)}] eps {args.eps:+d}: orbit dim {report['orbit_dim']},"
-            f" centralizer dim {cent}, algebra dim {report['algebra_dim']}"
-        )
-    return EXIT_NORMAL
+        return EXIT_NORMAL, _dumps(report)
+    return EXIT_NORMAL, (
+        f"[{_partition_csv(p)}] eps {args.eps:+d}: orbit dim {report['orbit_dim']},"
+        f" centralizer dim {cent}, algebra dim {report['algebra_dim']}"
+    )
 
 
-def run_verify(args) -> int:
+def run_verify(args) -> tuple[int, str]:
     p = parse_partition(args.partition)
     model = build_nilpotent_model(p, args.eps)
     expected = p.erase_first_column()
@@ -301,11 +325,10 @@ def run_verify(args) -> int:
         got, image_eps = expected, -args.eps
     ok = got == expected and image_eps == -args.eps
     status = "PASS" if ok else "FAIL"
-    print(
+    return EXIT_NORMAL if ok else EXIT_INTERNAL, (
         f"restriction type [{_partition_csv(got)}] eps {image_eps:+d},"
         f" expected [{_partition_csv(expected)}] eps {-args.eps:+d}: {status}"
     )
-    return EXIT_NORMAL if ok else EXIT_INTERNAL
 
 
 # --- argument wiring -------------------------------------------------------
@@ -356,9 +379,8 @@ def _options(command: _Command) -> list[_Option]:
     return [_EPS, *command.options]
 
 
-def _print_version(args) -> int:
-    print(__version__)
-    return EXIT_NORMAL
+def _print_version(args) -> tuple[int, str]:
+    return EXIT_NORMAL, __version__
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -425,30 +447,56 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=command.run, **values)
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        # run as the program: no later collection, the one at exit included,
-        # rescans the objects that start-up made
-        gc.freeze()
-        argv = sys.argv[1:]
+def _run(argv: list[str]) -> tuple[int, str | None]:
+    """The exit code and the output of a command line; messages go to stderr as they arise."""
     args = _parse(argv)
     if args is None:
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse uses 2 for usage errors, which matches our input-error code
-            return int(exc.code or 0)
+            return int(exc.code or 0), None
     try:
         return args.func(args)
     except (PartitionParseError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INPUT, None
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return EXIT_CAPACITY, None
     except NotMinimalIrreducible as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL, None
+
+
+def _write(code: int, text: str | None) -> int:
+    """Print text and flush stdout; a failed write is one line on stderr and exit 1."""
+    try:
+        if text is not None:
+            print(text)
+        if sys.stdout is not None:  # None when fd 1 was closed: nothing is written, as print does
+            sys.stdout.flush()
+    except OSError as exc:
+        # what is still buffered then goes to os.devnull, so no later flush fails again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return code
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is not None:
+        return _write(*_run(argv))
+    # run as the program: once the output is out and the atexit handlers have run,
+    # leave without the interpreter's teardown, which only frees what exit drops
+    code = _write(*_run(sys.argv[1:]))
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ table row on the way.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import ContractError
 from .partitions import EpsDiagram, Partition, check_size, enumerate_eps_diagrams

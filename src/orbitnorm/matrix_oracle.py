@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from numbers import Rational
 from operator import neg
 
 from .degeneration import DegenPair
@@ -47,7 +46,7 @@ __all__ = [
     "mat_rank",
 ]
 
-Scalar = Rational  # an int wherever the value is integral, else a fractions.Fraction
+Scalar = int  # else a fractions.Fraction, where not integral; naming it would import fractions
 Matrix = list[list[Scalar]]
 Row = dict[int, Scalar]  # sparse row: variable -> coefficient
 

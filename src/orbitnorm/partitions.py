@@ -10,10 +10,9 @@ multiplicity.
 from __future__ import annotations
 
 import os
-import re
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import CapacityError, ContractError, PartitionParseError
 
@@ -90,9 +89,8 @@ class Partition(tuple):
 
 def parse_partition(text: str) -> Partition:
     """Parse comma- or space-separated positive integers; order irrelevant."""
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     parts = []
-    for tok in tokens:
+    for tok in text.replace(",", " ").split():
         try:
             value = int(tok)
         except ValueError:

@@ -14,8 +14,8 @@ reading.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable, Optional
 
 from .partitions import ORTHOGONAL, SYMPLECTIC, Partition
 
@@ -24,7 +24,7 @@ class Family(namedtuple("Family", "eps least top bottom codim")):
     __slots__ = ()
 
     eps: int
-    least: Optional[int]  # least admissible n; None for the parameterless a
+    least: int | None  # least admissible n; None for the parameterless a
     top: Callable[[int], list[int]]
     bottom: Callable[[int], list[int]]
     codim: Callable[[int], int]  # as printed; see README on f and h
@@ -55,7 +55,7 @@ class DegenType(namedtuple("DegenType", "family n")):
     __slots__ = ()
 
     family: str
-    n: Optional[int]
+    n: int | None
 
     @property
     def codim(self) -> int:
@@ -71,7 +71,7 @@ class DegenType(namedtuple("DegenType", "family n")):
 
 
 #: (family, n, bottom) of one table row.
-Row = tuple[str, Optional[int], Partition]
+Row = tuple[str, int | None, Partition]
 
 
 def table_row(eps: int, top: tuple[int, ...]) -> Row | None:

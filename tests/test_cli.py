@@ -1,6 +1,8 @@
+import errno
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,9 @@ import pytest
 
 from orbitnorm import cli, matrix_oracle, partitions
 from orbitnorm.cli import main
+from orbitnorm.degeneration import hasse
+from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
+from orbitnorm.partitions import enumerate_eps_diagrams
 
 
 def run(capsys, *argv):
@@ -295,6 +300,37 @@ class TestHasse:
         assert doc["edges"] == [{"top": [2], "bottom": [1, 1], "type": "a", "codim": 2}]
 
 
+class TestJsonFragments:
+    """survey, hasse and check write JSON from fragments: the text _dumps makes of to_json()."""
+
+    @staticmethod
+    def survey_reference(n, eps):
+        reports = [v.to_json() for v in survey(n, eps)]
+        counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
+        for r in reports:
+            counts[r["verdict"]] += 1
+        return cli._dumps({"eps": eps, "n": n, "results": reports, "counts": counts})
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_survey_and_hasse(self, capsys, eps):
+        for n in [*range(21), 40]:
+            size = ("--eps", str(eps), "--size", str(n), "--format", "json")
+            assert run(capsys, "survey", *size) == (0, self.survey_reference(n, eps) + "\n", "")
+            graph = cli._dumps(hasse(n, eps).to_json())
+            assert run(capsys, "hasse", *size) == (0, graph + "\n", "")
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_check(self, capsys, eps):
+        diagrams = [eta for n in range(21) for eta in enumerate_eps_diagrams(n, eps)]
+        at_40 = enumerate_eps_diagrams(40, eps)
+        for eta in [*diagrams, *random.Random(40).sample(at_40, 25)]:
+            verdict = decide(eta)
+            code, out, _ = run(capsys, "check", "--eps", str(eps), "--partition",
+                               cli._partition_csv(eta.partition), "--format", "json")
+            assert (code, out) == (cli.VERDICT_EXIT[verdict.verdict],
+                                   cli._dumps(verdict.to_json()) + "\n")
+
+
 class TestMaxSize:
     @pytest.mark.parametrize("argv", [
         ("reduce", "--top", "6,1,1", "--bottom", "4,2,2"),
@@ -408,27 +444,92 @@ class TestOracleBound:
         assert cache.read_bytes() == primed
 
 
+def _program(argv, **kwargs):
+    """Run main() as the installed script runs it, in a fresh process; kwargs go to subprocess.run.
+
+    An atexit handler registered before main() writes to stderr, and so would
+    a statement after main(), which must never run.
+    """
+    src = str(Path(cli.__file__).parent.parent)
+    script = ("import atexit, os\natexit.register(os.write, 2, b'atexit ran\\n')\n"
+              "from orbitnorm.cli import main\nmain()\nos.write(2, b'after main\\n')")
+    # stdout buffered, as it is by default when it is not a terminal
+    env = {k: v for k, v in os.environ.items() if k not in ("ORBIT_MAX_SIZE", "PYTHONUNBUFFERED")}
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          env={**env, "PYTHONPATH": src, "COLUMNS": "80"}, timeout=60, **kwargs)
+
+
 class TestExitFreeze:
     SURVEY = ("survey", "--eps", "-1", "--size", "8", "--format", "json")
 
-    def test_program_entry_freezes_and_prints_the_same(self, capsys):
-        # main() reads sys.argv, as the installed script runs it
-        src = str(Path(cli.__file__).parent.parent)
-        script = ("import gc, sys\nfrom orbitnorm.cli import main\ncode = main()\n"
-                  "print(gc.get_freeze_count(), file=sys.stderr)\nsys.exit(code)")
-        env = {k: v for k, v in os.environ.items() if k != "ORBIT_MAX_SIZE"}
-        proc = subprocess.run([sys.executable, "-c", script, *self.SURVEY], capture_output=True,
-                              env={**env, "PYTHONPATH": src}, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stderr.split()[-1]) > 0
-        _, out, _ = run(capsys, *self.SURVEY)
-        assert proc.stdout == out.encode()
+    @pytest.mark.parametrize("argv, code", [
+        (SURVEY, 0),
+        (("check", "--eps", "1", "--partition", "7,2,2"), 10),
+        (("check", "--eps", "-1", "--partition", "4,4,3,3", "--format", "json"), 11),
+        (("check", "--eps", "-1", "--partition", "3,1"), 2),
+        (("check", "--eps", "-1"), 2),
+        (("check", "--eps", "-1", "--partition", ",".join(["2"] * 30), "--max-size", "20"), 3),
+    ], ids=["normal", "not-normal", "undetermined", "input-error", "usage-error", "capacity"])
+    def test_program_entry_exits_with_the_code_and_output_of_main(self, capsys, monkeypatch,
+                                                                   argv, code):
+        proc = _program(argv, capture_output=True)
+        assert proc.returncode == code
+        assert proc.stderr.endswith(b"atexit ran\n")
+        err = proc.stderr.decode().removesuffix("atexit ran\n")
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv) == (code, proc.stdout.decode(), err)
 
     def test_in_process_call_does_not_freeze(self, capsys):
         before = gc.get_freeze_count()
         code, _, _ = run(capsys, *self.SURVEY)
         assert code == 0
         assert gc.get_freeze_count() == before
+
+
+class TestWriteFailure:
+    MESSAGE = "error: cannot write output: {}\n"
+
+    def test_full_device_is_one_line_and_exit_1(self):
+        with open("/dev/full", "wb") as full:
+            proc = _program(["check", "--eps", "1", "--partition", "7,2,2", "--format", "json"],
+                            stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 1
+        message = self.MESSAGE.format(os.strerror(errno.ENOSPC))
+        assert proc.stderr.decode() == message + "atexit ran\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("survey", "--eps", "-1", "--size", "16"),  # more than the buffer: print itself fails
+        ("check", "--eps", "1", "--partition", "7,2,2"),  # buffered: the flush fails
+        ("--help",),  # argparse's own output
+    ])
+    def test_pipe_closed_by_its_reader_is_one_line_and_exit_1(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _program(argv, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        message = self.MESSAGE.format(os.strerror(errno.EPIPE))
+        assert proc.stderr.decode() == message + "atexit ran\n"
+
+    def test_closed_stdout_is_silent_and_exit_0(self):
+        proc = _program(["survey", "--eps", "-1", "--size", "8", "--format", "json"],
+                        stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 0
+        assert proc.stderr == b"atexit ran\n"
+
+    def test_in_process_call_reports_once_and_returns_1(self):
+        # no second flush fails when the interpreter exits after main([...]) returned
+        src = str(Path(cli.__file__).parent.parent)
+        script = ("import sys\nfrom orbitnorm.cli import main\n"
+                  "print(main(['check', '--eps', '1', '--partition', '7,2,2']), file=sys.stderr)")
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-c", script], stdout=full,
+                                  stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                                  timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr.decode() == self.MESSAGE.format(os.strerror(errno.ENOSPC)) + "1\n"
 
 
 class TestOtherCommands:

@@ -1,3 +1,5 @@
+import re
+import sys
 from collections import Counter
 from functools import cache
 
@@ -40,6 +42,20 @@ def reference_eps_violation(p, eps):
         if eps == -1 and part % 2 == 1 and mult % 2 == 1:
             return f"odd part {part} has odd multiplicity"
     return None
+
+
+def reference_parse_partition(text):
+    """Split on runs of commas and whitespace with a regex, then parse each token."""
+    parts = []
+    for tok in [t for t in re.split(r"[,\s]+", text.strip()) if t]:
+        try:
+            value = int(tok)
+        except ValueError:
+            raise PartitionParseError(f"not an integer part: {tok!r}")
+        if value <= 0:
+            raise PartitionParseError(f"parts must be positive, got {tok!r}")
+        parts.append(value)
+    return Partition(parts)
 
 
 @cache
@@ -136,6 +152,18 @@ class TestParse:
 
     def test_empty_text_is_empty_partition(self):
         assert parse_partition("") == ()
+
+    def test_every_separator_splits_as_the_regex_did(self):
+        separators = [",", *(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())]
+        for c in separators:
+            for text in (f"3{c}1{c}{c}2", f"{c}x{c}"):
+                outcomes = []
+                for parse in (parse_partition, reference_parse_partition):
+                    try:
+                        outcomes.append(parse(text))
+                    except PartitionParseError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], repr(c)
 
 
 class TestDual:

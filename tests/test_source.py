@@ -7,6 +7,8 @@ import sys
 import typing
 from pathlib import Path
 
+import pytest
+
 import orbitnorm
 
 
@@ -36,7 +38,9 @@ def test_no_raise_assertion_error_in_package():
 def _fresh_modules(code):
     """Output lines of code run in a fresh `python -S` on the package's src, then sys.modules."""
     src = str(Path(orbitnorm.__file__).parent.parent)
-    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    # the module list is taken before json is imported to print it
+    script = (code + "\nimport sys\nloaded = sorted(sys.modules)\n"
+              "import json\nprint(json.dumps(loaded))")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -44,7 +48,8 @@ def _fresh_modules(code):
     return lines, set(json.loads(modules))
 
 
-NOT_AT_IMPORT = {"argparse", "dataclasses", "decimal", "fractions", "inspect"}
+NOT_AT_IMPORT = {"argparse", "dataclasses", "decimal", "fractions", "inspect", "json", "numbers",
+                 "re", "typing"}
 
 
 def test_cli_import_leaves_out_what_no_command_needs():
@@ -69,6 +74,17 @@ def test_a_well_formed_command_does_not_import_argparse():
         "print(main(['survey', '--eps', '-1', '--size', '2', '--format', 'csv']))")
     assert lines == ["partition;verdict;witness_families", "2;Normal;a", "1,1;Normal;", "0"]
     assert "argparse" not in loaded
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["survey", "--eps", "-1", "--size", "6", "--format", "json"], 0),
+    (["hasse", "--eps", "1", "--size", "6", "--format", "json"], 0),
+    (["check", "--eps", "1", "--partition", "7,2,2", "--format", "json"], 10),
+])
+def test_json_without_cache_or_oracle_does_not_import_json(argv, code):
+    lines, loaded = _fresh_modules(f"from orbitnorm.cli import main\nprint(main({argv!r}))")
+    assert lines[0].startswith("{") and lines[-1] == str(code)
+    assert "json" not in loaded
 
 
 def test_help_imports_argparse():
