@@ -7,15 +7,12 @@ bottom shape with the row's.
 
 from __future__ import annotations
 
-
 from .degeneration import DegenPair
 from .errors import ContractError, NotMinimalIrreducible
 from .reduction import ReductionResult, irreducible_core, is_irreducible
-from .table import FAMILY_RANGES, TABLE, DegenType, table_row
+from .table import TABLE, DegenType, table_row
 
 __all__ = [
-    "DegenType",
-    "FAMILY_RANGES",
     "instantiate",
     "classify_core",
     "table_codim",

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .classification import classify_core
-from .degeneration import DegenPair, PosetGraph, hasse
+from .degeneration import DegenPair, PosetGraph, Witness, hasse
 from .errors import CapacityError, ContractError, NotMinimalIrreducible, PartitionParseError
 from .matrix_oracle import (
     algebra_dim,
@@ -27,8 +27,8 @@ from .matrix_oracle import (
     jordan_type,
     restrict_to_image,
 )
-from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, Witness, decide, survey
-from .partitions import EpsDiagram, Partition, check_size, parse_partition
+from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide, survey
+from .partitions import EpsDiagram, check_size, parse_partition
 from .reduction import irreducible_core
 
 EXIT_NORMAL = 0
@@ -55,33 +55,18 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
+def _stderr(line: str) -> None:
+    """Print one line on stderr; nothing when fd 2 was closed, so sys.stderr is None."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 def _partition_csv(parts) -> str:
     """A partition, or a report's list of parts, as the comma-separated text every format prints."""
     return ",".join(map(str, parts))
 
 
 # --- cache -----------------------------------------------------------------
-
-def _is_parts(value) -> bool:
-    """A list of positive ints.  JSON true loads as a bool, an int subclass, so types are exact."""
-    return isinstance(value, list) and all(type(x) is int and x > 0 for x in value)
-
-
-def _valid_report(record: dict) -> bool:
-    """A known verdict and witnesses carrying every key the text output reads, of its type.
-
-    The lookup matched eps and partition by ==, which JSON true and 7.0 pass for 1 and 7.
-    """
-    witnesses = record.get("witnesses")
-    orbit = type(record.get("eps")) is int and _is_parts(record.get("partition"))
-    return orbit and record.get("verdict") in VERDICT_EXIT and isinstance(witnesses, list) and all(
-        isinstance(w, dict) and isinstance(w.get("core"), dict)
-        and _is_parts(w.get("sigma")) and isinstance(w.get("family"), str)
-        and type(w.get("codim")) is int and type(w.get("codim_oracle", 0)) is int
-        and type(w["core"].get("eps")) is int and w["core"]["eps"] in (1, -1)
-        and _is_parts(w["core"].get("top")) and _is_parts(w["core"].get("bottom"))
-        for w in witnesses)
-
 
 #: _dumps sorts keys, so every record the program writes starts with one of these.
 _RECORD_PREFIXES = (b'{"eps":1,"partition":[', b'{"eps":-1,"partition":[')
@@ -91,9 +76,11 @@ _RECORD_PREFIXES = (b'{"eps":1,"partition":[', b'{"eps":-1,"partition":[')
 _CACHE_LINE_LIMIT = 1 << 20
 
 
-def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> dict | None:
-    """First usable record for the orbit; with oracle, only one that has oracle codims.
+def _cache_lookup(path: str, report: dict, oracle: bool) -> list | None:
+    """Each witness's codim_oracle (None where it has none) from the first record for the
+    report's orbit that is the report but for those; with oracle, from one that has them all.
 
+    A record is compared with the report as JSON text, which keeps true from 1 and 7.0 from 7.
     The cache must be a regular file or not exist yet: a FIFO would block the
     read and a device need not end, so either is an input error.
     """
@@ -111,11 +98,12 @@ def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> di
         return None
     import json  # on demand, as in _dumps
 
-    own = f'{{"eps":{eps},"partition":[{_partition_csv(partition)}],'.encode()
+    eps, parts, fresh = report["eps"], report["partition"], _dumps(report)
+    own = f'{{"eps":{eps},"partition":[{_partition_csv(parts)}],'.encode()
     with handle:
         while line := handle.readline(_CACHE_LINE_LIMIT):
             if len(line) == _CACHE_LINE_LIMIT and not line.endswith(b"\n"):
-                print("warning: ignoring over-long cache line", file=sys.stderr)
+                _stderr("warning: ignoring over-long cache line")
                 while line and not line.endswith(b"\n"):  # skip the rest, a bounded piece at a time
                     line = handle.readline(_CACHE_LINE_LIMIT)
                 continue
@@ -127,19 +115,24 @@ def _cache_lookup(path: str, eps: int, partition: Partition, oracle: bool) -> di
             try:
                 record = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
-                print("warning: ignoring unparseable cache line", file=sys.stderr)
+                _stderr("warning: ignoring unparseable cache line")
                 continue
             if not isinstance(record, dict):
-                print("warning: ignoring cache line that is not a record", file=sys.stderr)
+                _stderr("warning: ignoring cache line that is not a record")
                 continue
-            if record.get("eps") != eps or record.get("partition") != list(partition):
+            if record.get("eps") != eps or record.get("partition") != parts:
                 continue
-            if not _valid_report(record):
-                print(f"warning: ignoring malformed cache record for {partition}", file=sys.stderr)
+            witnesses = record.get("witnesses")
+            if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
+                witnesses = []  # the report's are a list of records, so the comparison fails
+            typed = all(type(w.get("codim_oracle", 0)) is int for w in witnesses)
+            codims = [w.pop("codim_oracle", None) for w in witnesses]
+            if not typed or _dumps(record) != fresh:
+                _stderr(f"warning: ignoring malformed cache record for [{_partition_csv(parts)}]")
                 continue
-            if oracle and not all("codim_oracle" in w for w in record["witnesses"]):
+            if oracle and None in codims:
                 continue
-            return record
+            return codims
     return None
 
 
@@ -153,15 +146,18 @@ def _cache_append(path: str, record: dict) -> None:
 
 # --- subcommand bodies -----------------------------------------------------
 
-def _verdict_text(report: dict) -> str:
-    lines = [f"partition [{_partition_csv(report['partition'])}] eps {report['eps']:+d}: {report['verdict']}"]
-    for w in report["witnesses"]:
+def _verdict_text(verdict: NormalityVerdict, codims: list | None = None) -> str:
+    """The verdict and its witnesses, each with its oracle codim where codims has one."""
+    eta = verdict.eta
+    lines = [f"partition [{_partition_csv(eta.partition)}] eps {eta.eps:+d}: {verdict.verdict}"]
+    for w, codim in zip(verdict.witnesses, codims or [None] * len(verdict.witnesses)):
+        core, t = w.core, w.degen_type
         lines.append(
-            f"  witness [{_partition_csv(w['sigma'])}]"
-            f" -> core ([{_partition_csv(w['core']['bottom'])}] <="
-            f" [{_partition_csv(w['core']['top'])}], eps {w['core']['eps']:+d})"
-            f" type {w['family']} codim {w['codim']}"
-            + (f" oracle_codim {w['codim_oracle']}" if "codim_oracle" in w else "")
+            f"  witness [{_partition_csv(w.sigma)}]"
+            f" -> core ([{_partition_csv(core.bottom)}] <="
+            f" [{_partition_csv(core.top)}], eps {core.eps:+d})"
+            f" type {t.family} codim {t.codim}"
+            + ("" if codim is None else f" oracle_codim {codim}")
         )
     return "\n".join(lines)
 
@@ -185,28 +181,32 @@ def _verdict_json(verdict: NormalityVerdict, heads: dict) -> str:
             f'"verdict":"{verdict.verdict}","witnesses":[{witnesses}]}}')
 
 
+def _report(verdict: NormalityVerdict, codims: list) -> dict:
+    """verdict.to_json(), with codim_oracle on each witness that codims gives one."""
+    report = verdict.to_json()
+    for w, codim in zip(report["witnesses"], codims):
+        if codim is not None:
+            w["codim_oracle"] = codim
+    return report
+
+
 def run_check(args) -> tuple[int, str]:
     eta = EpsDiagram(parse_partition(args.partition), args.eps)
     check_size(eta.size, args.max_size)  # before the cache, so a hit honours the bound too
     if args.oracle:
         check_size(eta.size)  # the oracle's bound, which --max-size does not lift
-    report = verdict = None
-    if args.cache:
-        report = _cache_lookup(args.cache, eta.eps, eta.partition, args.oracle)
-    if report is None:
-        verdict = decide(eta, args.max_size)
-        report = verdict.to_json()
-        if args.oracle:
-            for w, pair_w in zip(report["witnesses"], verdict.witnesses):
-                pair = DegenPair(eta.eps, pair_w.sigma, eta.partition)
-                w["codim_oracle"] = codim_oracle(pair)
+    verdict = decide(eta, args.max_size)  # always: the cache holds oracle codims, not verdicts
+    codims = _cache_lookup(args.cache, verdict.to_json(), args.oracle) if args.cache else None
+    if codims is None:
+        codims = [codim_oracle(DegenPair(eta.eps, w.sigma, eta.partition)) if args.oracle
+                  else None for w in verdict.witnesses]
         if args.cache:
-            _cache_append(args.cache, report)
-    code = VERDICT_EXIT[report["verdict"]]
+            _cache_append(args.cache, _report(verdict, codims))
+    code = VERDICT_EXIT[verdict.verdict]
     if args.format == "text":
-        return code, _verdict_text(report)
-    if verdict is None or args.oracle:  # a cached record, or witnesses with oracle codims
-        return code, _dumps(report)
+        return code, _verdict_text(verdict, codims)
+    if any(codim is not None for codim in codims):
+        return code, _dumps(_report(verdict, codims))
     return code, _verdict_json(verdict, {})
 
 
@@ -221,14 +221,13 @@ def run_survey(args) -> tuple[int, str]:
         tally = ",".join(f'"{name}":{count}' for name, count in sorted(counts.items()))
         return EXIT_NORMAL, (f'{{"counts":{{{tally}}},"eps":{args.eps},"n":{args.size},'
                              f'"results":[{results}]}}')
-    reports = [v.to_json() for v in verdicts]
     if args.format == "csv":
         lines = ["partition;verdict;witness_families"]
-        for r in reports:
-            families = ",".join(w["family"] for w in r["witnesses"])
-            lines.append(f"{_partition_csv(r['partition'])};{r['verdict']};{families}")
+        for v in verdicts:
+            families = ",".join(w.degen_type.family for w in v.witnesses)
+            lines.append(f"{_partition_csv(v.eta.partition)};{v.verdict};{families}")
         return EXIT_NORMAL, "\n".join(lines)
-    lines = [_verdict_text(r) for r in reports]
+    lines = [_verdict_text(v) for v in verdicts]
     lines.append(
         f"summary: {counts[NORMAL]} Normal, {counts[NOT_NORMAL]} NotNormal,"
         f" {counts[UNDETERMINED]} Undetermined"
@@ -451,21 +450,28 @@ def _run(argv: list[str]) -> tuple[int, str | None]:
     """The exit code and the output of a command line; messages go to stderr as they arise."""
     args = _parse(argv)
     if args is None:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as exc:
-            # argparse uses 2 for usage errors, which matches our input-error code
-            return int(exc.code or 0), None
+        import io  # argparse's stdout is captured, so a failed write is reported as any other is
+        from contextlib import redirect_stdout
+
+        with redirect_stdout(io.StringIO()) as out:
+            try:
+                args = _build_parser().parse_args(argv)
+            except SystemExit as exc:
+                # argparse uses 2 for usage errors, which matches our input-error code.  Only
+                # help and --version print on exit 0; a usage error prints on stdout only when
+                # sys.stderr is None, and then what it prints is dropped like any other message.
+                code, text = int(exc.code or 0), out.getvalue().removesuffix("\n")
+                return code, text if text and code == 0 else None
     try:
         return args.func(args)
     except (PartitionParseError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return EXIT_INPUT, None
     except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return EXIT_CAPACITY, None
     except NotMinimalIrreducible as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _stderr(f"internal error: {exc}")
         return EXIT_INTERNAL, None
 
 
@@ -481,7 +487,7 @@ def _write(code: int, text: str | None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _stderr(f"error: cannot write output: {exc.strerror or exc}")
         return EXIT_INTERNAL
     return code
 

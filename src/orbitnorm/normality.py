@@ -14,7 +14,7 @@ from collections import namedtuple
 from .degeneration import Witness, covers
 from .partitions import EpsDiagram, enumerate_eps_diagrams
 
-__all__ = ["NORMAL", "NOT_NORMAL", "UNDETERMINED", "Witness", "NormalityVerdict", "decide", "survey"]
+__all__ = ["NORMAL", "NOT_NORMAL", "UNDETERMINED", "NormalityVerdict", "decide", "survey"]
 
 NORMAL = "Normal"
 NOT_NORMAL = "NotNormal"

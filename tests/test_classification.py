@@ -2,8 +2,6 @@ import pytest
 
 from orbitnorm import table
 from orbitnorm.classification import (
-    FAMILY_RANGES,
-    DegenType,
     classify_core,
     classify_minimal_degeneration,
     instantiate,
@@ -13,7 +11,7 @@ from orbitnorm.degeneration import DegenPair, covers, minimal_degenerations
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
 from orbitnorm.partitions import ORTHOGONAL, SYMPLECTIC, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import irreducible_core
-from orbitnorm.table import table_row
+from orbitnorm.table import FAMILY_RANGES, DegenType, table_row
 from test_partitions import partitions_of
 
 

@@ -252,6 +252,50 @@ class TestCache:
         assert (code, out, err) == (0, fresh, "warning: ignoring over-long cache line\n")
         assert cache.read_bytes() == record + record  # the miss decided again and appended
 
+    def test_stale_record_warns_on_every_lookup_and_the_fresh_one_answers(self, capsys, tmp_path):
+        # [7,2,2] has an e cover, so no record can make it Normal
+        cache = tmp_path / "cache.jsonl"
+        stale = b'{"eps":1,"partition":[7,2,2],"verdict":"Normal","witnesses":[]}\n'
+        cache.write_bytes(stale)
+        args = ("check", "--eps", "1", "--partition", "7,2,2")
+        fresh = run(capsys, *args)
+        warning = "warning: ignoring malformed cache record for [7,2,2]\n"
+        assert run(capsys, *args, "--cache", str(cache)) == (10, fresh[1], warning)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        assert lines[0] == stale and len(lines) == 2
+        assert run(capsys, *args, "--cache", str(cache)) == (10, fresh[1], warning)
+        assert cache.read_bytes().splitlines(keepends=True) == lines  # the appended record hit
+
+    @pytest.mark.parametrize("edit", [
+        lambda record: record["witnesses"][0].update(codim=3),
+        lambda record: record["witnesses"][1].update(family="d"),
+        lambda record: record.update(verdict="Undetermined"),
+        lambda record: record["witnesses"].pop(),
+        lambda record: record["witnesses"][0].update(codim_oracle=None),
+        lambda record: record.update(note="x"),
+    ], ids=["codim", "family", "verdict", "witness-dropped", "null-oracle-codim", "extra-key"])
+    def test_program_written_record_that_disagrees_is_a_miss(self, capsys, tmp_path, edit):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "1", "--partition", "7,2,2", "--cache", str(cache))
+        fresh = run(capsys, *args)
+        record = json.loads(cache.read_bytes())
+        edit(record)
+        cache.write_text(cli._dumps(record) + "\n")
+        code, out, err = run(capsys, *args)
+        assert (code, out) == fresh[:2]
+        assert err == "warning: ignoring malformed cache record for [7,2,2]\n"
+        assert len(cache.read_bytes().splitlines()) == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oracle_record_serves_its_codims_to_a_plain_check(self, capsys, tmp_path, fmt):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "1", "--partition", "7,2,2", "--format", fmt)
+        oracle = run(capsys, *args, "--oracle")
+        run(capsys, *args, "--oracle", "--cache", str(cache))
+        primed = cache.read_bytes()
+        assert run(capsys, *args, "--cache", str(cache)) == oracle
+        assert cache.read_bytes() == primed
+
 
 class TestSurvey:
     def test_csv_row(self, capsys):
@@ -444,17 +488,20 @@ class TestOracleBound:
         assert cache.read_bytes() == primed
 
 
-def _program(argv, **kwargs):
+def _program(argv, unbuffered=False, **kwargs):
     """Run main() as the installed script runs it, in a fresh process; kwargs go to subprocess.run.
 
     An atexit handler registered before main() writes to stderr, and so would
-    a statement after main(), which must never run.
+    a statement after main(), which must never run.  sys.executable, not a
+    launcher script, runs it, so a file descriptor the test closes stays closed.
     """
     src = str(Path(cli.__file__).parent.parent)
     script = ("import atexit, os\natexit.register(os.write, 2, b'atexit ran\\n')\n"
               "from orbitnorm.cli import main\nmain()\nos.write(2, b'after main\\n')")
-    # stdout buffered, as it is by default when it is not a terminal
+    # stdout buffered unless asked, as it is by default when it is not a terminal
     env = {k: v for k, v in os.environ.items() if k not in ("ORBIT_MAX_SIZE", "PYTHONUNBUFFERED")}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-c", script, *argv],
                           env={**env, "PYTHONPATH": src, "COLUMNS": "80"}, timeout=60, **kwargs)
 
@@ -512,6 +559,23 @@ class TestWriteFailure:
         assert proc.returncode == 1
         message = self.MESSAGE.format(os.strerror(errno.EPIPE))
         assert proc.stderr.decode() == message + "atexit ran\n"
+
+    def test_unbuffered_help_to_a_full_device_is_one_line_and_exit_1(self):
+        # argparse swallows a failed write of its own; its help goes out through main's write
+        with open("/dev/full", "wb") as full:
+            proc = _program(["--help"], unbuffered=True, stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 1
+        message = self.MESSAGE.format(os.strerror(errno.ENOSPC))
+        assert proc.stderr.decode() == message + "atexit ran\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--eps", "-1", "--partition", "3,1"),  # the package's error line
+        ("check", "--eps", "-1"),  # argparse's usage error
+    ], ids=["input-error", "usage-error"])
+    def test_closed_stderr_leaves_stdout_empty_and_exit_2(self, argv):
+        # sys.stderr is None then, and print(file=None) would fall back to stdout
+        proc = _program(argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (2, b"")
 
     def test_closed_stdout_is_silent_and_exit_0(self):
         proc = _program(["survey", "--eps", "-1", "--size", "8", "--format", "json"],

@@ -4,13 +4,13 @@ import pickle
 
 import pytest
 
-from orbitnorm.classification import DegenType
-from orbitnorm.degeneration import DegenPair, PosetEdge, PosetGraph, hasse
+from orbitnorm.degeneration import DegenPair, PosetEdge, PosetGraph, Witness, hasse
 from orbitnorm.errors import ContractError
 from orbitnorm.matrix_oracle import NilpotentModel, build_nilpotent_model
-from orbitnorm.normality import NormalityVerdict, Witness, decide
+from orbitnorm.normality import NormalityVerdict, decide
 from orbitnorm.partitions import EpsDiagram, Partition
 from orbitnorm.reduction import ReductionResult, irreducible_core
+from orbitnorm.table import DegenType
 
 BAD_PARITY = "[3,1] is not a valid diagram for eps=-1: odd part 3 has odd multiplicity"
 NOT_BELOW = "[6,1,1] is not a degeneration of [4,2,2]"

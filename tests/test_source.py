@@ -35,6 +35,30 @@ def test_no_raise_assertion_error_in_package():
     assert offenders == []
 
 
+def _writes_to_stderr(node):
+    """Whether node is print(..., file=sys.stderr) or sys.stderr.write(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name) and node.func.id == "print":
+        return any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+    return ast.unparse(node.func) == "sys.stderr.write"
+
+
+def test_stderr_is_written_only_through_the_cli_helper():
+    # the helper writes nothing when fd 2 was closed; print(file=None) would write on stdout
+    offenders, helpers = [], 0
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" == "cli._stderr":
+                helpers += 1
+                allowed |= {id(inner) for inner in ast.walk(node)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if _writes_to_stderr(node) and id(node) not in allowed]
+    assert (offenders, helpers) == ([], 1)
+
+
 def _fresh_modules(code):
     """Output lines of code run in a fresh `python -S` on the package's src, then sys.modules."""
     src = str(Path(orbitnorm.__file__).parent.parent)
@@ -157,6 +181,5 @@ def _unused_imports(path):
 def test_every_import_of_the_package_is_used_or_exported():
     offenders = []
     for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
-        if path.name != "__init__.py":
-            offenders += _unused_imports(path)
+        offenders += _unused_imports(path)
     assert offenders == []
