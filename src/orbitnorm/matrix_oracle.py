@@ -6,10 +6,10 @@ imported) only for a quotient that is not integral.  Dimensions are counted by
 exact ranks, so centralizer and orbit dimensions are certificates, not
 estimates.  The orbit dimension is the rank of ad D on the isometry algebra g,
 written in the form's own coordinates: Y in g is S = J Y with S^T = -eps S,
-and Y commutes with D exactly when S D + D^T S = 0.  One sparse elimination
-does all row reduction: ranks, centralizer dimensions, and the basis of and
-coordinates in the image of a nilpotent map.  Models obey the one enumeration
-bound (ORBIT_MAX_SIZE, else 40) that check, survey and hasse obey.
+and Y commutes with D exactly when S D + D^T S = 0.  Matrices are sparse rows
+inside, with one elimination for all row reduction and one product for all
+products; each model is checked for J invertible, J^T = eps J, D^T J + J D = 0
+and D nilpotent.  Models obey the enumeration bound (ORBIT_MAX_SIZE, else 40).
 The construction is block-wise: a part whose parity matches the form type gets
 a single Jordan block with an alternating-sign anti-diagonal Gram block; the
 remaining parts (which the diagram condition forces to come in even
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import neg
+from itertools import compress
 
 from .degeneration import DegenPair
 from .errors import ContractError
@@ -42,7 +42,6 @@ __all__ = [
     "orbit_dim",
     "codim_oracle",
     "restrict_to_image",
-    "mat_mul",
     "mat_rank",
 ]
 
@@ -51,24 +50,37 @@ Matrix = list[list[Scalar]]
 Row = dict[int, Scalar]  # sparse row: variable -> coefficient
 
 
-def _zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
+def _rows(m) -> list[Row]:
+    """Sparse rows of a dense matrix; of its transpose as _rows(zip(*m))."""
+    return [dict(compress(enumerate(row), row)) for row in m]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = _zeros(rows, cols)
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
-            if aik:
-                brow = b[k]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] += aik * brow[j]
+def _mul(a: list[Row], b: list[Row]) -> list[Row]:
+    """The product of two matrices in sparse rows."""
+    out = []
+    for arow in a:
+        row: Row = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                row[j] = row.get(j, 0) + x * y
+        out.append({j: v for j, v in row.items() if v})
     return out
+
+
+def _is_nilpotent(m: list[Row]) -> bool:
+    """Whether the square m is nilpotent: m^(2^k) = 0 for the least 2^k > n."""
+    for _ in range(len(m).bit_length()):
+        m = _mul(m, m)
+    return not any(m)
+
+
+def _square(m, n: int) -> bool:
+    return len(m) == n and all(len(row) == n for row in m)
+
+
+def _symmetric(m: list[Row], sign: int) -> bool:
+    """Whether the square m has m^T = sign m."""
+    return all(m[j].get(i, 0) == sign * x for i, row in enumerate(m) for j, x in row.items())
 
 
 def _reduce(pivots: dict[int, Row], raw: Row) -> Row:
@@ -117,13 +129,9 @@ def _eliminate(rows: list[Row]) -> tuple[dict[int, Row], list[int]]:
     return pivots, raised
 
 
-def _columns(m: Matrix) -> list[Row]:
-    return [dict(enumerate(col)) for col in zip(*m)]
-
-
 def mat_rank(m: Matrix) -> int:
     """Rank over the rationals by exact elimination."""
-    return len(_eliminate([{j: x for j, x in enumerate(row) if x} for row in m])[0])
+    return len(_eliminate(_rows(m))[0])
 
 
 class NilpotentModel(namedtuple("NilpotentModel", "eps gram nilpotent")):
@@ -148,7 +156,7 @@ class NilpotentModel(namedtuple("NilpotentModel", "eps gram nilpotent")):
         return [list(row) for row in self.nilpotent]
 
 
-def _freeze(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:
+def _freeze(m) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
@@ -157,8 +165,7 @@ def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
     lam = EpsDiagram(lam, eps).partition
     n = lam.size
     check_size(n)
-    J = _zeros(n, n)
-    D = _zeros(n, n)
+    J, D = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
     offset = 0
     pending: dict[int, int] = {}  # part size -> offset of an unpaired block
     self_dual_parity = 1 if eps == 1 else 0
@@ -191,21 +198,15 @@ def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
 
 
 def jordan_type(m: Matrix) -> Partition:
-    """Jordan type of a nilpotent matrix from its rank sequence."""
-    n = len(m)
-    if n == 0:
-        return Partition()
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    ranks = [n]
-    for _ in range(n):
-        power = mat_mul(power, m)
-        ranks.append(mat_rank(power))
-        if ranks[-1] == 0:
-            break
-    if ranks[-1] != 0:
+    """Jordan type of a nilpotent matrix from the ranks of its powers."""
+    d = _rows(m)
+    if not (_square(m, len(m)) and _is_nilpotent(d)):
         raise ContractError("matrix is not nilpotent")
-    column_heights = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    return Partition(column_heights).dual()
+    ranks, power = [len(d)], d
+    while ranks[-1]:
+        ranks.append(len(_eliminate(power)[0]))
+        power = _mul(power, d)
+    return Partition([a - b for a, b in zip(ranks, ranks[1:])]).dual()
 
 
 def algebra_dim(n: int, eps: int) -> int:
@@ -218,16 +219,17 @@ def algebra_dim(n: int, eps: int) -> int:
 
 
 def _check_model(model: NilpotentModel) -> NilpotentModel:
-    """The model, once J is invertible, J^T = eps J and D^T J + J D = 0; else ContractError."""
-    eps, J, D = model
-    n = len(J)
+    """The model if J is invertible, J^T = eps J, D^T J + J D = 0, D^n = 0; else ContractError."""
+    eps, n, J, D = model.eps, len(model.gram), _rows(model.gram), _rows(model.nilpotent)
+    if len(_eliminate(J)[0]) != n:
+        raise ContractError("gram matrix is singular")
+    if not (_square(model.gram, n) and _symmetric(J, eps)):
+        raise ContractError(f"gram matrix is not eps={eps:+d} symmetric")
     # (J D)^T = eps D^T J once J^T = eps J, so D^T J + J D = 0 reads (J D)^T = -eps J D
-    sym = lambda m, sign: list(zip(*m)) == [tuple(row if sign == 1 else map(neg, row)) for row in m]
-    for holds, problem in ((mat_rank(J) == n, "gram matrix is singular"),
-                           (sym(J, eps), f"gram matrix is not eps={eps:+d} symmetric"),
-                           (sym(mat_mul(J, D), -eps), "nilpotent map does not preserve the form")):
-        if not holds:
-            raise ContractError(problem)
+    if not (_square(model.nilpotent, n) and _symmetric(_mul(J, D), -eps)):
+        raise ContractError("nilpotent map does not preserve the form")
+    if not _is_nilpotent(D):
+        raise ContractError("nilpotent map is not nilpotent")
     return model
 
 
@@ -240,7 +242,7 @@ def _centralizer_rows(model: NilpotentModel) -> list[Row]:
     """
     eps, J, D = _check_model(model)
     n = len(J)
-    d_cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*D)]
+    d_cols = [col.items() for col in _rows(zip(*D))]
     rows: list[Row] = []
     for i in range(n):
         for j in range(i + (eps == 1), n):  # (S D + D^T S)_ij = sum_k S_ik D_kj + D_ki S_kj
@@ -297,17 +299,15 @@ def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     image, and its Jordan type loses its first column.  The result is checked
     like any model, so a bad input cannot come back labelled with form type -eps.
     """
-    D, J = model.D, model.J
     # the columns of D that raise the rank give a basis u_j = D e_{c_j} of the image
-    columns = _columns(D)
+    columns = _rows(zip(*model.nilpotent))
     pivot_cols = _eliminate(columns)[1]
     if not pivot_cols:
         raise ContractError("zero map has no image to restrict to")
     # beta(u_i, u_j) = e_{c_i}^T J D e_{c_j}
-    JD = mat_mul(J, D)
-    gram = [[JD[ci][cj] for cj in pivot_cols] for ci in pivot_cols]
-    # D maps the image into itself; D u_j is column c_j of D^2
-    square = _columns(mat_mul(D, D))
+    JD = _mul(_rows(model.gram), _rows(model.nilpotent))
+    gram = [[JD[ci].get(cj, 0) for cj in pivot_cols] for ci in pivot_cols]
+    # D maps the image into itself; D u_j is column c_j of D^2, so row c_j of D^T D^T
+    square = _mul(columns, columns)
     coords = _solve_in_span([columns[c] for c in pivot_cols], [square[c] for c in pivot_cols])
-    restricted = [list(row) for row in zip(*coords)]
-    return _check_model(NilpotentModel(-model.eps, _freeze(gram), _freeze(restricted)))
+    return _check_model(NilpotentModel(-model.eps, _freeze(gram), _freeze(zip(*coords))))

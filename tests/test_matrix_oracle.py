@@ -9,12 +9,12 @@ from orbitnorm import matrix_oracle, partitions
 from orbitnorm.degeneration import DegenPair, covers, dominates
 from orbitnorm.errors import CapacityError, ContractError
 from orbitnorm.matrix_oracle import (
+    NilpotentModel,
     algebra_dim,
     build_nilpotent_model,
     centralizer_dim,
     codim_oracle,
     jordan_type,
-    mat_mul,
     mat_rank,
     orbit_dim,
     restrict_to_image,
@@ -24,6 +24,18 @@ from orbitnorm.partitions import Partition, enumerate_eps_diagrams, is_eps_diagr
 
 def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def mat_mul(a, b):
+    """Dense product of two matrices: the former matrix_oracle.mat_mul."""
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            if a[i][k]:
+                for j in range(cols):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
 
 
 def reference_rank(m):
@@ -47,6 +59,16 @@ def reference_rank(m):
         if rank == rows:
             break
     return rank
+
+
+def reference_jordan_type(m):
+    """Jordan type of a nilpotent m from the dense ranks of its powers: the former jordan_type."""
+    ranks, power = [len(m)], m
+    while ranks[-1] and len(ranks) <= len(m):
+        ranks.append(reference_rank(power))
+        power = mat_mul(power, m)
+    assert ranks[-1] == 0, "not nilpotent"
+    return Partition([a - b for a, b in zip(ranks, ranks[1:])]).dual()
 
 
 def reference_centralizer_dim(model):
@@ -186,6 +208,11 @@ class TestJordanType:
         with pytest.raises(ContractError):
             jordan_type(eye)
 
+    @pytest.mark.parametrize("m", [[[0, 1]], [[0], [0]], [[0, 1], [0]]], ids=["1x2", "2x1", "ragged"])
+    def test_non_square_rejected(self, m):
+        with pytest.raises(ContractError, match="matrix is not nilpotent"):
+            jordan_type(m)
+
     def test_conjugation_invariance(self):
         rng = random.Random(42)
         model = build_nilpotent_model(Partition([4, 2, 2]), -1)
@@ -197,7 +224,7 @@ class TestJordanType:
                     break
             g_inv = _invert(g)
             conj = mat_mul(mat_mul(g, model.D), g_inv)
-            assert jordan_type(conj) == (4, 2, 2)
+            assert jordan_type(conj) == reference_jordan_type(conj) == (4, 2, 2)
 
 
 def _invert(m):
@@ -297,11 +324,17 @@ def _bad_models():
             gram=((1, 0), (0, 1))), "gram matrix is not eps=-1 symmetric"),
         "outside-g": (shift._replace(nilpotent=tuple(map(tuple, D))),
                       "nilpotent map does not preserve the form"),
+        "not-square": (build_nilpotent_model(Partition([1, 1, 1]), 1)._replace(
+            nilpotent=((0, 0), (0, 0), (0, 0))), "nilpotent map does not preserve the form"),
+        # preserves the form, as diag(1, -1) lies in sp_2, but is semisimple
+        "semisimple": (NilpotentModel(-1, ((0, 1), (-1, 0)), ((1, 0), (0, -1))),
+                       "nilpotent map is not nilpotent"),
     }
 
 
 class TestCentralizerSystem:
-    @pytest.mark.parametrize("kind", ["singular", "symmetry", "outside-g"])
+    @pytest.mark.parametrize("kind", ["singular", "symmetry", "outside-g", "not-square",
+                                      "semisimple"])
     def test_bad_model_is_refused(self, kind, monkeypatch):
         # explicit raises, not asserts: a bad model never yields a dimension
         model, message = _bad_models()[kind]
@@ -418,7 +451,9 @@ class TestRestrictToImage:
         ([3, 1], 1, "gram", (1, 0), "gram matrix is not eps=-1 symmetric"),
         ([3, 1], 1, "gram", (2, 0), "gram matrix is singular"),
         ([4, 2], -1, "nilpotent", (0, 4), "nilpotent map does not preserve the form"),
-    ], ids=["symmetry", "singular", "outside-g"])
+        # the image map is ((0, 1), (1, 0)): it preserves the form but is not nilpotent
+        ([3, 1], 1, "nilpotent", (2, 1), "nilpotent map is not nilpotent"),
+    ], ids=["symmetry", "singular", "outside-g", "not-nilpotent"])
     def test_bad_image_is_refused(self, lam, eps, field, entry, message):
         # the image is checked like any model, so its form type -eps is checked, not assumed
         model = build_nilpotent_model(Partition(lam), eps)
@@ -447,17 +482,21 @@ class TestRankAgainstReference:
             for _ in range(20):
                 m = frac_matrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
                 assert mat_rank(m) == reference_rank(m), m
-        # rank-deficient: a product through an inner dimension below both sides
-        for rows, inner, cols in [(5, 2, 6), (6, 3, 4), (4, 1, 4), (8, 5, 8)]:
+        # rank-deficient: a product through an inner dimension below both sides; the sparse
+        # product agrees with the dense one, also with no rows, no columns or no inner dimension
+        rows_of = matrix_oracle._rows
+        for rows, inner, cols in [(5, 2, 6), (6, 3, 4), (4, 1, 4), (8, 5, 8),
+                                  (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)]:
             for _ in range(10):
                 a = frac_matrix([[rng.randint(-2, 2) for _ in range(inner)] for _ in range(rows)])
                 b = frac_matrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)])
                 m = mat_mul(a, b)
                 assert mat_rank(m) == reference_rank(m) <= inner, m
+                assert matrix_oracle._mul(rows_of(a), rows_of(b)) == rows_of(m), (a, b)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_model_matrices(self, eps):
-        for n in range(0, 13):
+        for n in range(0, 17):
             for d in enumerate_eps_diagrams(n, eps):
                 model = build_nilpotent_model(d.partition, eps)
                 assert mat_rank(model.J) == reference_rank(model.J) == n
@@ -467,6 +506,7 @@ class TestRankAgainstReference:
                     if not any(x for row in power for x in row):
                         break
                     power = mat_mul(power, model.D)
+                assert jordan_type(model.D) == reference_jordan_type(model.D) == d.partition
 
 
 class TestSolveInSpan:
