@@ -3,7 +3,9 @@
 Subcommands: check, survey, hasse, reduce, classify, dim, verify.
 Exit codes: 0 Normal/success, 10 NotNormal, 11 Undetermined,
 2 input error, 3 capacity exceeded, 1 internal error or output that cannot be written.
-All output is byte-deterministic for fixed inputs.
+All output is byte-deterministic for fixed inputs.  Every JSON output, and each cache
+record, is written here from fragments, as the text json.dumps gives with sorted keys
+and no spaces; the json module is imported only to parse a cache line.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .matrix_oracle import (
 )
 from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide, survey
 from .partitions import EpsDiagram, check_size, parse_partition
-from .reduction import irreducible_core
+from .reduction import ReductionResult, irreducible_core
 
 EXIT_NORMAL = 0
 EXIT_INTERNAL = 1
@@ -50,7 +52,8 @@ def _parse_eps(text: str) -> int:
 
 
 def _dumps(obj) -> str:
-    import json  # on demand: survey, hasse and a plain check write their JSON from fragments
+    """A parsed cache line in the text the program writes: compact, with sorted keys."""
+    import json  # on demand: every output is written from fragments; see _cache_lookup
 
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
@@ -62,13 +65,13 @@ def _stderr(line: str) -> None:
 
 
 def _partition_csv(parts) -> str:
-    """A partition, or a report's list of parts, as the comma-separated text every format prints."""
+    """A partition, or any list of ints, as the comma-separated text every format prints."""
     return ",".join(map(str, parts))
 
 
 # --- cache -----------------------------------------------------------------
 
-#: _dumps sorts keys, so every record the program writes starts with one of these.
+#: Keys are written sorted, so every record the program writes starts with one of these.
 _RECORD_PREFIXES = (b'{"eps":1,"partition":[', b'{"eps":-1,"partition":[')
 
 
@@ -76,11 +79,12 @@ _RECORD_PREFIXES = (b'{"eps":1,"partition":[', b'{"eps":-1,"partition":[')
 _CACHE_LINE_LIMIT = 1 << 20
 
 
-def _cache_lookup(path: str, report: dict, oracle: bool) -> list | None:
+def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | None:
     """Each witness's codim_oracle (None where it has none) from the first record for the
-    report's orbit that is the report but for those; with oracle, from one that has them all.
+    verdict's orbit that is its JSON but for those; with oracle, from one that has them all.
 
-    A record is compared with the report as JSON text, which keeps true from 1 and 7.0 from 7.
+    A record is compared with the verdict as JSON text, which keeps true from 1 and 7.0
+    from 7; json is imported only to parse a line that may be this orbit's record.
     The cache must be a regular file or not exist yet: a FIFO would block the
     read and a device need not end, so either is an input error.
     """
@@ -96,9 +100,7 @@ def _cache_lookup(path: str, report: dict, oracle: bool) -> list | None:
         handle = open(path, "rb")
     except OSError:
         return None
-    import json  # on demand, as in _dumps
-
-    eps, parts, fresh = report["eps"], report["partition"], _dumps(report)
+    eps, parts, fresh = verdict.eta.eps, list(verdict.eta.partition), _verdict_json(verdict, {})
     own = f'{{"eps":{eps},"partition":[{_partition_csv(parts)}],'.encode()
     with handle:
         while line := handle.readline(_CACHE_LINE_LIMIT):
@@ -112,6 +114,8 @@ def _cache_lookup(path: str, report: dict, oracle: bool) -> list | None:
             line = line.strip()
             if not line:
                 continue
+            import json  # on demand, as in _dumps
+
             try:
                 record = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -124,7 +128,7 @@ def _cache_lookup(path: str, report: dict, oracle: bool) -> list | None:
                 continue
             witnesses = record.get("witnesses")
             if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
-                witnesses = []  # the report's are a list of records, so the comparison fails
+                witnesses = []  # the verdict's are a list of records, so the comparison fails
             typed = all(type(w.get("codim_oracle", 0)) is int for w in witnesses)
             codims = [w.pop("codim_oracle", None) for w in witnesses]
             if not typed or _dumps(record) != fresh:
@@ -136,10 +140,10 @@ def _cache_lookup(path: str, report: dict, oracle: bool) -> list | None:
     return None
 
 
-def _cache_append(path: str, record: dict) -> None:
+def _cache_append(path: str, record: str) -> None:
     try:
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write(_dumps(record) + "\n")
+            handle.write(record + "\n")
     except OSError as exc:
         raise ContractError(f"cannot write cache {path}: {exc.strerror or exc}")
 
@@ -162,32 +166,30 @@ def _verdict_text(verdict: NormalityVerdict, codims: list | None = None) -> str:
     return "\n".join(lines)
 
 
-def _witness_json(w: Witness, heads: dict) -> str:
-    """_dumps(w.to_json()); the text before sigma is built once per (core, type) into heads."""
-    head = heads.get((w.core, w.degen_type))
-    if head is None:
-        core, t = w.core, w.degen_type
-        head = heads[core, t] = (
-            f'{{"codim":{t.codim},"core":{{"bottom":[{_partition_csv(core.bottom)}],'
-            f'"eps":{core.eps},"top":[{_partition_csv(core.top)}]}},"family":"{t.family}",'
-            f'"n":{"null" if t.n is None else t.n},"sigma":[')
-    return f"{head}{_partition_csv(w.sigma)}]}}"
+def _pair_json(pair: DegenPair) -> str:
+    return (f'{{"bottom":[{_partition_csv(pair.bottom)}],"eps":{pair.eps},'
+            f'"top":[{_partition_csv(pair.top)}]}}')
 
 
-def _verdict_json(verdict: NormalityVerdict, heads: dict) -> str:
-    """_dumps(verdict.to_json()), written from fragments without the json module."""
-    witnesses = ",".join([_witness_json(w, heads) for w in verdict.witnesses])
+def _witness_json(w: Witness, heads: dict, codim: int | None = None) -> str:
+    """A witness, with codim_oracle where codim is given; the text from its core up to
+    sigma is built once per (core, type) into heads."""
+    t = w.degen_type
+    tail = heads.get((w.core, t))
+    if tail is None:
+        tail = heads[w.core, t] = (f'"core":{_pair_json(w.core)},"family":"{t.family}",'
+                                   f'"n":{"null" if t.n is None else t.n},"sigma":[')
+    oracle = "" if codim is None else f'"codim_oracle":{codim},'
+    return f'{{"codim":{t.codim},{oracle}{tail}{_partition_csv(w.sigma)}]}}'
+
+
+def _verdict_json(verdict: NormalityVerdict, heads: dict, codims: list | None = None) -> str:
+    """The verdict and its witnesses, each with its oracle codim where codims has one:
+    check's JSON and its cache record."""
+    witnesses = ",".join([_witness_json(w, heads, codim) for w, codim in
+                          zip(verdict.witnesses, codims or [None] * len(verdict.witnesses))])
     return (f'{{"eps":{verdict.eta.eps},"partition":[{_partition_csv(verdict.eta.partition)}],'
             f'"verdict":"{verdict.verdict}","witnesses":[{witnesses}]}}')
-
-
-def _report(verdict: NormalityVerdict, codims: list) -> dict:
-    """verdict.to_json(), with codim_oracle on each witness that codims gives one."""
-    report = verdict.to_json()
-    for w, codim in zip(report["witnesses"], codims):
-        if codim is not None:
-            w["codim_oracle"] = codim
-    return report
 
 
 def run_check(args) -> tuple[int, str]:
@@ -196,18 +198,16 @@ def run_check(args) -> tuple[int, str]:
     if args.oracle:
         check_size(eta.size)  # the oracle's bound, which --max-size does not lift
     verdict = decide(eta, args.max_size)  # always: the cache holds oracle codims, not verdicts
-    codims = _cache_lookup(args.cache, verdict.to_json(), args.oracle) if args.cache else None
+    codims = _cache_lookup(args.cache, verdict, args.oracle) if args.cache else None
     if codims is None:
         codims = [codim_oracle(DegenPair(eta.eps, w.sigma, eta.partition)) if args.oracle
                   else None for w in verdict.witnesses]
         if args.cache:
-            _cache_append(args.cache, _report(verdict, codims))
+            _cache_append(args.cache, _verdict_json(verdict, {}, codims))
     code = VERDICT_EXIT[verdict.verdict]
     if args.format == "text":
         return code, _verdict_text(verdict, codims)
-    if any(codim is not None for codim in codims):
-        return code, _dumps(_report(verdict, codims))
-    return code, _verdict_json(verdict, {})
+    return code, _verdict_json(verdict, {}, codims)
 
 
 def run_survey(args) -> tuple[int, str]:
@@ -236,7 +236,6 @@ def run_survey(args) -> tuple[int, str]:
 
 
 def _hasse_json(graph: PosetGraph) -> str:
-    """_dumps(graph.to_json()), written from fragments without the json module."""
     edges = ",".join([
         f'{{"bottom":[{_partition_csv(e.bottom)}],"codim":{e.codim},'
         f'"top":[{_partition_csv(e.top)}],"type":"{e.family}"}}' for e in graph.edges])
@@ -267,10 +266,16 @@ def _pair(args) -> DegenPair:
     return pair
 
 
+def _reduction_json(reduction: ReductionResult) -> str:
+    return (f'{{"core":{_pair_json(reduction.core)},'
+            f'"erased_rows":[{_partition_csv(reduction.erased_rows)}],'
+            f'"r":{reduction.row_count},"s":{reduction.erased_columns}}}')
+
+
 def run_reduce(args) -> tuple[int, str]:
     reduction = irreducible_core(_pair(args))
     if args.format == "json":
-        return EXIT_NORMAL, _dumps(reduction.to_json())
+        return EXIT_NORMAL, _reduction_json(reduction)
     core = reduction.core
     return EXIT_NORMAL, (
         f"core: [{_partition_csv(core.bottom)}] <= [{_partition_csv(core.top)}]"
@@ -282,14 +287,16 @@ def run_reduce(args) -> tuple[int, str]:
 def run_classify(args) -> tuple[int, str]:
     reduction = irreducible_core(_pair(args))
     try:
-        degen_type = classify_core(reduction.core)
+        t = classify_core(reduction.core)
     except NotMinimalIrreducible as exc:  # the user's pair, not a gap in the table
         raise ContractError(f"not a minimal degeneration: {exc}") from None
     if args.format == "json":
-        return EXIT_NORMAL, _dumps({"reduction": reduction.to_json(), "type": degen_type.to_json()})
+        return EXIT_NORMAL, (f'{{"reduction":{_reduction_json(reduction)},"type":{{'
+                             f'"codim":{t.codim},"family":"{t.family}",'
+                             f'"n":{"null" if t.n is None else t.n}}}}}')
     return EXIT_NORMAL, (
         f"core [{_partition_csv(reduction.core.bottom)}] <="
-        f" [{_partition_csv(reduction.core.top)}]: {degen_type}"
+        f" [{_partition_csv(reduction.core.top)}]: {t}"
     )
 
 
@@ -298,18 +305,12 @@ def run_dim(args) -> tuple[int, str]:
     model = build_nilpotent_model(p, args.eps)
     cent = centralizer_dim(model)
     total = algebra_dim(p.size, args.eps)
-    report = {
-        "eps": args.eps,
-        "partition": list(p),
-        "algebra_dim": total,
-        "centralizer_dim": cent,
-        "orbit_dim": total - cent,
-    }
     if args.format == "json":
-        return EXIT_NORMAL, _dumps(report)
+        return EXIT_NORMAL, (f'{{"algebra_dim":{total},"centralizer_dim":{cent},"eps":{args.eps},'
+                             f'"orbit_dim":{total - cent},"partition":[{_partition_csv(p)}]}}')
     return EXIT_NORMAL, (
-        f"[{_partition_csv(p)}] eps {args.eps:+d}: orbit dim {report['orbit_dim']},"
-        f" centralizer dim {cent}, algebra dim {report['algebra_dim']}"
+        f"[{_partition_csv(p)}] eps {args.eps:+d}: orbit dim {total - cent},"
+        f" centralizer dim {cent}, algebra dim {total}"
     )
 
 

@@ -84,9 +84,6 @@ class DegenPair(namedtuple("DegenPair", "eps bottom top")):
     def is_strict(self) -> bool:
         return self.bottom != self.top
 
-    def to_json(self) -> dict:
-        return {"eps": self.eps, "top": list(self.top), "bottom": list(self.bottom)}
-
     def __str__(self) -> str:
         return f"({self.bottom} <= {self.top}, eps={self.eps:+d})"
 
@@ -99,15 +96,6 @@ class Witness(namedtuple("Witness", "sigma core degen_type")):
     sigma: Partition
     core: DegenPair
     degen_type: DegenType
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": list(self.sigma),
-            "core": self.core.to_json(),
-            "family": self.degen_type.family,
-            "n": self.degen_type.n,
-            "codim": self.degen_type.codim,
-        }
 
 
 @lru_cache(maxsize=None)
@@ -176,14 +164,6 @@ class PosetEdge(namedtuple("PosetEdge", "top bottom family codim")):
     family: str
     codim: int
 
-    def to_json(self) -> dict:
-        return {
-            "top": list(self.top),
-            "bottom": list(self.bottom),
-            "type": self.family,
-            "codim": self.codim,
-        }
-
 
 class PosetGraph(namedtuple("PosetGraph", "eps n nodes edges")):
     """Cover graph of the degeneration order on all diagrams of one size."""
@@ -194,14 +174,6 @@ class PosetGraph(namedtuple("PosetGraph", "eps n nodes edges")):
     n: int
     nodes: list[EpsDiagram]
     edges: list[PosetEdge]
-
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "n": self.n,
-            "nodes": [list(d.partition) for d in self.nodes],
-            "edges": [e.to_json() for e in self.edges],
-        }
 
 
 def hasse(n: int, eps: int, bound: int | None = None) -> PosetGraph:

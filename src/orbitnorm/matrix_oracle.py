@@ -296,9 +296,11 @@ def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     """Model induced on the image of the nilpotent map, with the form flipped.
 
     The image carries the form beta(Dv, u) = (v, u); the map restricts to the
-    image, and its Jordan type loses its first column.  The result is checked
-    like any model, so a bad input cannot come back labelled with form type -eps.
+    image, and its Jordan type loses its first column.  The input and the result
+    are checked like any model, so a bad input is refused before it is indexed and
+    cannot come back labelled with form type -eps.
     """
+    _check_model(model)
     # the columns of D that raise the rank give a basis u_j = D e_{c_j} of the image
     columns = _rows(zip(*model.nilpotent))
     pivot_cols = _eliminate(columns)[1]

@@ -35,14 +35,6 @@ class NormalityVerdict(namedtuple("NormalityVerdict", "eta witnesses")):
             return NOT_NORMAL
         return UNDETERMINED if "d" in families else NORMAL
 
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eta.eps,
-            "partition": list(self.eta.partition),
-            "verdict": self.verdict,
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
-
 
 def decide(eta: EpsDiagram, bound: int | None = None) -> NormalityVerdict:
     """eta's verdict, from its minimal degenerations.

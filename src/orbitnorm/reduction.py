@@ -100,14 +100,6 @@ class ReductionResult(namedtuple("ReductionResult", "core steps")):
     def erased_columns(self) -> int:
         return sum(1 for kind, _ in self.steps if kind == "col")
 
-    def to_json(self) -> dict:
-        return {
-            "core": self.core.to_json(),
-            "r": self.row_count,
-            "s": self.erased_columns,
-            "erased_rows": list(self.erased_rows),
-        }
-
 
 def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionResult:
     """Erase every common row, then every common column (columns_first: the other order).

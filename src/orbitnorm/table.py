@@ -62,9 +62,6 @@ class DegenType(namedtuple("DegenType", "family n")):
         """The codimension the table prints for this family instance."""
         return TABLE[self.family].codim(self.n)
 
-    def to_json(self) -> dict:
-        return {"family": self.family, "n": self.n, "codim": self.codim}
-
     def __str__(self) -> str:
         suffix = "" if self.n is None else f"(n={self.n})"
         return f"type {self.family}{suffix}, codim {self.codim}"

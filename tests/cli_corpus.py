@@ -18,7 +18,12 @@ pytest does not collect this file.  The run set:
   n <= 10 (above) and on a fixed, seeded sample of 8 eps-diagrams a form type
   at n = 40;
 - help, usage errors and ``--version``;
-- bad eps, partition, bound (``--max-size``) and ``ORBIT_MAX_SIZE`` input.
+- bad eps, partition, bound (``--max-size``) and ``ORBIT_MAX_SIZE`` input;
+- ``check --cache`` on one cache file, which starts with a hand-written
+  record for [7,2,2] (spaces, keys in reverse order): on every eps-diagram with
+  n <= 8, a plain check and then ``--oracle``, each a miss and then a hit, in
+  json and text, and then each of those four on [7,2,2].  The cache file's
+  bytes after each of these runs go into the hash as well.
 
 It lists its inputs itself, without the package's enumeration, so a change
 there shows in the hash rather than in the run set.  ``COLUMNS`` is fixed,
@@ -31,7 +36,9 @@ import hashlib
 import io
 import os
 import random
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from orbitnorm import cli
 
@@ -39,6 +46,16 @@ EPS = ("1", "-1")
 SMALL = 10
 LARGE = 40
 LARGE_SAMPLE = 8
+CACHE_SIZE = 8
+#: Relative, and the cache runs happen in a temporary directory, so no argv holds its path.
+CACHE = "cache.jsonl"
+#: The record the program writes for check --oracle on [7,2,2] at eps +1, as a hand would.
+HAND_RECORD = (
+    '{ "witnesses": [ {"sigma": [7, 1, 1, 1, 1], "n": 1, "family": "e",'
+    ' "core": {"top": [2, 2], "eps": 1, "bottom": [1, 1, 1, 1]}, "codim_oracle": 2, "codim": 2},'
+    ' {"sigma": [5, 3, 3], "n": 2, "family": "c",'
+    ' "core": {"top": [5], "eps": 1, "bottom": [3, 1, 1]}, "codim_oracle": 2, "codim": 2} ],'
+    ' "verdict": "NotNormal", "partition": [7, 2, 2], "eps": 1 }')
 
 
 def partitions(n: int, largest: int | None = None):
@@ -132,6 +149,22 @@ def runs():
         yield ["classify", "--eps", "1", "--top", "3,1", "--bottom", "2,2"], env
 
 
+def cache_runs():
+    """argv of every check --cache run, in a fixed order; all share the file CACHE."""
+    for eps in EPS:
+        for n in range(CACHE_SIZE + 1):
+            diagrams = [parts for parts in partitions(n) if is_diagram(parts, eps)]
+            for i, parts in enumerate(diagrams):
+                check = ["check", "--eps", eps, "--partition", csv(parts), "--cache", CACHE]
+                for oracle in ([], ["--oracle"]):
+                    for fmt in (("json", "text") if i % 2 == 0 else ("text", "json")):
+                        yield [*check, "--format", fmt, *oracle]  # a miss, then a hit
+    for oracle in ([], ["--oracle"]):
+        for fmt in ("json", "text"):  # each a hit on HAND_RECORD
+            yield ["check", "--eps", "1", "--partition", "7,2,2", "--cache", CACHE,
+                   "--format", fmt, *oracle]
+
+
 def run(argv: list[str], env: str | None) -> bytes:
     """argv, ORBIT_MAX_SIZE, the exit code, stdout and stderr of one in-process run."""
     if env is None:
@@ -154,6 +187,17 @@ def main() -> None:
         digest.update(run(argv, env))
         count += 1
     os.environ.pop("ORBIT_MAX_SIZE", None)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            Path(CACHE).write_text(HAND_RECORD + "\n")
+            for argv in cache_runs():
+                digest.update(run(argv, None))
+                digest.update(Path(CACHE).read_bytes())
+                count += 1
+        finally:
+            os.chdir(home)
     print(count, digest.hexdigest())
 
 

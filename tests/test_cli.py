@@ -11,15 +11,77 @@ import pytest
 
 from orbitnorm import cli, matrix_oracle, partitions
 from orbitnorm.cli import main
-from orbitnorm.degeneration import hasse
+from orbitnorm.classification import classify_core
+from orbitnorm.degeneration import DegenPair, dominates, hasse
+from orbitnorm.matrix_oracle import algebra_dim, build_nilpotent_model, centralizer_dim, codim_oracle
 from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
 from orbitnorm.partitions import enumerate_eps_diagrams
+from orbitnorm.reduction import irreducible_core
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- reference encoder ------------------------------------------------------
+# The records as the dicts json.dumps writes, with sorted keys, as the command line's JSON.
+# The program writes that text from fragments; these are what it must equal.
+
+def pair_json(pair):
+    return {"eps": pair.eps, "top": list(pair.top), "bottom": list(pair.bottom)}
+
+
+def type_json(t):
+    return {"family": t.family, "n": t.n, "codim": t.codim}
+
+
+def witness_json(w):
+    return {
+        "sigma": list(w.sigma),
+        "core": pair_json(w.core),
+        "family": w.degen_type.family,
+        "n": w.degen_type.n,
+        "codim": w.degen_type.codim,
+    }
+
+
+def verdict_json(verdict, codims=()):
+    """check's JSON and cache record: codim_oracle on each witness that codims gives one."""
+    witnesses = [witness_json(w) for w in verdict.witnesses]
+    for w, codim in zip(witnesses, codims):
+        if codim is not None:
+            w["codim_oracle"] = codim
+    return {
+        "eps": verdict.eta.eps,
+        "partition": list(verdict.eta.partition),
+        "verdict": verdict.verdict,
+        "witnesses": witnesses,
+    }
+
+
+def edge_json(edge):
+    return {"top": list(edge.top), "bottom": list(edge.bottom), "type": edge.family,
+            "codim": edge.codim}
+
+
+def graph_json(graph):
+    return {
+        "eps": graph.eps,
+        "n": graph.n,
+        "nodes": [list(d.partition) for d in graph.nodes],
+        "edges": [edge_json(e) for e in graph.edges],
+    }
+
+
+def reduction_json(result):
+    return {
+        "core": pair_json(result.core),
+        "r": result.row_count,
+        "s": result.erased_columns,
+        "erased_rows": list(result.erased_rows),
+    }
 
 
 class TestCheck:
@@ -345,22 +407,27 @@ class TestHasse:
 
 
 class TestJsonFragments:
-    """survey, hasse and check write JSON from fragments: the text _dumps makes of to_json()."""
+    """Every JSON output is written from fragments: the text _dumps makes of the reference."""
 
     @staticmethod
     def survey_reference(n, eps):
-        reports = [v.to_json() for v in survey(n, eps)]
+        reports = [verdict_json(v) for v in survey(n, eps)]
         counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
         for r in reports:
             counts[r["verdict"]] += 1
         return cli._dumps({"eps": eps, "n": n, "results": reports, "counts": counts})
+
+    @staticmethod
+    def codims(verdict):
+        eta = verdict.eta
+        return [codim_oracle(DegenPair(eta.eps, w.sigma, eta.partition)) for w in verdict.witnesses]
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_survey_and_hasse(self, capsys, eps):
         for n in [*range(21), 40]:
             size = ("--eps", str(eps), "--size", str(n), "--format", "json")
             assert run(capsys, "survey", *size) == (0, self.survey_reference(n, eps) + "\n", "")
-            graph = cli._dumps(hasse(n, eps).to_json())
+            graph = cli._dumps(graph_json(hasse(n, eps)))
             assert run(capsys, "hasse", *size) == (0, graph + "\n", "")
 
     @pytest.mark.parametrize("eps", [1, -1])
@@ -372,7 +439,60 @@ class TestJsonFragments:
             code, out, _ = run(capsys, "check", "--eps", str(eps), "--partition",
                                cli._partition_csv(eta.partition), "--format", "json")
             assert (code, out) == (cli.VERDICT_EXIT[verdict.verdict],
-                                   cli._dumps(verdict.to_json()) + "\n")
+                                   cli._dumps(verdict_json(verdict)) + "\n")
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_check_oracle(self, capsys, eps):
+        diagrams = [eta for n in range(13) for eta in enumerate_eps_diagrams(n, eps)]
+        at_40 = enumerate_eps_diagrams(40, eps)
+        for eta in [*diagrams, *random.Random(40).sample(at_40, 25)]:
+            verdict = decide(eta)
+            code, out, _ = run(capsys, "check", "--eps", str(eps), "--partition",
+                               cli._partition_csv(eta.partition), "--format", "json", "--oracle")
+            assert (code, out) == (cli.VERDICT_EXIT[verdict.verdict],
+                                   cli._dumps(verdict_json(verdict, self.codims(verdict))) + "\n")
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_dim_reduce_and_classify(self, capsys, eps):
+        for n in range(11):
+            diagrams = enumerate_eps_diagrams(n, eps)
+            for eta in diagrams:
+                p = eta.partition
+                total, cent = algebra_dim(n, eps), centralizer_dim(build_nilpotent_model(p, eps))
+                dim = {"eps": eps, "partition": list(p), "algebra_dim": total,
+                       "centralizer_dim": cent, "orbit_dim": total - cent}
+                assert run(capsys, "dim", "--eps", str(eps), "--partition", cli._partition_csv(p),
+                           "--format", "json") == (0, cli._dumps(dim) + "\n", "")
+            pairs = [DegenPair(eps, bottom.partition, top.partition) for top in diagrams
+                     for bottom in diagrams
+                     if bottom != top and dominates(top.partition, bottom.partition)]
+            covers = {DegenPair(eps, w.sigma, eta.partition) for eta in diagrams
+                      for w in decide(eta).witnesses}
+            for pair in pairs:
+                argv = ("--eps", str(eps), "--top", cli._partition_csv(pair.top),
+                        "--bottom", cli._partition_csv(pair.bottom), "--format", "json")
+                result = irreducible_core(pair)
+                assert run(capsys, "reduce", *argv) == (
+                    0, cli._dumps(reduction_json(result)) + "\n", "")
+                if pair in covers:
+                    doc = {"reduction": reduction_json(result),
+                           "type": type_json(classify_core(result.core))}
+                    assert run(capsys, "classify", *argv) == (0, cli._dumps(doc) + "\n", "")
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_cache_records(self, capsys, tmp_path, eps):
+        cache = tmp_path / "cache.jsonl"
+        expected = []
+        for eta in [eta for n in range(9) for eta in enumerate_eps_diagrams(n, eps)]:
+            verdict = decide(eta)
+            check = ("check", "--eps", str(eps), "--partition",
+                     cli._partition_csv(eta.partition), "--cache", str(cache))
+            run(capsys, *check)
+            run(capsys, *check, "--oracle")
+            expected.append(cli._dumps(verdict_json(verdict)) + "\n")
+            if verdict.witnesses:  # a plain record with no witnesses serves --oracle too
+                expected.append(cli._dumps(verdict_json(verdict, self.codims(verdict))) + "\n")
+        assert cache.read_text().splitlines(keepends=True) == expected
 
 
 class TestMaxSize:

@@ -1,12 +1,15 @@
+import json
 import random
 from itertools import accumulate, combinations
 
 import pytest
 
+from orbitnorm import cli
 from orbitnorm.classification import classify_minimal_degeneration
 from orbitnorm.degeneration import DegenPair, covers, dominates, hasse, minimal_degenerations
 from orbitnorm.errors import CapacityError, ContractError
 from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
+from test_cli import pair_json
 from test_partitions import partitions_of
 
 
@@ -134,7 +137,8 @@ class TestDegenPair:
 
     def test_json(self):
         pair = DegenPair(-1, Partition([4, 2, 2]), Partition([6, 1, 1]))
-        assert pair.to_json() == {"eps": -1, "top": [6, 1, 1], "bottom": [4, 2, 2]}
+        assert json.loads(cli._pair_json(pair)) == pair_json(pair) == {
+            "eps": -1, "top": [6, 1, 1], "bottom": [4, 2, 2]}
 
 
 class TestDegenerations:

@@ -425,6 +425,14 @@ class TestCoverCodim:
                     assert top - closed_form_orbit_dim(w.sigma, eps) == expected, (eta, w)
 
 
+def _bent(lam, eps, field, entry):
+    """The built model of lam with one entry of its gram or nilpotent matrix raised by 1."""
+    model = build_nilpotent_model(Partition(lam), eps)
+    bent = [list(row) for row in getattr(model, field)]
+    bent[entry[0]][entry[1]] += 1
+    return model._replace(**{field: tuple(map(tuple, bent))})
+
+
 class TestRestrictToImage:
     def test_symplectic_611(self):
         model = build_nilpotent_model(Partition([6, 1, 1]), -1)
@@ -447,20 +455,21 @@ class TestRestrictToImage:
         with pytest.raises(ContractError):
             restrict_to_image(build_nilpotent_model(Partition([1, 1]), -1))
 
-    @pytest.mark.parametrize("lam,eps,field,entry,message", [
-        ([3, 1], 1, "gram", (1, 0), "gram matrix is not eps=-1 symmetric"),
-        ([3, 1], 1, "gram", (2, 0), "gram matrix is singular"),
-        ([4, 2], -1, "nilpotent", (0, 4), "nilpotent map does not preserve the form"),
-        # the image map is ((0, 1), (1, 0)): it preserves the form but is not nilpotent
-        ([3, 1], 1, "nilpotent", (2, 1), "nilpotent map is not nilpotent"),
-    ], ids=["symmetry", "singular", "outside-g", "not-nilpotent"])
-    def test_bad_image_is_refused(self, lam, eps, field, entry, message):
-        # the image is checked like any model, so its form type -eps is checked, not assumed
-        model = build_nilpotent_model(Partition(lam), eps)
-        bent = [list(row) for row in getattr(model, field)]
-        bent[entry[0]][entry[1]] += 1
+    @pytest.mark.parametrize("model,message", [
+        (_bent([4, 2], -1, "gram", (0, 1)), "gram matrix is not eps=-1 symmetric"),
+        (_bent([3, 1], 1, "gram", (2, 0)), "gram matrix is singular"),
+        (_bent([4, 2], -1, "nilpotent", (0, 4)), "nilpotent map does not preserve the form"),
+        # still in sp(J), but D_12 = D_21 = 1 is a cycle, so no power of D vanishes
+        (_bent([4, 2], -1, "nilpotent", (2, 1)), "nilpotent map is not nilpotent"),
+        # a map with too few rows or columns is refused before any entry is read
+        (NilpotentModel(1, ((1, 0), (0, 1)), ((0, 1),)), "nilpotent map does not preserve the form"),
+        (NilpotentModel(1, ((1, 0), (0, 1)), ((0,), (0,))),
+         "nilpotent map does not preserve the form"),
+    ], ids=["symmetry", "singular", "outside-g", "not-nilpotent", "short-map", "narrow-map"])
+    def test_bad_image_is_refused(self, model, message):
+        # the input is checked like any model before its image is built, and so is the image
         with pytest.raises(ContractError, match=message):
-            restrict_to_image(model._replace(**{field: tuple(map(tuple, bent))}))
+            restrict_to_image(model)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_column_erasure_identity_small(self, eps):

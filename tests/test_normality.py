@@ -1,8 +1,10 @@
+import json
 import sys
 
 import pytest
 
 from orbitnorm import classification, reduction
+from orbitnorm.cli import main
 from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
 from orbitnorm.partitions import EpsDiagram, Partition
 
@@ -96,9 +98,9 @@ class TestSurvey:
         results = {tuple(v.eta.partition): v.verdict for v in survey(11, 1)}
         assert results[(7, 2, 2)] == NOT_NORMAL
 
-    def test_json_schema(self):
-        v = verdict([7, 2, 2], 1)
-        doc = v.to_json()
+    def test_json_schema(self, capsys):
+        assert main(["check", "--eps", "1", "--partition", "7,2,2", "--format", "json"]) == 10
+        doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == NOT_NORMAL
         assert doc["partition"] == [7, 2, 2]
         w = doc["witnesses"][0]

@@ -11,6 +11,7 @@ from orbitnorm.normality import NormalityVerdict, decide
 from orbitnorm.partitions import EpsDiagram, Partition
 from orbitnorm.reduction import ReductionResult, irreducible_core
 from orbitnorm.table import DegenType
+from test_cli import pair_json
 
 BAD_PARITY = "[3,1] is not a valid diagram for eps=-1: odd part 3 has odd multiplicity"
 NOT_BELOW = "[6,1,1] is not a degeneration of [4,2,2]"
@@ -58,7 +59,7 @@ class TestValidatedRecords:
         assert type(eta.partition) is Partition and eta.partition == (6, 1, 1)
         assert ETA._replace(partition=[2, 2]) == EpsDiagram(Partition([2, 2]), -1)
         pair = PAIR._replace(eps=1, bottom=[3, 1, 1], top=[5])
-        assert type(pair.bottom) is Partition and pair.to_json() == {
+        assert type(pair.bottom) is Partition and pair_json(pair) == {
             "eps": 1, "top": [5], "bottom": [3, 1, 1]}
 
     def test_pickle_round_trip(self):

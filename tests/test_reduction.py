@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from orbitnorm.degeneration import DegenPair, dominates, minimal_degenerations
 from orbitnorm import reduction
+from orbitnorm.cli import main
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
 from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import (
@@ -129,9 +132,10 @@ class TestIrreducibleCore:
         with pytest.raises(ContractError):
             irreducible_core(pair(-1, [2], [2]))
 
-    def test_json_shape(self):
-        result = irreducible_core(pair(-1, [4, 2, 2], [6, 1, 1]))
-        assert result.to_json() == {
+    def test_json_shape(self, capsys):
+        assert main(["reduce", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
             "core": {"eps": 1, "top": [5], "bottom": [3, 1, 1]},
             "r": 0,
             "s": 1,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import orbitnorm
+import orbitnorm.cli
 
 
 def test_no_assert_statements_in_package():
@@ -109,6 +110,33 @@ def test_json_without_cache_or_oracle_does_not_import_json(argv, code):
     lines, loaded = _fresh_modules(f"from orbitnorm.cli import main\nprint(main({argv!r}))")
     assert lines[0].startswith("{") and lines[-1] == str(code)
     assert "json" not in loaded
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--eps", "1", "--partition", "7,2,2", "--format", "json", "--oracle"], 10),
+    (["dim", "--eps", "1", "--partition", "7,2,2", "--format", "json"], 0),
+    (["reduce", "--eps", "1", "--top", "7,2,2", "--bottom", "7,1,1,1,1", "--format", "json"], 0),
+    (["classify", "--eps", "1", "--top", "7,2,2", "--bottom", "7,1,1,1,1", "--format", "json"],
+     0),
+])
+def test_json_output_does_not_import_json(argv, code):
+    lines, loaded = _fresh_modules(f"from orbitnorm.cli import main\nprint(main({argv!r}))")
+    assert lines[0].startswith("{") and lines[-1] == str(code)
+    assert "json" not in loaded
+
+
+def test_only_a_cache_hit_imports_json(tmp_path):
+    cache = str(tmp_path / "cache.jsonl")
+    for p in ("3,1", "5,3", "7,2,2"):  # records the program writes, of other orbits
+        orbitnorm.cli.main(["check", "--eps", "1", "--partition", p, "--cache", cache, "--oracle"])
+    primed = Path(cache).read_bytes()
+    assert len(primed.splitlines()) == 3
+    check = ["check", "--eps", "1", "--partition", "9,1", "--format", "json", "--cache", cache]
+    lines, loaded = _fresh_modules(f"from orbitnorm.cli import main\nprint(main({check!r}))")
+    assert lines[-1] == "0" and "json" not in loaded
+    assert Path(cache).read_bytes() == primed + lines[0].encode() + b"\n"  # the miss appended
+    again, loaded = _fresh_modules(f"from orbitnorm.cli import main\nprint(main({check!r}))")
+    assert again == lines and "json" in loaded
 
 
 def test_help_imports_argparse():
