@@ -287,16 +287,16 @@ def run_reduce(args) -> tuple[int, str]:
 def run_classify(args) -> tuple[int, str]:
     reduction = irreducible_core(_pair(args))
     try:
-        t = classify_core(reduction.core)
+        degen_type = classify_core(reduction.core)
     except NotMinimalIrreducible as exc:  # the user's pair, not a gap in the table
         raise ContractError(f"not a minimal degeneration: {exc}") from None
     if args.format == "json":
-        return EXIT_NORMAL, (f'{{"reduction":{_reduction_json(reduction)},"type":{{'
-                             f'"codim":{t.codim},"family":"{t.family}",'
-                             f'"n":{"null" if t.n is None else t.n}}}}}')
+        return EXIT_NORMAL, (f'{{"reduction":{_reduction_json(reduction)},"type":{{"codim":'
+                             f'{degen_type.codim},"family":"{degen_type.family}","n":'
+                             f'{"null" if degen_type.n is None else degen_type.n}}}}}')
     return EXIT_NORMAL, (
         f"core [{_partition_csv(reduction.core.bottom)}] <="
-        f" [{_partition_csv(reduction.core.top)}]: {t}"
+        f" [{_partition_csv(reduction.core.top)}]: {degen_type}"
     )
 
 

@@ -456,20 +456,45 @@ class TestRestrictToImage:
             restrict_to_image(build_nilpotent_model(Partition([1, 1]), -1))
 
     @pytest.mark.parametrize("model,message", [
-        (_bent([4, 2], -1, "gram", (0, 1)), "gram matrix is not eps=-1 symmetric"),
+        (_bent([3, 1], 1, "gram", (1, 0)), r"gram matrix is not eps=\+1 symmetric"),
         (_bent([3, 1], 1, "gram", (2, 0)), "gram matrix is singular"),
         (_bent([4, 2], -1, "nilpotent", (0, 4)), "nilpotent map does not preserve the form"),
-        # still in sp(J), but D_12 = D_21 = 1 is a cycle, so no power of D vanishes
-        (_bent([4, 2], -1, "nilpotent", (2, 1)), "nilpotent map is not nilpotent"),
+        # its image map would be ((0, 1), (1, 0)), not nilpotent, but D leaves so(J) first
+        (_bent([3, 1], 1, "nilpotent", (2, 1)), "nilpotent map does not preserve the form"),
         # a map with too few rows or columns is refused before any entry is read
         (NilpotentModel(1, ((1, 0), (0, 1)), ((0, 1),)), "nilpotent map does not preserve the form"),
         (NilpotentModel(1, ((1, 0), (0, 1)), ((0,), (0,))),
          "nilpotent map does not preserve the form"),
     ], ids=["symmetry", "singular", "outside-g", "not-nilpotent", "short-map", "narrow-map"])
     def test_bad_image_is_refused(self, model, message):
-        # the input is checked like any model before its image is built, and so is the image
+        # the input is checked like any model before its image is built
         with pytest.raises(ContractError, match=message):
             restrict_to_image(model)
+
+    @pytest.mark.parametrize("call,entry,message", [
+        (0, (0, 0), "gram matrix is not eps=-1 symmetric"),
+        (0, (1, 0), "gram matrix is singular"),
+        (1, (0, 0), "nilpotent map does not preserve the form"),
+        # the map becomes ((0, 1), (1, 0)): it preserves the form but is not nilpotent
+        (1, (1, 0), "nilpotent map is not nilpotent"),
+    ], ids=["symmetry", "singular", "outside-g", "not-nilpotent"])
+    def test_bad_result_is_refused(self, monkeypatch, call, entry, message):
+        # the image of [3,1] eps +1 has gram ((0,1),(-1,0)) and map ((0,1),(0,0)), frozen in
+        # that order; bending one of them shows the result is checked, its form type -eps too
+        model = build_nilpotent_model(Partition([3, 1]), 1)
+        freeze, frozen = matrix_oracle._freeze, []
+
+        def bent_freeze(m):
+            out = [list(row) for row in freeze(m)]
+            if len(frozen) == call:
+                out[entry[0]][entry[1]] += 1
+            frozen.append(out)
+            return tuple(map(tuple, out))
+
+        monkeypatch.setattr(matrix_oracle, "_freeze", bent_freeze)
+        with pytest.raises(ContractError, match=message):
+            restrict_to_image(model)
+        assert len(frozen) == 2
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_column_erasure_identity_small(self, eps):
