@@ -118,7 +118,10 @@ def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
     keeps the rows below, which lie inside the s erased columns.  B has
     len(B) - len(T) more rows than T; when s > 0 as many rows of length
     exactly s leave from below, so that the first s columns, and the size,
-    stay those of lam.
+    stay those of lam.  Those rows are always there: a bottom one row longer
+    needs only lam[j] = s, and the bottoms two rows longer (c, e, f, h) have
+    orthogonal cores, so s has the parity whose parts pair up in an
+    eps-diagram, and lam[j+1] = s as well.
 
     Every bottom has more rows than its top, so for s > 0 a row of length s
     sits right below T: T ends at a drop lam[j-1] > lam[j] = s.  With s = 0,
@@ -142,8 +145,6 @@ def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
                 continue
             core, degen_type = shape
             extra = len(core.bottom) - (j - i) if s else 0
-            if lam[j:j + extra] != (s,) * extra:
-                continue
             sigma = lam[:i] + tuple([b + s for b in core.bottom]) + lam[j + extra:]
             found[sigma] = Witness(Partition(sigma), core, degen_type)
     return tuple(found[sigma] for sigma in sorted(found, reverse=True))

@@ -65,7 +65,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @lru_cache(maxsize=4096)
     def dual(self) -> "Partition":
         """Column heights of the Young diagram (conjugate partition)."""
         heights: list[int] = []
@@ -155,9 +154,6 @@ class EpsDiagram(namedtuple("EpsDiagram", "partition eps")):
     @property
     def size(self) -> int:
         return self.partition.size
-
-    def __str__(self) -> str:
-        return f"O({self.eps:+d},{self.partition})"
 
 
 @lru_cache(maxsize=None)

@@ -47,9 +47,6 @@ TABLE = {
                 lambda n: 4 * n - 2),
 }
 
-#: Least admissible parameter per family (a is parameterless).
-FAMILY_RANGES = {name: f.least for name, f in TABLE.items() if f.least is not None}
-
 
 class DegenType(namedtuple("DegenType", "family n")):
     __slots__ = ()

@@ -11,7 +11,7 @@ from orbitnorm.degeneration import DegenPair, covers, minimal_degenerations
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
 from orbitnorm.partitions import ORTHOGONAL, SYMPLECTIC, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import irreducible_core
-from orbitnorm.table import FAMILY_RANGES, DegenType, table_row
+from orbitnorm.table import DegenType, table_row
 from test_partitions import partitions_of
 
 
@@ -88,7 +88,8 @@ class TestInstantiate:
 
     def test_round_trip_all_families(self):
         cases = [("a", None)]
-        cases += [(f, n) for f, lo in FAMILY_RANGES.items() for n in range(lo, lo + 4)]
+        cases += [(f, n) for f in "bcdefgh"
+                  for n in range(table.TABLE[f].least, table.TABLE[f].least + 4)]
         for family, n in cases:
             p = instantiate(family, n)
             t = classify_core(p)
@@ -237,7 +238,7 @@ class TestTableAgainstReference:
         assert hits > 0
 
     def test_ranges(self):
-        assert FAMILY_RANGES == REFERENCE_RANGES
+        assert {f: table.TABLE[f].least for f in "abcdefgh"} == {"a": None, **REFERENCE_RANGES}
         assert list(table.TABLE) == list("abcdefgh")
 
     def test_every_bottom_has_more_rows_than_its_top(self):

@@ -13,6 +13,7 @@ from orbitnorm import cli, matrix_oracle, partitions
 from orbitnorm.cli import main
 from orbitnorm.classification import classify_core
 from orbitnorm.degeneration import DegenPair, dominates, hasse
+from orbitnorm.errors import NotMinimalIrreducible
 from orbitnorm.matrix_oracle import algebra_dim, build_nilpotent_model, centralizer_dim, codim_oracle
 from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
 from orbitnorm.partitions import enumerate_eps_diagrams
@@ -358,6 +359,54 @@ class TestCache:
         assert run(capsys, *args, "--cache", str(cache)) == oracle
         assert cache.read_bytes() == primed
 
+    def test_cache_under_a_regular_file_exit_2(self, capsys, tmp_path, monkeypatch):
+        # stat fails with ENOTDIR, which is no missing file: the cache can never be
+        # written, so the call is refused at the lookup, before the oracle runs
+        def no_oracle(pair):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "codim_oracle", no_oracle)
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache.jsonl"
+        check = ("check", "--eps", "-1", "--partition", "6,1,1", "--oracle", "--cache", str(cache))
+        assert run(capsys, *check) == (
+            2, "", f"error: cannot write cache {cache}: {os.strerror(errno.ENOTDIR)}\n")
+
+    def test_cache_that_cannot_be_read_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "-1", "--partition", "6,1,1", "--cache", str(cache))
+        fresh = run(capsys, *args)
+        record = cache.read_bytes()
+
+        def no_read(path, mode="r", *rest, **kwargs):
+            if "r" in mode:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, mode, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, "open", no_read, raising=False)
+        assert run(capsys, *args) == fresh
+        assert cache.read_bytes() == record + record  # the miss decided again and appended
+
+    def test_blank_lines_are_skipped(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "-1", "--partition", "6,1,1", "--cache", str(cache))
+        fresh = run(capsys, *args)
+        cache.write_bytes(b"\n  \n\t\r\n" + cache.read_bytes())
+        primed = cache.read_bytes()
+        assert run(capsys, *args) == fresh
+        assert cache.read_bytes() == primed  # a hit appends nothing
+
+    def test_hand_written_record_for_another_orbit_is_skipped_silently(self, capsys, tmp_path):
+        # spaced, so it is parsed before its orbit is compared
+        cache = tmp_path / "cache.jsonl"
+        other = ("check", "--eps", "-1", "--partition", "6,1,1", "--format", "json")
+        cache.write_text(json.dumps(json.loads(run(capsys, *other)[1])) + "\n")
+        primed = cache.read_bytes()
+        args = ("check", "--eps", "-1", "--partition", "4,2,2", "--format", "json")
+        fresh = run(capsys, *args)
+        assert run(capsys, *args, "--cache", str(cache)) == fresh
+        assert cache.read_bytes() == primed + fresh[1].encode()  # the miss appended
+
 
 class TestSurvey:
     def test_csv_row(self, capsys):
@@ -493,6 +542,79 @@ class TestJsonFragments:
             if verdict.witnesses:  # a plain record with no witnesses serves --oracle too
                 expected.append(cli._dumps(verdict_json(verdict, self.codims(verdict))) + "\n")
         assert cache.read_text().splitlines(keepends=True) == expected
+
+
+def csv(parts):
+    return ",".join(map(str, parts))
+
+
+class TestTextOutput:
+    """The default text of reduce, classify and dim: literal cases, then the text a
+    formatter makes of each JSON answer, on every pair and diagram with n <= 8."""
+
+    @staticmethod
+    def reduce_text(doc):
+        core = doc["core"]
+        return (f"core: [{csv(core['bottom'])}] <= [{csv(core['top'])}] eps' {core['eps']:+d};"
+                f" erased {doc['r']} rows {doc['erased_rows']}, {doc['s']} columns")
+
+    @staticmethod
+    def classify_text(doc):
+        core, t = doc["reduction"]["core"], doc["type"]
+        n = "" if t["n"] is None else f"(n={t['n']})"
+        return (f"core [{csv(core['bottom'])}] <= [{csv(core['top'])}]:"
+                f" type {t['family']}{n}, codim {t['codim']}")
+
+    @staticmethod
+    def dim_text(doc):
+        return (f"[{csv(doc['partition'])}] eps {doc['eps']:+d}: orbit dim {doc['orbit_dim']},"
+                f" centralizer dim {doc['centralizer_dim']}, algebra dim {doc['algebra_dim']}")
+
+    @pytest.mark.parametrize("argv, text", [
+        (("reduce", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2"),
+         "core: [3,1,1] <= [5] eps' +1; erased 0 rows [], 1 columns"),
+        (("reduce", "--eps", "-1", "--top", "6,4,4,1,1", "--bottom", "6,3,3,2,2"),
+         "core: [2,2,1,1] <= [3,3] eps' +1; erased 1 rows [6], 1 columns"),
+        (("classify", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2"),
+         "core [3,1,1] <= [5]: type c(n=2), codim 2"),
+        (("classify", "--eps", "-1", "--top", "2", "--bottom", "1,1"),
+         "core [1,1] <= [2]: type a, codim 2"),
+        (("classify", "--eps", "1", "--top", "2,2,1", "--bottom", "1,1,1,1,1"),
+         "core [1,1,1,1,1] <= [2,2,1]: type f(n=2), codim 6"),
+        (("dim", "--eps", "-1", "--partition", "1,1"),
+         "[1,1] eps -1: orbit dim 0, centralizer dim 3, algebra dim 3"),
+        (("dim", "--eps", "1", "--partition", "7,2,2"),
+         "[7,2,2] eps +1: orbit dim 44, centralizer dim 11, algebra dim 55"),
+    ])
+    def test_literal(self, capsys, argv, text):
+        assert run(capsys, *argv) == (0, text + "\n", "")
+        assert run(capsys, *argv, "--format", "text") == (0, text + "\n", "")
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_text_is_the_json_answer(self, capsys, eps):
+        def answer(*argv):
+            code, text, err = run(capsys, *argv)
+            doc = json.loads(run(capsys, *argv, "--format", "json")[1])
+            assert (code, err) == (0, "")
+            return text.removesuffix("\n"), doc
+
+        for n in range(9):
+            diagrams = enumerate_eps_diagrams(n, eps)
+            for eta in diagrams:
+                text, doc = answer("dim", "--eps", str(eps), "--partition", csv(eta.partition))
+                assert text == self.dim_text(doc)
+            covers = {(w.sigma, eta.partition) for eta in diagrams for w in decide(eta).witnesses}
+            for top in diagrams:
+                for bottom in diagrams:
+                    if bottom == top or not dominates(top.partition, bottom.partition):
+                        continue
+                    argv = ("--eps", str(eps), "--top", csv(top.partition),
+                            "--bottom", csv(bottom.partition))
+                    text, doc = answer("reduce", *argv)
+                    assert text == self.reduce_text(doc)
+                    if (bottom.partition, top.partition) in covers:
+                        text, doc = answer("classify", *argv)
+                        assert text == self.classify_text(doc)
 
 
 class TestMaxSize:
@@ -739,6 +861,17 @@ class TestOtherCommands:
         assert out == ""
         assert err == ("error: not a minimal degeneration:"
                        " no family matches ([1,1,1,1,1] <= [5], eps=+1)\n")
+
+    @pytest.mark.parametrize("command", ["reduce", "classify"])
+    def test_reduction_that_stops_short_is_an_internal_error(self, capsys, monkeypatch, command):
+        # a gap in the reduction, not the user's pair: exit 1, not the input error of exit 2
+        def stuck(pair):
+            raise NotMinimalIrreducible(f"reduction of {pair} stopped at the reducible {pair}")
+
+        monkeypatch.setattr(cli, "irreducible_core", stuck)
+        assert run(capsys, command, "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2") == (
+            1, "", "internal error: reduction of ([4,2,2] <= [6,1,1], eps=-1) stopped at the"
+                   " reducible ([4,2,2] <= [6,1,1], eps=-1)\n")
 
     def test_dim(self, capsys):
         code, out, _ = run(capsys, "dim", "--eps", "-1", "--partition", "1,1",

@@ -252,6 +252,11 @@ class TestDimensions:
         with pytest.raises(ContractError):
             algebra_dim(7, -1)
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_negative_size_rejected(self, eps):
+        with pytest.raises(ContractError, match=r"^dimension must be nonnegative, got -1$"):
+            algebra_dim(-1, eps)
+
     def test_centralizer_small(self):
         assert centralizer_dim(build_nilpotent_model(Partition([1, 1]), -1)) == 3
         assert centralizer_dim(build_nilpotent_model(Partition([2]), -1)) == 1

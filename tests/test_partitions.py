@@ -106,6 +106,11 @@ class TestAgainstReference:
         for p in SMALL:
             assert Partition(p) is p
 
+    def test_repr_and_str(self):
+        assert repr(Partition([1, 3, 1])) == "Partition([3, 1, 1])"
+        assert str(Partition([1, 3, 1])) == "[3,1,1]"
+        assert (repr(Partition()), str(Partition())) == ("Partition([])", "[]")
+
     @pytest.mark.parametrize("bad", [[0], [-1], [-2, 0], [0, -5], [-1, -3]])
     def test_nonpositive_parts_same_error(self, bad):
         for p in SMALL[:60]:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -162,6 +163,17 @@ class TestReductionProperties:
             for p in all_strict_pairs(n, eps):
                 got = irreducible_core(p, columns_first=columns_first)
                 assert got == fixpoint_core(p, columns_first=columns_first), p
+
+    @pytest.mark.parametrize("steps, message", [
+        ((("col", 1),), "column of height 1 too short for [1,1]"),
+        ((("row", 1),), "row of length 1 too short for [2]"),
+    ], ids=["column", "row"])
+    def test_replay_refuses_a_ledger_that_does_not_fit_the_core(self, steps, message):
+        # a ledger irreducible_core never writes: a column shorter than the core's
+        # bottom, or a row shorter than the top's first part
+        result = ReductionResult(core=DegenPair(-1, [1, 1], [2]), steps=steps)
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            reconstruct(result)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_sign_rule(self, eps):

@@ -171,7 +171,6 @@ def test_records_are_collections_namedtuples_with_their_annotations():
 CACHED = {
     "degeneration._core",
     "matrix_oracle._orbit_dim_cached",
-    "partitions.dual",
     "partitions._diagrams_desc",
     "table.top_heads",
 }
