@@ -1,16 +1,16 @@
 """Matching irreducible minimal degenerations against the eight known families.
 
-Matching is exact: look up the table row of the core's top shape (see
-``table``, which also fixes the a/g and e/h tie-breaks) and compare the
-bottom shape with the row's.
+Matching is exact: the core's form type, row count and first part name the
+one table row it can be (``table.table_types``, which also fixes the a/g
+tie-break), and the core must equal that row's pair.
 """
 
 from __future__ import annotations
 
-from .degeneration import DegenPair
+from .degeneration import DegenPair, table_pair
 from .errors import ContractError, NotMinimalIrreducible
 from .reduction import ReductionResult, irreducible_core, is_irreducible
-from .table import TABLE, DegenType, table_row
+from .table import TABLE, DegenType, table_types
 
 __all__ = [
     "instantiate",
@@ -34,17 +34,17 @@ def instantiate(family: str, n: int | None = None) -> DegenPair:
             raise ContractError(f"family {family} takes no parameter")
     elif n is None or n < row.least:
         raise ContractError(f"family {family} needs n >= {row.least}")
-    return DegenPair(row.eps, row.bottom(n), row.top(n))
+    return table_pair(DegenType(family, n))
 
 
 def classify_core(pair: DegenPair) -> DegenType:
     """The unique family instance matching (eps, top, bottom)."""
     if not is_irreducible(pair):
         raise ContractError(f"{pair} is not irreducible")
-    row = table_row(pair.eps, pair.top)
-    if row is None or row[2] != pair.bottom:
+    t = table_types(pair.size).get((pair.eps, len(pair.top), pair.top[0]))
+    if t is None or table_pair(t) != pair:
         raise NotMinimalIrreducible(f"no family matches {pair}")
-    return DegenType(row[0], row[1])
+    return t
 
 
 def classify_minimal_degeneration(pair: DegenPair) -> tuple[ReductionResult, DegenType]:

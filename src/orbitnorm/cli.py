@@ -173,12 +173,12 @@ def _pair_json(pair: DegenPair) -> str:
 
 def _witness_json(w: Witness, heads: dict, codim: int | None = None) -> str:
     """A witness, with codim_oracle where codim is given; the text from its core up to
-    sigma is built once per (core, type) into heads."""
+    sigma is built once per type into heads."""
     t = w.degen_type
-    tail = heads.get((w.core, t))
+    tail = heads.get(t)
     if tail is None:
-        tail = heads[w.core, t] = (f'"core":{_pair_json(w.core)},"family":"{t.family}",'
-                                   f'"n":{"null" if t.n is None else t.n},"sigma":[')
+        tail = heads[t] = (f'"core":{_pair_json(w.core)},"family":"{t.family}",'
+                           f'"n":{"null" if t.n is None else t.n},"sigma":[')
     oracle = "" if codim is None else f'"codim_oracle":{codim},'
     return f'{{"codim":{t.codim},{oracle}{tail}{_partition_csv(w.sigma)}]}}'
 

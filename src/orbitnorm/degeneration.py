@@ -9,8 +9,8 @@ Covers are generated locally (Kraft and Procesi, Comment. Math. Helv. 57,
 1982): every cover of eta agrees with eta on some leading rows and columns,
 and what remains of eta is the top of a row of the a–h table.  Running that
 cancellation backwards from eta yields exactly the covers, with no search
-over the other diagrams of the same size, and gives each cover's core and
-table row on the way.
+over the other diagrams of the same size, and gives each cover's table row
+on the way; the row determines the cover's core.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from functools import lru_cache
 
 from .errors import ContractError
 from .partitions import EpsDiagram, Partition, check_size, enumerate_eps_diagrams
-from .table import DegenType, table_row, top_heads
+from .table import TABLE, DegenType, table_types
 
 __all__ = [
     "DegenPair",
     "Witness",
+    "table_pair",
     "PosetEdge",
     "PosetGraph",
     "dominates",
@@ -88,24 +89,24 @@ class DegenPair(namedtuple("DegenPair", "eps bottom top")):
         return f"({self.bottom} <= {self.top}, eps={self.eps:+d})"
 
 
-class Witness(namedtuple("Witness", "sigma core degen_type")):
-    """A cover sigma of eta, with the irreducible core and table row it comes from."""
+class Witness(namedtuple("Witness", "sigma degen_type")):
+    """A cover sigma of eta, with the table row its irreducible core comes from."""
 
     __slots__ = ()
 
     sigma: Partition
-    core: DegenPair
     degen_type: DegenType
+
+    @property
+    def core(self) -> DegenPair:
+        return table_pair(self.degen_type)
 
 
 @lru_cache(maxsize=None)
-def _core(eps: int, top: tuple[int, ...]) -> tuple[DegenPair, DegenType] | None:
-    """(core, type) of the table row whose top is top at form type eps, if any."""
-    row = table_row(eps, top)
-    if row is None:
-        return None
-    family, n, bottom = row
-    return DegenPair(eps, bottom, top), DegenType(family, n)
+def table_pair(t: DegenType) -> DegenPair:
+    """The degeneration pair of one table row, built once."""
+    family = TABLE[t.family]
+    return DegenPair(family.eps, family.bottom(t.n), family.top(t.n))
 
 
 def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
@@ -125,12 +126,14 @@ def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
 
     Every bottom has more rows than its top, so for s > 0 a row of length s
     sits right below T: T ends at a drop lam[j-1] > lam[j] = s.  With s = 0,
-    T is all of lam[i:].  Only those (i, j) are tried, and only when T's
-    form type, row count and first part head some table top.
+    T is all of lam[i:].  Only those (i, j) are tried.  T's form type, row
+    count and first part name the one table row it can be the top of
+    (``table_types``); T is built, and compared with that row's top, only
+    when there is one.
     """
     check_size(eta.size, bound)
     lam, eps = eta
-    heads = top_heads(lam.size)
+    types = table_types(lam.size)
     # (j, s, form type (-1)^s * eps) of each place where T can end
     ends = [(j, lam[j], -eps if lam[j] % 2 else eps)
             for j in range(1, len(lam)) if lam[j] < lam[j - 1]]
@@ -138,15 +141,15 @@ def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
     found: dict[tuple[int, ...], Witness] = {}
     for j, s, core_eps in ends:
         for i in range(j):
-            if (core_eps, j - i, lam[i] - s) not in heads:
+            t = types.get((core_eps, j - i, lam[i] - s))
+            if t is None:
                 continue
-            shape = _core(core_eps, tuple([x - s for x in lam[i:j]]))
-            if shape is None:
+            core = table_pair(t)
+            if core.top != tuple([x - s for x in lam[i:j]]):
                 continue
-            core, degen_type = shape
             extra = len(core.bottom) - (j - i) if s else 0
             sigma = lam[:i] + tuple([b + s for b in core.bottom]) + lam[j + extra:]
-            found[sigma] = Witness(Partition(sigma), core, degen_type)
+            found[sigma] = Witness(Partition(sigma), t)
     return tuple(found[sigma] for sigma in sorted(found, reverse=True))
 
 

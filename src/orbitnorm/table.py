@@ -4,11 +4,10 @@ Kraft and Procesi (Comment. Math. Helv. 57, 1982) list eight families.  Each
 fixes the form type, the shapes of both diagrams and the printed codimension
 up to one integer parameter n, and each is written once below, in a..h order.
 
-A row is found from its top shape alone.  The size of every top is affine in
-n, so two evaluations solve for the one candidate n, and the shape is then
-compared.  Families are tried in table order, so a claims the shape (2)/(1,1)
-that g also has at n=1; h starts at n=3, so the e shape at n=1 has no second
-reading.
+A row is found from its top alone, through one index per size: the form
+type, row count and first part of a top already fix its family and n.  The
+index is filled in a..h order, so a claims the shape (2)/(1,1) that g also has
+at n=1; h starts at n=3, so the e shape at n=1 has no second reading.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 
-from .partitions import ORTHOGONAL, SYMPLECTIC, Partition
+from .partitions import ORTHOGONAL, SYMPLECTIC
 
 
 class Family(namedtuple("Family", "eps least top bottom codim")):
@@ -64,41 +63,21 @@ class DegenType(namedtuple("DegenType", "family n")):
         return f"type {self.family}{suffix}, codim {self.codim}"
 
 
-#: (family, n, bottom) of one table row.
-Row = tuple[str, int | None, Partition]
-
-
-def table_row(eps: int, top: tuple[int, ...]) -> Row | None:
-    """The table row whose top shape is top at form type eps, if any."""
-    size = sum(top)
-    for name, family in TABLE.items():
-        if family.eps != eps:
-            continue
-        n = family.least
-        if n is not None:
-            # the top's size is base + step * (n - least) with step > 0
-            base = sum(family.top(n))
-            k, r = divmod(size - base, sum(family.top(n + 1)) - base)
-            if r or k < 0:
-                continue
-            n += k
-        if tuple(family.top(n)) == top:
-            return name, n, Partition(family.bottom(n))
-    return None
-
-
 @lru_cache(maxsize=None)
-def top_heads(size: int) -> frozenset[tuple[int, int, int]]:
-    """(form type, rows, first part) of every table top of size at most size.
+def table_types(size: int) -> dict[tuple[int, int, int], DegenType]:
+    """The type of every table top of size at most size, keyed by its
+    (form type, rows, first part).
 
     Every top grows with n, so each family is walked from its least n up.
+    Families go in a..h order and the first key wins, so a keeps the key of
+    its shape (2)/(1,1), which g has at n=1; no other two tops share a key.
     """
-    heads = set()
-    for family in TABLE.values():
+    types: dict[tuple[int, int, int], DegenType] = {}
+    for name, family in TABLE.items():
         n = family.least
         while sum(top := family.top(n)) <= size:
-            heads.add((family.eps, len(top), top[0]))
+            types.setdefault((family.eps, len(top), top[0]), DegenType(name, n))
             if n is None:
                 break
             n += 1
-    return frozenset(heads)
+    return types

@@ -7,11 +7,11 @@ from orbitnorm.classification import (
     instantiate,
     table_codim,
 )
-from orbitnorm.degeneration import DegenPair, covers, minimal_degenerations
+from orbitnorm.degeneration import DegenPair, covers, minimal_degenerations, table_pair
 from orbitnorm.errors import ContractError, NotMinimalIrreducible
 from orbitnorm.partitions import ORTHOGONAL, SYMPLECTIC, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import irreducible_core
-from orbitnorm.table import DegenType, table_row
+from orbitnorm.table import DegenType
 from test_partitions import partitions_of
 
 
@@ -224,6 +224,14 @@ def _without_label(row):
     return None if row is None else row[:3]
 
 
+def index_row(eps, top):
+    """(family, n, bottom) that the table_types index and table_pair give for top, or None."""
+    t = table.table_types(sum(top)).get((eps, len(top), top[0] if top else 0))
+    if t is None or table_pair(t).top != top:
+        return None
+    return t.family, t.n, table_pair(t).bottom
+
+
 class TestTableAgainstReference:
     @pytest.mark.parametrize("eps", [1, -1])
     def test_every_partition_up_to_20(self, eps):
@@ -232,8 +240,8 @@ class TestTableAgainstReference:
         for n in range(0, 21):
             for p in partitions_of(n):
                 expected = _without_label(reference_table_row(eps, tuple(p)))
-                assert table_row(eps, tuple(p)) == expected, p
-                assert table_row(eps, p) == expected, p
+                assert index_row(eps, tuple(p)) == expected, p
+                assert index_row(eps, p) == expected, p
                 hits += expected is not None
         assert hits > 0
 
@@ -248,7 +256,7 @@ class TestTableAgainstReference:
             for n in [None] if family.least is None else range(family.least, 61):
                 assert len(family.bottom(n)) > len(family.top(n)), (name, n)
 
-    def test_top_heads_index(self):
+    def test_table_types_keys(self):
         # every table top is a diagram of its form type; the former lookup finds them all
         expected = set()
         for size in range(0, 41):
@@ -257,24 +265,27 @@ class TestTableAgainstReference:
                     top = tuple(d.partition)
                     if reference_table_row(eps, top) is not None:
                         expected.add((eps, len(top), top[0]))
-            assert table.top_heads(size) == expected, size
+            assert set(table.table_types(size)) == expected, size
+
+    def test_only_a_and_g1_share_a_key(self):
+        # table_types keeps the first type of each key, so its answers rest on this
+        owners = {}
+        for name, family in table.TABLE.items():
+            for n in [None] if family.least is None else range(family.least, 61):
+                top = family.top(n)
+                if sum(top) <= 60:
+                    owners.setdefault((family.eps, len(top), top[0]), []).append((name, n))
+        shared = [types for types in owners.values() if len(types) > 1]
+        assert shared == [[("a", None), ("g", 1)]]
+        assert table.table_types(60)[SYMPLECTIC, 1, 2] == DegenType("a", None)
 
     @pytest.mark.parametrize("family", sorted(REFERENCE_RANGES))
-    def test_large_instance_is_solved_not_searched(self, family, monkeypatch):
-        # a lookup that tried n = least, least + 1, ... would evaluate tops hundreds of times
-        calls = []
-
-        def counted(top):
-            return lambda n: calls.append(n) or top(n)
-
-        monkeypatch.setattr(table, "TABLE", {
-            name: f._replace(top=counted(f.top)) for name, f in table.TABLE.items()
-        })
+    def test_large_instance_is_solved_not_searched(self, family):
+        # one dict lookup in the index of the core's size, built once per size
         eps, top, bottom, _ = reference_shapes(family, 500)
-        row = table_row(eps, tuple(top))
-        assert row == (family, 500, bottom)
-        assert row == _without_label(reference_table_row(eps, tuple(top)))
-        assert len(calls) <= 3 * len(table.TABLE)
+        assert classify_core(instantiate(family, 500)) == DegenType(family, 500)
+        assert index_row(eps, top) == (family, 500, bottom)
+        assert index_row(eps, top) == _without_label(reference_table_row(eps, tuple(top)))
 
     def test_degen_type_holds_only_family_and_n(self):
         assert DegenType._fields == ("family", "n")

@@ -4,11 +4,12 @@ import pickle
 
 import pytest
 
-from orbitnorm.degeneration import DegenPair, PosetEdge, PosetGraph, Witness, hasse
+from orbitnorm.classification import instantiate
+from orbitnorm.degeneration import DegenPair, PosetEdge, PosetGraph, Witness, covers, hasse
 from orbitnorm.errors import ContractError
 from orbitnorm.matrix_oracle import NilpotentModel, build_nilpotent_model
 from orbitnorm.normality import NormalityVerdict, decide
-from orbitnorm.partitions import EpsDiagram, Partition
+from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import ReductionResult, irreducible_core
 from orbitnorm.table import DegenType
 from test_cli import pair_json
@@ -121,3 +122,12 @@ class TestDerivedFields:
     def test_model_dimension_is_derived_from_the_gram_matrix(self):
         assert NilpotentModel._fields == ("eps", "gram", "nilpotent")
         assert build_nilpotent_model(Partition([3, 3, 1]), 1).dim == 7
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_witness_core_is_derived_from_its_type(self, eps):
+        assert Witness._fields == ("sigma", "degen_type")
+        for n in range(0, 23):
+            for eta in enumerate_eps_diagrams(n, eps):
+                for w in covers(eta):
+                    t = w.degen_type
+                    assert w.core == instantiate(t.family, t.n), (eta, w)
