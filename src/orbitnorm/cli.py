@@ -280,7 +280,7 @@ def run_reduce(args) -> tuple[int, str]:
     return EXIT_NORMAL, (
         f"core: [{_partition_csv(core.bottom)}] <= [{_partition_csv(core.top)}]"
         f" eps' {core.eps:+d}; erased {reduction.row_count} rows"
-        f" {list(reduction.erased_rows)}, {reduction.erased_columns} columns"
+        f" [{_partition_csv(reduction.erased_rows)}], {reduction.erased_columns} columns"
     )
 
 

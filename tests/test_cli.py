@@ -556,7 +556,7 @@ class TestTextOutput:
     def reduce_text(doc):
         core = doc["core"]
         return (f"core: [{csv(core['bottom'])}] <= [{csv(core['top'])}] eps' {core['eps']:+d};"
-                f" erased {doc['r']} rows {doc['erased_rows']}, {doc['s']} columns")
+                f" erased {doc['r']} rows [{csv(doc['erased_rows'])}], {doc['s']} columns")
 
     @staticmethod
     def classify_text(doc):
@@ -585,6 +585,8 @@ class TestTextOutput:
          "[1,1] eps -1: orbit dim 0, centralizer dim 3, algebra dim 3"),
         (("dim", "--eps", "1", "--partition", "7,2,2"),
          "[7,2,2] eps +1: orbit dim 44, centralizer dim 11, algebra dim 55"),
+        (("reduce", "--eps", "1", "--top", "7,5,2,2", "--bottom", "7,5,1,1,1,1"),
+         "core: [1,1,1,1] <= [2,2] eps' +1; erased 2 rows [7,5], 0 columns"),
     ])
     def test_literal(self, capsys, argv, text):
         assert run(capsys, *argv) == (0, text + "\n", "")
