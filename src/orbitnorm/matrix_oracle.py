@@ -8,8 +8,9 @@ estimates.  The orbit dimension is the rank of ad D on the isometry algebra g,
 written in the form's own coordinates: Y in g is S = J Y with S^T = -eps S,
 and Y commutes with D exactly when S D + D^T S = 0.  Matrices are sparse rows
 inside, with one elimination for all row reduction and one product for all
-products; each model is checked for J invertible, J^T = eps J, D^T J + J D = 0
-and D nilpotent.  Models obey the enumeration bound (ORBIT_MAX_SIZE, else 40).
+products.  A model is checked once, when it is made, for J invertible,
+J^T = eps J, D^T J + J D = 0 and D nilpotent, and trusted after.  Models
+obey the enumeration bound (ORBIT_MAX_SIZE, else 40).
 The construction is block-wise: a part whose parity matches the form type gets
 a single Jordan block with an alternating-sign anti-diagonal Gram block; the
 remaining parts (which the diagram condition forces to come in even
@@ -143,13 +144,27 @@ class NilpotentModel(namedtuple("NilpotentModel", "eps gram nilpotent")):
     gram: tuple[tuple[Scalar, ...], ...]
     nilpotent: tuple[tuple[Scalar, ...], ...]
 
+    def __new__(cls, eps: int, gram, nilpotent) -> "NilpotentModel":
+        """ContractError unless J is invertible, J^T = eps J, D^T J + J D = 0 and D^n = 0."""
+        n, J, D = len(gram), _rows(gram), _rows(nilpotent)
+        if len(_eliminate(J)[0]) != n:
+            raise ContractError("gram matrix is singular")
+        if not (_square(gram, n) and _symmetric(J, eps)):
+            raise ContractError(f"gram matrix is not eps={eps:+d} symmetric")
+        # (J D)^T = eps D^T J once J^T = eps J, so D^T J + J D = 0 reads (J D)^T = -eps J D
+        if not (_square(nilpotent, n) and _symmetric(_mul(J, D), -eps)):
+            raise ContractError("nilpotent map does not preserve the form")
+        if not _is_nilpotent(D):
+            raise ContractError("nilpotent map is not nilpotent")
+        return super().__new__(cls, eps, gram, nilpotent)
+
+    @classmethod
+    def _make(cls, iterable) -> "NilpotentModel":
+        return cls(*iterable)  # _replace builds through _make, so it validates too
+
     @property
     def dim(self) -> int:
         return len(self.gram)
-
-    @property
-    def J(self) -> Matrix:
-        return [list(row) for row in self.gram]
 
     @property
     def D(self) -> Matrix:
@@ -170,13 +185,12 @@ def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
     pending: dict[int, int] = {}  # part size -> offset of an unpaired block
     self_dual_parity = 1 if eps == 1 else 0
     for m in lam:
+        for i in range(m - 1):  # D is the Jordan matrix of lam for either eps
+            D[offset + i][offset + i + 1] = 1
         if m % 2 == self_dual_parity:
             # single block: Gram (e_i, e_j) = (-1)^(i+1) on the anti-diagonal
             for i in range(m):
                 J[offset + i][offset + m - 1 - i] = (-1) ** (i + 1)
-                if i + 1 < m:
-                    D[offset + i][offset + i + 1] = 1
-            offset += m
         elif m in pending:
             # hyperbolic pairing with the earlier block of the same size
             first = pending.pop(m)
@@ -184,16 +198,9 @@ def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
                 sign = (-1) ** (i + 1)
                 J[first + i][offset + m - 1 - i] = sign
                 J[offset + m - 1 - i][first + i] = eps * sign
-                if i + 1 < m:
-                    D[offset + i][offset + i + 1] = 1
-            offset += m
         else:
             pending[m] = offset
-            for i in range(m - 1):
-                D[offset + i][offset + i + 1] = 1
-            offset += m
-    if pending:
-        raise ContractError(f"{lam} leaves unpaired blocks {sorted(pending)} for eps={eps:+d}")
+        offset += m
     return NilpotentModel(eps=eps, gram=_freeze(J), nilpotent=_freeze(D))
 
 
@@ -218,29 +225,15 @@ def algebra_dim(n: int, eps: int) -> int:
     return n * (n - eps) // 2
 
 
-def _check_model(model: NilpotentModel) -> NilpotentModel:
-    """The model if J is invertible, J^T = eps J, D^T J + J D = 0, D^n = 0; else ContractError."""
-    eps, n, J, D = model.eps, len(model.gram), _rows(model.gram), _rows(model.nilpotent)
-    if len(_eliminate(J)[0]) != n:
-        raise ContractError("gram matrix is singular")
-    if not (_square(model.gram, n) and _symmetric(J, eps)):
-        raise ContractError(f"gram matrix is not eps={eps:+d} symmetric")
-    # (J D)^T = eps D^T J once J^T = eps J, so D^T J + J D = 0 reads (J D)^T = -eps J D
-    if not (_square(model.nilpotent, n) and _symmetric(_mul(J, D), -eps)):
-        raise ContractError("nilpotent map does not preserve the form")
-    if not _is_nilpotent(D):
-        raise ContractError("nilpotent map is not nilpotent")
-    return model
-
-
 def _centralizer_rows(model: NilpotentModel) -> list[Row]:
     """The entries i <= j of S D + D^T S = 0, with S = J Y and S_kl (k <= l) as variable kN + l.
 
     Y is in g exactly when S^T = -eps S (so S_kk = 0 for eps = +1), and then commutes with D
-    exactly when S D + D^T S = 0, as J is invertible, J^T = eps J and D^T J + J D = 0, checked
-    first.  Entry (i, j) has one term per nonzero of columns i and j of D, two in a built model.
+    exactly when S D + D^T S = 0, as J is invertible, J^T = eps J and D^T J + J D = 0, which
+    the model was checked for when it was made.  Entry (i, j) has one term per nonzero of
+    columns i and j of D, two in a built model.
     """
-    eps, J, D = _check_model(model)
+    eps, J, D = model
     n = len(J)
     d_cols = [col.items() for col in _rows(zip(*D))]
     rows: list[Row] = []
@@ -296,11 +289,10 @@ def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     """Model induced on the image of the nilpotent map, with the form flipped.
 
     The image carries the form beta(Dv, u) = (v, u); the map restricts to the
-    image, and its Jordan type loses its first column.  The input and the result
-    are checked like any model, so a bad input is refused before it is indexed and
-    cannot come back labelled with form type -eps.
+    image, and its Jordan type loses its first column.  The input was checked when
+    it was made, and the result is checked as it is made, so a form that is not of
+    type -eps on the image, or a map that is not nilpotent there, is refused.
     """
-    _check_model(model)
     # the columns of D that raise the rank give a basis u_j = D e_{c_j} of the image
     columns = _rows(zip(*model.nilpotent))
     pivot_cols = _eliminate(columns)[1]
@@ -312,4 +304,4 @@ def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     # D maps the image into itself; D u_j is column c_j of D^2, so row c_j of D^T D^T
     square = _mul(columns, columns)
     coords = _solve_in_span([columns[c] for c in pivot_cols], [square[c] for c in pivot_cols])
-    return _check_model(NilpotentModel(-model.eps, _freeze(gram), _freeze(zip(*coords))))
+    return NilpotentModel(-model.eps, _freeze(gram), _freeze(zip(*coords)))

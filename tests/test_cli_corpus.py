@@ -1,0 +1,26 @@
+"""The command-line corpus as a gate: its output hash must be the one it records."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cli_corpus import EXPECTED
+
+CORPUS = Path(__file__).with_name("cli_corpus.py")
+SRC = CORPUS.parent.parent / "src"
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the corpus hashes argparse help, whose text differs between Python minor versions;"
+           " EXPECTED is the CPython 3.11 hash")
+def test_corpus_output_is_the_recorded_one():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, str(CORPUS)], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == EXPECTED

@@ -1,7 +1,9 @@
 import inspect
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,7 +21,16 @@ from orbitnorm.matrix_oracle import (
     orbit_dim,
     restrict_to_image,
 )
-from orbitnorm.partitions import Partition, enumerate_eps_diagrams, is_eps_diagram
+from orbitnorm.partitions import (
+    EpsDiagram,
+    Partition,
+    check_size,
+    enumerate_eps_diagrams,
+    is_eps_diagram,
+)
+
+MESSAGES = ("gram matrix is singular", "gram matrix is not eps={eps:+d} symmetric",
+            "nilpotent map does not preserve the form", "nilpotent map is not nilpotent")
 
 
 def frac_matrix(rows):
@@ -74,7 +85,7 @@ def reference_jordan_type(m):
 def reference_centralizer_dim(model):
     """Dense O(N^3) scan of J and D for the centralizer system: the former centralizer_dim."""
     n = model.dim
-    J, D = model.J, model.D
+    J, D = model.gram, model.D
     var = lambda i, j: i * n + j
     rows = []
     # (Y^T J + J Y)_{ij} = sum_k Y_{ki} J_{kj} + J_{ik} Y_{kj}
@@ -132,19 +143,76 @@ def rank_mod_p(rows, p):
     return len(pivots)
 
 
+def reference_model_failure(eps, gram, nilpotent):
+    """The message of the first model property that dense arithmetic finds broken, else None.
+
+    For square matrices: J invertible, J^T = eps J, D^T J + J D = 0, D^N = 0, in that order.
+    """
+    J, D = frac_matrix(gram), frac_matrix(nilpotent)
+    n = len(J)
+    pairs = list(product(range(n), repeat=2))
+    if reference_rank(J) != n:
+        return MESSAGES[0]
+    if any(J[j][i] != eps * J[i][j] for i, j in pairs):
+        return MESSAGES[1].format(eps=eps)
+    dtj, jd = mat_mul([list(r) for r in zip(*D)], J), mat_mul(J, D)
+    if any(dtj[i][j] + jd[i][j] for i, j in pairs):
+        return MESSAGES[2]
+    power = D
+    for _ in range(n - 1):
+        power = mat_mul(power, D)
+    if any(x for row in power for x in row):
+        return MESSAGES[3]
+    return None
+
+
 def check_model_invariants(model):
-    J, D = model.J, model.D
-    n = model.dim
-    assert mat_rank(J) == n
-    for i in range(n):
-        for j in range(n):
-            assert J[j][i] == model.eps * J[i][j]
-    # D^T J + J D = 0
-    dtj = mat_mul([list(r) for r in zip(*D)], J)
-    jd = mat_mul(J, D)
-    for i in range(n):
-        for j in range(n):
-            assert dtj[i][j] + jd[i][j] == 0
+    assert reference_model_failure(model.eps, model.gram, model.nilpotent) is None, model
+
+
+def reference_build_nilpotent_model(lam, eps):
+    """The block-wise builder that wrote D in each of its three branches: the former builder."""
+    lam = EpsDiagram(lam, eps).partition
+    n = lam.size
+    check_size(n)
+    J, D = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    offset = 0
+    pending = {}  # part size -> offset of an unpaired block
+    self_dual_parity = 1 if eps == 1 else 0
+    for m in lam:
+        if m % 2 == self_dual_parity:
+            # single block: Gram (e_i, e_j) = (-1)^(i+1) on the anti-diagonal
+            for i in range(m):
+                J[offset + i][offset + m - 1 - i] = (-1) ** (i + 1)
+                if i + 1 < m:
+                    D[offset + i][offset + i + 1] = 1
+            offset += m
+        elif m in pending:
+            # hyperbolic pairing with the earlier block of the same size
+            first = pending.pop(m)
+            for i in range(m):
+                sign = (-1) ** (i + 1)
+                J[first + i][offset + m - 1 - i] = sign
+                J[offset + m - 1 - i][first + i] = eps * sign
+                if i + 1 < m:
+                    D[offset + i][offset + i + 1] = 1
+            offset += m
+        else:
+            pending[m] = offset
+            for i in range(m - 1):
+                D[offset + i][offset + i + 1] = 1
+            offset += m
+    if pending:
+        raise ContractError(f"{lam} leaves unpaired blocks {sorted(pending)} for eps={eps:+d}")
+    return tuple(map(tuple, J)), tuple(map(tuple, D))
+
+
+def bound_sample(eps):
+    """A seeded sample of the eps-diagrams at the default bound n = 40, and its extremes."""
+    diagrams = [d.partition for d in enumerate_eps_diagrams(40, eps)]
+    sample = random.Random(f"orbit-dim-40:{eps}").sample(diagrams, 12)
+    return sample + [lam for lam in (Partition([40]), Partition([39, 1]), Partition([1] * 40))
+                     if is_eps_diagram(lam, eps)]
 
 
 class TestBuild:
@@ -168,10 +236,20 @@ class TestBuild:
             build_nilpotent_model(Partition([3, 1]), -1)
 
     def test_unpaired_blocks_raise(self, monkeypatch):
-        # an explicit raise, not an assert, so the check survives python -O
+        # past the parity rule, a block left unpaired has no Gram entries, so the model refuses
+        # its singular form with an explicit raise, not an assert, which python -O would strip
         monkeypatch.setattr(partitions, "eps_violation", lambda p, eps: None)
-        with pytest.raises(ContractError, match="unpaired blocks"):
-            build_nilpotent_model(Partition([3, 1]), -1)
+        for lam, eps in (([3, 1], -1), ([4, 2, 2, 2], 1)):
+            with pytest.raises(ContractError, match="^gram matrix is singular$"):
+                build_nilpotent_model(Partition(lam), eps)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_same_matrices_as_the_reference_builder(self, eps, monkeypatch):
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        diagrams = [d.partition for n in range(0, 17) for d in enumerate_eps_diagrams(n, eps)]
+        for lam in diagrams + bound_sample(eps):
+            model = build_nilpotent_model(lam, eps)
+            assert (model.gram, model.nilpotent) == reference_build_nilpotent_model(lam, eps), lam
 
     def test_capacity(self, monkeypatch):
         monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
@@ -318,21 +396,21 @@ class TestDimensions:
 
 
 def _bad_models():
-    """Models that break one property the centralizer system rests on, with its message."""
+    """Builders of models that each break one property the centralizer needs, and messages."""
     shift = build_nilpotent_model(Partition([3, 1]), 1)
     D = shift.D
     D[0][2] += 1  # still nilpotent, but no longer in so(J)
     return {
-        "singular": (build_nilpotent_model(Partition([1, 1, 1]), 1)._replace(
+        "singular": (lambda: build_nilpotent_model(Partition([1, 1, 1]), 1)._replace(
             gram=((1, 0, 0), (0, 1, 0), (0, 0, 0))), "gram matrix is singular"),
-        "symmetry": (build_nilpotent_model(Partition([1, 1]), -1)._replace(
+        "symmetry": (lambda: build_nilpotent_model(Partition([1, 1]), -1)._replace(
             gram=((1, 0), (0, 1))), "gram matrix is not eps=-1 symmetric"),
-        "outside-g": (shift._replace(nilpotent=tuple(map(tuple, D))),
+        "outside-g": (lambda: shift._replace(nilpotent=tuple(map(tuple, D))),
                       "nilpotent map does not preserve the form"),
-        "not-square": (build_nilpotent_model(Partition([1, 1, 1]), 1)._replace(
+        "not-square": (lambda: build_nilpotent_model(Partition([1, 1, 1]), 1)._replace(
             nilpotent=((0, 0), (0, 0), (0, 0))), "nilpotent map does not preserve the form"),
         # preserves the form, as diag(1, -1) lies in sp_2, but is semisimple
-        "semisimple": (NilpotentModel(-1, ((0, 1), (-1, 0)), ((1, 0), (0, -1))),
+        "semisimple": (lambda: NilpotentModel(-1, ((0, 1), (-1, 0)), ((1, 0), (0, -1))),
                        "nilpotent map is not nilpotent"),
     }
 
@@ -341,14 +419,15 @@ class TestCentralizerSystem:
     @pytest.mark.parametrize("kind", ["singular", "symmetry", "outside-g", "not-square",
                                       "semisimple"])
     def test_bad_model_is_refused(self, kind, monkeypatch):
-        # explicit raises, not asserts: a bad model never yields a dimension
-        model, message = _bad_models()[kind]
+        # explicit raises, not asserts: a bad model is refused when it is built, so it never
+        # reaches centralizer_dim and never yields a dimension
+        build, message = _bad_models()[kind]
         with pytest.raises(ContractError, match=message):
-            centralizer_dim(model)
-        monkeypatch.setattr(matrix_oracle, "build_nilpotent_model", lambda lam, eps: model)
+            build()
+        monkeypatch.setattr(matrix_oracle, "build_nilpotent_model", lambda lam, eps: build())
         matrix_oracle._orbit_dim_cached.cache_clear()
         with pytest.raises(ContractError, match=message):
-            orbit_dim(Partition([1] * model.dim), model.eps)
+            orbit_dim(Partition([1, 1]), -1)  # any orbit: the patched builder makes the bad model
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_system_counts(self, eps):
@@ -367,11 +446,7 @@ class TestCentralizerSystem:
     @pytest.mark.parametrize("eps", [1, -1])
     def test_orbit_dim_closed_form_at_the_bound(self, eps, monkeypatch):
         monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
-        diagrams = [d.partition for d in enumerate_eps_diagrams(40, eps)]
-        sample = random.Random(f"orbit-dim-40:{eps}").sample(diagrams, 12)
-        sample += [lam for lam in (Partition([40]), Partition([39, 1]), Partition([1] * 40))
-                   if is_eps_diagram(lam, eps)]
-        for lam in sample:
+        for lam in bound_sample(eps):
             assert orbit_dim(lam, eps) == closed_form_orbit_dim(lam, eps), lam
 
 
@@ -460,21 +535,24 @@ class TestRestrictToImage:
         with pytest.raises(ContractError):
             restrict_to_image(build_nilpotent_model(Partition([1, 1]), -1))
 
-    @pytest.mark.parametrize("model,message", [
-        (_bent([3, 1], 1, "gram", (1, 0)), r"gram matrix is not eps=\+1 symmetric"),
-        (_bent([3, 1], 1, "gram", (2, 0)), "gram matrix is singular"),
-        (_bent([4, 2], -1, "nilpotent", (0, 4)), "nilpotent map does not preserve the form"),
+    @pytest.mark.parametrize("build,message", [
+        (lambda: _bent([3, 1], 1, "gram", (1, 0)), r"gram matrix is not eps=\+1 symmetric"),
+        (lambda: _bent([3, 1], 1, "gram", (2, 0)), "gram matrix is singular"),
+        (lambda: _bent([4, 2], -1, "nilpotent", (0, 4)),
+         "nilpotent map does not preserve the form"),
         # its image map would be ((0, 1), (1, 0)), not nilpotent, but D leaves so(J) first
-        (_bent([3, 1], 1, "nilpotent", (2, 1)), "nilpotent map does not preserve the form"),
+        (lambda: _bent([3, 1], 1, "nilpotent", (2, 1)),
+         "nilpotent map does not preserve the form"),
         # a map with too few rows or columns is refused before any entry is read
-        (NilpotentModel(1, ((1, 0), (0, 1)), ((0, 1),)), "nilpotent map does not preserve the form"),
-        (NilpotentModel(1, ((1, 0), (0, 1)), ((0,), (0,))),
+        (lambda: NilpotentModel(1, ((1, 0), (0, 1)), ((0, 1),)),
+         "nilpotent map does not preserve the form"),
+        (lambda: NilpotentModel(1, ((1, 0), (0, 1)), ((0,), (0,))),
          "nilpotent map does not preserve the form"),
     ], ids=["symmetry", "singular", "outside-g", "not-nilpotent", "short-map", "narrow-map"])
-    def test_bad_image_is_refused(self, model, message):
-        # the input is checked like any model before its image is built
+    def test_bad_image_is_refused(self, build, message):
+        # a bad input is refused when it is built, so restrict_to_image is never given one
         with pytest.raises(ContractError, match=message):
-            restrict_to_image(model)
+            build()
 
     @pytest.mark.parametrize("call,entry,message", [
         (0, (0, 0), "gram matrix is not eps=-1 symmetric"),
@@ -538,7 +616,7 @@ class TestRankAgainstReference:
         for n in range(0, 17):
             for d in enumerate_eps_diagrams(n, eps):
                 model = build_nilpotent_model(d.partition, eps)
-                assert mat_rank(model.J) == reference_rank(model.J) == n
+                assert mat_rank(model.gram) == reference_rank(model.gram) == n
                 power = model.D
                 while True:
                     assert mat_rank(power) == reference_rank(power), (d.partition, power)
@@ -565,3 +643,31 @@ class TestSolveInSpan:
         assert matrix_oracle._solve_in_span(basis, [target, {}]) == [
             [Fraction(2), Fraction(1, 2)], [Fraction(0), Fraction(0)]]
 
+
+
+class TestModelConstructor:
+    def test_refuses_exactly_what_the_dense_reference_refuses(self):
+        # every built model with N <= 6, both eps, and each +1 bend of one entry of its gram or
+        # nilpotent matrix: accepted exactly when the dense reference holds, else refused with
+        # the message of the first property that fails
+        accepted, refused = Counter(), Counter()
+        for eps, n in product((1, -1), range(0, 7)):
+            messages = [m.format(eps=eps) for m in MESSAGES]
+            for d in enumerate_eps_diagrams(n, eps):
+                fields = build_nilpotent_model(d.partition, eps)._asdict()
+                for field, (i, j) in product(("gram", "nilpotent"), product(range(n), repeat=2)):
+                    bent = [list(row) for row in fields[field]]
+                    bent[i][j] += 1
+                    args = {**fields, field: tuple(map(tuple, bent))}
+                    expected = reference_model_failure(**args)
+                    if expected is None:
+                        assert NilpotentModel(**args) == tuple(args.values())
+                        accepted[eps] += 1
+                    else:
+                        with pytest.raises(ContractError) as info:
+                            NilpotentModel(**args)
+                        assert str(info.value) == expected, (d.partition, field, i, j)
+                        refused[messages.index(expected)] += 1
+        # some bend keeps a model valid for each form type, and each property fails first on
+        # some bend (a single bend leaves D in g but not nilpotent only in sp, as in [2])
+        assert set(accepted) == {1, -1} and set(refused) == set(range(len(MESSAGES)))

@@ -16,9 +16,13 @@ from test_cli import pair_json
 
 BAD_PARITY = "[3,1] is not a valid diagram for eps=-1: odd part 3 has odd multiplicity"
 NOT_BELOW = "[6,1,1] is not a degeneration of [4,2,2]"
+SINGULAR = "gram matrix is singular"
+NOT_SYMPLECTIC = "gram matrix is not eps=-1 symmetric"
 
 ETA = EpsDiagram(Partition([4]), -1)
 PAIR = DegenPair(-1, Partition([4, 2, 2]), Partition([6, 1, 1]))
+MODEL = build_nilpotent_model(Partition([2, 2]), 1)  # its gram is symmetric, not eps=-1
+FLAT = ((0, 0), (0, 0))
 
 
 def _error(build):
@@ -55,6 +59,16 @@ class TestValidatedRecords:
     def test_degen_pair_rejects_a_non_dominating_pair(self, build):
         assert _error(build) == NOT_BELOW
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: NilpotentModel(1, ((1, 0), (0, 0)), FLAT), SINGULAR),
+        (lambda: NilpotentModel(eps=1, gram=((1, 0), (0, 0)), nilpotent=FLAT), SINGULAR),
+        (lambda: NilpotentModel._make((1, ((1, 0), (0, 0)), FLAT)), SINGULAR),
+        (lambda: MODEL._replace(gram=((0,) * 4,) * 4), SINGULAR),
+        (lambda: MODEL._replace(eps=-1), NOT_SYMPLECTIC),
+    ], ids=["new", "keywords", "make", "replace-gram", "replace-eps"])
+    def test_nilpotent_model_rejects_a_bad_form(self, build, message):
+        assert _error(build) == message
+
     def test_good_input_is_normalised(self):
         eta = EpsDiagram._make(([1, 1, 6], -1))
         assert type(eta.partition) is Partition and eta.partition == (6, 1, 1)
@@ -62,10 +76,14 @@ class TestValidatedRecords:
         pair = PAIR._replace(eps=1, bottom=[3, 1, 1], top=[5])
         assert type(pair.bottom) is Partition and pair_json(pair) == {
             "eps": 1, "top": [5], "bottom": [3, 1, 1]}
+        flat = MODEL._replace(nilpotent=((0,) * 4,) * 4)  # the zero map is in every g
+        assert flat == NilpotentModel(1, MODEL.gram, ((0,) * 4,) * 4) and flat.dim == 4
 
     def test_pickle_round_trip(self):
         assert pickle.loads(pickle.dumps(PAIR)) == PAIR
         assert type(pickle.loads(pickle.dumps(ETA))) is EpsDiagram
+        assert pickle.loads(pickle.dumps(MODEL)) == MODEL
+        assert type(pickle.loads(pickle.dumps(MODEL))) is NilpotentModel
 
 
 def _records():
