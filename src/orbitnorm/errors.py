@@ -18,7 +18,4 @@ class CapacityError(OrbitNormError):
 
 
 class NotMinimalIrreducible(OrbitNormError):
-    """An irreducible pair matched no family of the classification table.
-
-    Signals a non-minimal or malformed input, or an internal bug.
-    """
+    """An irreducible pair matched no row of the table; only classify_core raises it."""

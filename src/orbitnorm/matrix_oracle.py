@@ -271,33 +271,25 @@ def codim_oracle(pair: DegenPair) -> int:
 
 
 def _solve_in_span(basis: list[Row], targets: list[Row]) -> Matrix:
-    """Coordinates of each target in the span of the basis, one list per target."""
+    """Coordinates of each target in the span of the basis, one list per target: the basis
+    must be independent and each target in its span, which is not checked."""
     # tag u_j with variable -1-j; a reduced target keeps minus its coordinates there
     pivots = _eliminate([{**u, -1 - j: 1} for j, u in enumerate(basis)])[0]
-    if min(pivots, default=0) < 0:
-        raise ContractError("basis columns are dependent")
-    coords = []
-    for target in targets:
-        rest = _reduce(pivots, target)
-        if max(rest, default=-1) >= 0:
-            raise ContractError("target column outside the span")
-        coords.append([-rest.get(-1 - j, 0) for j in range(len(basis))])
-    return coords
+    rests = [_reduce(pivots, target) for target in targets]
+    return [[-rest.get(-1 - j, 0) for j in range(len(basis))] for rest in rests]
 
 
 def restrict_to_image(model: NilpotentModel) -> NilpotentModel:
     """Model induced on the image of the nilpotent map, with the form flipped.
 
-    The image carries the form beta(Dv, u) = (v, u); the map restricts to the
-    image, and its Jordan type loses its first column.  The input was checked when
-    it was made, and the result is checked as it is made, so a form that is not of
-    type -eps on the image, or a map that is not nilpotent there, is refused.
+    The image carries the form beta(Dv, u) = (v, u); the map restricts to the image, and
+    its Jordan type loses its first column.  A zero map gives the zero space and empty form.
+    The input was checked when it was made, and the result is checked as it is made, so a
+    form that is not of type -eps on the image, or a map that is not nilpotent there, is refused.
     """
-    # the columns of D that raise the rank give a basis u_j = D e_{c_j} of the image
+    # the columns of D that raise the rank: a basis u_j = D e_{c_j} of the image, and D u_j in it
     columns = _rows(zip(*model.nilpotent))
     pivot_cols = _eliminate(columns)[1]
-    if not pivot_cols:
-        raise ContractError("zero map has no image to restrict to")
     # beta(u_i, u_j) = e_{c_i}^T J D e_{c_j}
     JD = _mul(_rows(model.gram), _rows(model.nilpotent))
     gram = [[JD[ci].get(cj, 0) for cj in pivot_cols] for ci in pivot_cols]

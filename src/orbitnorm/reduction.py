@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .degeneration import DegenPair
-from .errors import ContractError, NotMinimalIrreducible
+from .errors import ContractError
 from .partitions import Partition
 
 __all__ = [
@@ -108,7 +108,8 @@ def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionR
     With no common row left the first parts differ; erasing common columns
     keeps the sizes equal, so they cannot both vanish, and they stay different.
     With no common column left the row counts differ, and erasing common rows
-    lowers both by as much.  Every erasure is recorded in order.
+    lowers both by as much.  So the core is irreducible, which nothing checks again.
+    Every erasure is recorded in order.
     """
     if not pair.is_strict:
         raise ContractError("cannot reduce an equal pair")
@@ -120,8 +121,6 @@ def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionR
             erased = current.top[:count] if rows else current.top.dual()[:count]
             steps.extend(("row" if rows else "col", value) for value in erased)
             current = erase(current, count, 0) if rows else erase(current, 0, count)
-    if not is_irreducible(current):
-        raise NotMinimalIrreducible(f"reduction of {pair} stopped at the reducible {current}")
     return ReductionResult(core=current, steps=tuple(steps))
 
 

@@ -13,7 +13,6 @@ from orbitnorm import cli, matrix_oracle, partitions
 from orbitnorm.cli import main
 from orbitnorm.classification import classify_core
 from orbitnorm.degeneration import DegenPair, dominates, hasse
-from orbitnorm.errors import NotMinimalIrreducible
 from orbitnorm.matrix_oracle import algebra_dim, build_nilpotent_model, centralizer_dim, codim_oracle
 from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
 from orbitnorm.partitions import enumerate_eps_diagrams
@@ -863,17 +862,6 @@ class TestOtherCommands:
         assert out == ""
         assert err == ("error: not a minimal degeneration:"
                        " no family matches ([1,1,1,1,1] <= [5], eps=+1)\n")
-
-    @pytest.mark.parametrize("command", ["reduce", "classify"])
-    def test_reduction_that_stops_short_is_an_internal_error(self, capsys, monkeypatch, command):
-        # a gap in the reduction, not the user's pair: exit 1, not the input error of exit 2
-        def stuck(pair):
-            raise NotMinimalIrreducible(f"reduction of {pair} stopped at the reducible {pair}")
-
-        monkeypatch.setattr(cli, "irreducible_core", stuck)
-        assert run(capsys, command, "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2") == (
-            1, "", "internal error: reduction of ([4,2,2] <= [6,1,1], eps=-1) stopped at the"
-                   " reducible ([4,2,2] <= [6,1,1], eps=-1)\n")
 
     def test_dim(self, capsys):
         code, out, _ = run(capsys, "dim", "--eps", "-1", "--partition", "1,1",

@@ -531,10 +531,6 @@ class TestRestrictToImage:
         assert restricted.eps == -1
         assert jordan_type(restricted.D) == (2,)
 
-    def test_zero_map_rejected(self):
-        with pytest.raises(ContractError):
-            restrict_to_image(build_nilpotent_model(Partition([1, 1]), -1))
-
     @pytest.mark.parametrize("build,message", [
         (lambda: _bent([3, 1], 1, "gram", (1, 0)), r"gram matrix is not eps=\+1 symmetric"),
         (lambda: _bent([3, 1], 1, "gram", (2, 0)), "gram matrix is singular"),
@@ -581,10 +577,9 @@ class TestRestrictToImage:
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_column_erasure_identity_small(self, eps):
+        # [1^k] too: its zero map restricts to the zero space, whose empty form is labelled -eps
         for n in range(1, 13):
             for d in enumerate_eps_diagrams(n, eps):
-                if set(d.partition) == {1}:
-                    continue
                 restricted = restrict_to_image(build_nilpotent_model(d.partition, eps))
                 assert restricted.eps == -eps
                 assert jordan_type(restricted.D) == d.partition.erase_first_column()
@@ -626,16 +621,41 @@ class TestRankAgainstReference:
                 assert jordan_type(model.D) == reference_jordan_type(model.D) == d.partition
 
 
-class TestSolveInSpan:
-    def test_dependent_basis(self):
-        basis = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
-        with pytest.raises(ContractError, match="basis columns are dependent"):
-            matrix_oracle._solve_in_span(basis, [{0: Fraction(1), 1: Fraction(2)}])
+def reference_solve_in_span(basis, targets):
+    """The former _solve_in_span, which refused a dependent basis and a target outside the span."""
+    # tag u_j with variable -1-j; a reduced target keeps minus its coordinates there
+    pivots = matrix_oracle._eliminate([{**u, -1 - j: 1} for j, u in enumerate(basis)])[0]
+    if min(pivots, default=0) < 0:
+        raise ContractError("basis columns are dependent")
+    coords = []
+    for target in targets:
+        rest = matrix_oracle._reduce(pivots, target)
+        if max(rest, default=-1) >= 0:
+            raise ContractError("target column outside the span")
+        coords.append([-rest.get(-1 - j, 0) for j in range(len(basis))])
+    return coords
 
-    def test_target_outside_span(self):
-        basis = [{0: Fraction(1), 1: Fraction(1)}]
-        with pytest.raises(ContractError, match="target column outside the span"):
-            matrix_oracle._solve_in_span(basis, [{0: Fraction(1)}])
+
+class TestSolveInSpan:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_restriction_meets_the_precondition(self, eps, monkeypatch):
+        # restrict_to_image passes independent columns of D and targets D u_j in their span:
+        # on every restriction the former refusing solver never refuses and agrees entry for entry
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        solve, calls = matrix_oracle._solve_in_span, []
+
+        def checked(basis, targets):
+            got = solve(basis, targets)
+            assert got == reference_solve_in_span(basis, targets), (basis, targets)
+            calls.append(len(basis))
+            return got
+
+        monkeypatch.setattr(matrix_oracle, "_solve_in_span", checked)
+        diagrams = [d.partition for n in range(0, 17) for d in enumerate_eps_diagrams(n, eps)]
+        for lam in diagrams + bound_sample(eps):
+            restricted = restrict_to_image(build_nilpotent_model(lam, eps))
+            assert calls.pop() == restricted.dim == lam.size - len(lam), lam
+        assert not calls
 
     def test_coordinates(self):
         basis = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}]

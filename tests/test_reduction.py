@@ -4,9 +4,8 @@ import re
 import pytest
 
 from orbitnorm.degeneration import DegenPair, dominates, minimal_degenerations
-from orbitnorm import reduction
 from orbitnorm.cli import main
-from orbitnorm.errors import ContractError, NotMinimalIrreducible
+from orbitnorm.errors import ContractError
 from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 from orbitnorm.reduction import (
     ReductionResult,
@@ -163,6 +162,7 @@ class TestReductionProperties:
             for p in all_strict_pairs(n, eps):
                 got = irreducible_core(p, columns_first=columns_first)
                 assert got == fixpoint_core(p, columns_first=columns_first), p
+                assert is_irreducible(got.core), p
 
     @pytest.mark.parametrize("steps, message", [
         ((("col", 1),), "column of height 1 too short for [1,1]"),
@@ -191,9 +191,3 @@ class TestReductionProperties:
                     core = irreducible_core(p).core
                     covers = minimal_degenerations(EpsDiagram(core.top, core.eps))
                     assert core in covers, (p, core)
-
-    def test_reducible_fixpoint_raises(self, monkeypatch):
-        # an explicit raise, not an assert, so the check survives python -O
-        monkeypatch.setattr(reduction, "is_irreducible", lambda p: False)
-        with pytest.raises(NotMinimalIrreducible, match="stopped at the reducible"):
-            irreducible_core(pair(-1, [4, 2, 2], [6, 1, 1]))
