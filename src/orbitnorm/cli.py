@@ -30,7 +30,7 @@ from .matrix_oracle import (
     restrict_to_image,
 )
 from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide, survey
-from .partitions import EpsDiagram, check_size, parse_partition
+from .partitions import EpsDiagram, parse_partition
 from .reduction import ReductionResult, irreducible_core
 
 EXIT_NORMAL = 0
@@ -41,6 +41,28 @@ EXIT_NOT_NORMAL = 10
 EXIT_UNDETERMINED = 11
 
 VERDICT_EXIT = {NORMAL: EXIT_NORMAL, NOT_NORMAL: EXIT_NOT_NORMAL, UNDETERMINED: EXIT_UNDETERMINED}
+
+DEFAULT_MAX_SIZE = 40  #: the size bound, unless --max-size or ORBIT_MAX_SIZE sets another
+
+
+def max_size() -> int:
+    """The size bound: the ORBIT_MAX_SIZE environment override, else the default."""
+    env = os.environ.get("ORBIT_MAX_SIZE")
+    try:
+        return DEFAULT_MAX_SIZE if env is None else int(env)
+    except ValueError:
+        raise PartitionParseError(f"ORBIT_MAX_SIZE is not an integer: {env!r}")
+
+
+def check_size(n: int, bound: int | None = None) -> None:
+    """ContractError if n or the bound (None: max_size()) is < 0, CapacityError if n exceeds it."""
+    if n < 0:
+        raise ContractError(f"n must be nonnegative, got {n}")
+    limit = max_size() if bound is None else bound
+    if limit < 0:
+        raise ContractError(f"the enumeration bound must be nonnegative, got {limit}")
+    if n > limit:
+        raise CapacityError(f"size {n} exceeds the enumeration bound {limit}")
 
 
 def _parse_eps(text: str) -> int:
@@ -142,8 +164,14 @@ def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | 
 
 def _cache_append(path: str, record: str) -> None:
     try:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(record + "\n")
+        with open(path, "ab") as handle:
+            try:  # the record starts a line of its own, also after a last line with no newline
+                with open(path, "rb") as tail:
+                    tail.seek(max(handle.tell() - 1, 0))  # to the last byte, if there is one
+                    lead = b"" if tail.read(1) in (b"", b"\n") else b"\n"
+            except OSError:  # a cache that cannot be read is appended to as it is
+                lead = b""
+            handle.write(lead + record.encode() + b"\n")
     except OSError as exc:
         raise ContractError(f"cannot write cache {path}: {exc.strerror or exc}")
 
@@ -197,7 +225,7 @@ def run_check(args) -> tuple[int, str]:
     check_size(eta.size, args.max_size)  # before the cache, so a hit honours the bound too
     if args.oracle:
         check_size(eta.size)  # the oracle's bound, which --max-size does not lift
-    verdict = decide(eta, args.max_size)  # always: the cache holds oracle codims, not verdicts
+    verdict = decide(eta)  # always: the cache holds oracle codims, not verdicts
     codims = _cache_lookup(args.cache, verdict, args.oracle) if args.cache else None
     if codims is None:
         codims = [codim_oracle(DegenPair(eta.eps, w.sigma, eta.partition)) if args.oracle
@@ -211,7 +239,8 @@ def run_check(args) -> tuple[int, str]:
 
 
 def run_survey(args) -> tuple[int, str]:
-    verdicts = survey(args.size, args.eps, args.max_size)
+    check_size(args.size, args.max_size)
+    verdicts = survey(args.size, args.eps)
     counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
     for v in verdicts:
         counts[v.verdict] += 1
@@ -244,7 +273,8 @@ def _hasse_json(graph: PosetGraph) -> str:
 
 
 def run_hasse(args) -> tuple[int, str]:
-    graph = hasse(args.size, args.eps, args.max_size)
+    check_size(args.size, args.max_size)
+    graph = hasse(args.size, args.eps)
     if args.format == "json":
         return EXIT_NORMAL, _hasse_json(graph)
     lines = ["digraph hasse {"]
@@ -301,7 +331,8 @@ def run_classify(args) -> tuple[int, str]:
 
 
 def run_dim(args) -> tuple[int, str]:
-    p = parse_partition(args.partition)
+    p = EpsDiagram(parse_partition(args.partition), args.eps).partition
+    check_size(p.size)  # the oracle's bound, once the diagram is known to be one
     model = build_nilpotent_model(p, args.eps)
     cent = centralizer_dim(model)
     total = algebra_dim(p.size, args.eps)
@@ -315,7 +346,8 @@ def run_dim(args) -> tuple[int, str]:
 
 
 def run_verify(args) -> tuple[int, str]:
-    p = parse_partition(args.partition)
+    p = EpsDiagram(parse_partition(args.partition), args.eps).partition
+    check_size(p.size)  # the oracle's bound, once the diagram is known to be one
     restricted = restrict_to_image(build_nilpotent_model(p, args.eps))
     got, expected = jordan_type(restricted.D), p.erase_first_column()
     ok = got == expected and restricted.eps == -args.eps

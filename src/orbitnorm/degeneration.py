@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from .errors import ContractError
-from .partitions import EpsDiagram, Partition, check_size, enumerate_eps_diagrams
+from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 from .table import TABLE, DegenType, table_types
 
 __all__ = [
@@ -109,7 +109,7 @@ def table_pair(t: DegenType) -> DegenPair:
     return DegenPair(family.eps, family.bottom(t.n), family.top(t.n))
 
 
-def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
+def covers(eta: EpsDiagram) -> tuple[Witness, ...]:
     """Every cover of eta = (lam, eps) with its core and type, sigma in descending order.
 
     Strip the first i rows of lam, then the first s columns of what is left.
@@ -131,7 +131,6 @@ def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
     (``table_types``); T is built, and compared with that row's top, only
     when there is one.
     """
-    check_size(eta.size, bound)
     lam, eps = eta
     types = table_types(lam.size)
     # (j, s, form type (-1)^s * eps) of each place where T can end
@@ -153,9 +152,9 @@ def covers(eta: EpsDiagram, bound: int | None = None) -> tuple[Witness, ...]:
     return tuple(found[sigma] for sigma in sorted(found, reverse=True))
 
 
-def minimal_degenerations(eta: EpsDiagram, bound: int | None = None) -> list[DegenPair]:
+def minimal_degenerations(eta: EpsDiagram) -> list[DegenPair]:
     """Covering relations below eta as pairs, in enumeration (descending) order."""
-    return [DegenPair(eta.eps, w.sigma, eta.partition) for w in covers(eta, bound)]
+    return [DegenPair(eta.eps, w.sigma, eta.partition) for w in covers(eta)]
 
 
 class PosetEdge(namedtuple("PosetEdge", "top bottom family codim")):
@@ -180,13 +179,9 @@ class PosetGraph(namedtuple("PosetGraph", "eps n nodes edges")):
     edges: list[PosetEdge]
 
 
-def hasse(n: int, eps: int, bound: int | None = None) -> PosetGraph:
+def hasse(n: int, eps: int) -> PosetGraph:
     """Cover graph on all eps-diagrams of n, each edge labelled by its core's table row."""
-    nodes = enumerate_eps_diagrams(n, eps, bound)
-    # enumeration checks n against the bound; every node has size n, so n bounds its own check
-    edges = [
-        PosetEdge(eta.partition, w.sigma, w.degen_type.family, w.degen_type.codim)
-        for eta in nodes
-        for w in covers(eta, n)
-    ]
+    nodes = enumerate_eps_diagrams(n, eps)
+    edges = [PosetEdge(eta.partition, w.sigma, w.degen_type.family, w.degen_type.codim)
+             for eta in nodes for w in covers(eta)]
     return PosetGraph(eps=eps, n=n, nodes=nodes, edges=edges)

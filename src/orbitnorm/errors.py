@@ -14,7 +14,7 @@ class ContractError(OrbitNormError, ValueError):
 
 
 class CapacityError(OrbitNormError):
-    """An enumeration or oracle size bound was exceeded."""
+    """A command's size exceeds its bound; only the command line has a bound and raises this."""
 
 
 class NotMinimalIrreducible(OrbitNormError):

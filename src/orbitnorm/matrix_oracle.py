@@ -9,8 +9,8 @@ written in the form's own coordinates: Y in g is S = J Y with S^T = -eps S,
 and Y commutes with D exactly when S D + D^T S = 0.  Matrices are sparse rows
 inside, with one elimination for all row reduction and one product for all
 products.  A model is checked once, when it is made, for J invertible,
-J^T = eps J, D^T J + J D = 0 and D nilpotent, and trusted after.  Models
-obey the enumeration bound (ORBIT_MAX_SIZE, else 40).
+J^T = eps J, D^T J + J D = 0 and D nilpotent, and trusted after.  Nothing
+here bounds the size of a model; the command line checks it first.
 The construction is block-wise: a part whose parity matches the form type gets
 a single Jordan block with an alternating-sign anti-diagonal Gram block; the
 remaining parts (which the diagram condition forces to come in even
@@ -32,7 +32,7 @@ from itertools import compress
 
 from .degeneration import DegenPair
 from .errors import ContractError
-from .partitions import EpsDiagram, Partition, check_size
+from .partitions import EpsDiagram, Partition
 
 __all__ = [
     "NilpotentModel",
@@ -179,7 +179,6 @@ def build_nilpotent_model(lam: Partition, eps: int) -> NilpotentModel:
     """Deterministic block-wise model with Jordan type lam."""
     lam = EpsDiagram(lam, eps).partition
     n = lam.size
-    check_size(n)
     J, D = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
     offset = 0
     pending: dict[int, int] = {}  # part size -> offset of an unpaired block

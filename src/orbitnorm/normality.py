@@ -36,16 +36,15 @@ class NormalityVerdict(namedtuple("NormalityVerdict", "eta witnesses")):
         return UNDETERMINED if "d" in families else NORMAL
 
 
-def decide(eta: EpsDiagram, bound: int | None = None) -> NormalityVerdict:
+def decide(eta: EpsDiagram) -> NormalityVerdict:
     """eta's verdict, from its minimal degenerations.
 
     The witnesses are the cover generator's records, which carry the core and
     type it found while it built each cover; nothing is reduced a second time.
     """
-    return NormalityVerdict(eta, covers(eta, bound))
+    return NormalityVerdict(eta, covers(eta))
 
 
-def survey(n: int, eps: int, bound: int | None = None) -> list[NormalityVerdict]:
+def survey(n: int, eps: int) -> list[NormalityVerdict]:
     """decide() over every eps-diagram of n, in enumeration order."""
-    # enumeration checks n against the bound; every diagram has size n, so n bounds its own check
-    return [decide(eta, n) for eta in enumerate_eps_diagrams(n, eps, bound)]
+    return [decide(eta) for eta in enumerate_eps_diagrams(n, eps)]

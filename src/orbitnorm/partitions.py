@@ -9,39 +9,15 @@ multiplicity.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .errors import CapacityError, ContractError, PartitionParseError
-
-#: Default cap for whole-poset enumeration; override per call or via ORBIT_MAX_SIZE.
-DEFAULT_MAX_SIZE = 40
+from .errors import ContractError, PartitionParseError
 
 ORTHOGONAL = 1
 SYMPLECTIC = -1
 VALID_EPS = (ORTHOGONAL, SYMPLECTIC)
-
-
-def max_size() -> int:
-    """Enumeration bound: the ORBIT_MAX_SIZE environment override, else the default."""
-    env = os.environ.get("ORBIT_MAX_SIZE")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise PartitionParseError(f"ORBIT_MAX_SIZE is not an integer: {env!r}")
-    return DEFAULT_MAX_SIZE
-
-
-def check_size(n: int, bound: int | None = None) -> None:
-    """Raise CapacityError if n exceeds bound (max_size() if None), ContractError if it is < 0."""
-    limit = max_size() if bound is None else bound
-    if limit < 0:
-        raise ContractError(f"the enumeration bound must be nonnegative, got {limit}")
-    if n > limit:
-        raise CapacityError(f"size {n} exceeds the enumeration bound {limit}")
 
 
 class Partition(tuple):
@@ -175,10 +151,9 @@ def _diagrams_desc(n: int, cap: int, eps: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_eps_diagrams(n: int, eps: int, bound: int | None = None) -> list[EpsDiagram]:
-    """Valid eps-diagrams of n, reverse-lexicographic; capacity-bounded."""
+def enumerate_eps_diagrams(n: int, eps: int) -> list[EpsDiagram]:
+    """Valid eps-diagrams of n, reverse-lexicographic."""
     _check_eps(eps)
     if n < 0:
         raise ContractError(f"n must be nonnegative, got {n}")
-    check_size(n, bound)
     return [EpsDiagram(p, eps) for p in _diagrams_desc(n, n, eps)]

@@ -261,7 +261,7 @@ class TestTableAgainstReference:
         expected = set()
         for size in range(0, 41):
             for eps in (1, -1):
-                for d in enumerate_eps_diagrams(size, eps, 40):
+                for d in enumerate_eps_diagrams(size, eps):
                     top = tuple(d.partition)
                     if reference_table_row(eps, top) is not None:
                         expected.add((eps, len(top), top[0]))

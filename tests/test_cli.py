@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitnorm import cli, matrix_oracle, partitions
+from orbitnorm import cli, matrix_oracle
 from orbitnorm.cli import main
 from orbitnorm.classification import classify_core
 from orbitnorm.degeneration import DegenPair, dominates, hasse
@@ -211,6 +211,21 @@ class TestCache:
         code, out, err = run(capsys, *args)
         assert (code, out, err) == (0, fresh, "")
         assert len(cache.read_bytes().splitlines()) == 2  # a hit appends nothing
+
+    def test_record_after_an_unended_last_line_starts_a_line(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        first = ("check", "--eps", "1", "--partition", "3,1", "--cache", str(cache))
+        second = ("check", "--eps", "1", "--partition", "5,3", "--cache", str(cache))
+        fresh = run(capsys, *first), run(capsys, *second)
+        cache.write_bytes(cache.read_bytes().splitlines()[0])  # 3,1 alone, its newline cut
+        assert run(capsys, *second) == fresh[1]  # a miss, appended on a line of its own
+        lines = cache.read_bytes().split(b"\n")
+        assert len(lines) == 3 and lines[2] == b""
+        assert json.loads(lines[0])["partition"] == [3, 1]
+        assert json.loads(lines[1])["partition"] == [5, 3]
+        primed = cache.read_bytes()
+        assert (run(capsys, *first), run(capsys, *second)) == fresh  # both hit, with no warning
+        assert cache.read_bytes() == primed
 
     def test_garbled_line_for_this_orbit_still_warns(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -637,14 +652,24 @@ class TestMaxSize:
         assert code == 3
         assert "enumeration bound 4" in err
 
-    @pytest.mark.parametrize("command", ["survey", "hasse"])
-    def test_whole_size_commands_read_the_bound_once(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("argv,expected", [
+        (("survey", "--size", "10"), 1),
+        (("hasse", "--size", "10"), 1),
+        (("check", "--partition", "9,7,3,3,1,1"), 1),
+        (("check", "--partition", "9,7,3,3,1,1", "--oracle"), 2),
+        (("reduce", "--top", "7,2,2", "--bottom", "7,1,1,1,1"), 1),
+        (("classify", "--top", "7,2,2", "--bottom", "7,1,1,1,1"), 1),
+        (("dim", "--partition", "9,7,3,3,1,1"), 1),
+        (("verify", "--partition", "9,7,3,3,1,1"), 1),
+    ], ids=["survey", "hasse", "check", "check-oracle", "reduce", "classify", "dim", "verify"])
+    def test_whole_size_commands_read_the_bound_once(self, capsys, monkeypatch, argv, expected):
+        # each command checks its size once, up front; check --oracle also checks the oracle's
         reads = []
-        real = partitions.max_size
-        monkeypatch.setattr(partitions, "max_size", lambda: reads.append(1) or real())
-        code, _, _ = run(capsys, command, "--eps", "-1", "--size", "10")
-        assert code == 0
-        assert len(reads) == 1
+        real = cli.max_size
+        monkeypatch.setattr(cli, "max_size", lambda: reads.append(1) or real())
+        code, _, err = run(capsys, *argv, "--eps", "1")
+        assert (code, err) == (0, "")
+        assert len(reads) == expected
 
     def test_hasse_env_override(self, capsys, monkeypatch):
         code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "41")
@@ -672,6 +697,18 @@ class TestMaxSize:
         assert run(capsys, *argv, "--eps", "1") == (
             2, "", "error: the enumeration bound must be nonnegative, got -1\n")
 
+    @pytest.mark.parametrize("command", ["survey", "hasse"])
+    def test_negative_size_is_refused_before_the_bound(self, capsys, command):
+        assert run(capsys, command, "--eps", "1", "--size", "-1", "--max-size", "-5") == (
+            2, "", "error: n must be nonnegative, got -1\n")
+
+    @pytest.mark.parametrize("command", ["dim", "verify"])
+    def test_oracle_commands_refuse_a_non_diagram_before_the_bound(self, capsys, command):
+        # [43,2] is above the bound, but it is no diagram for eps +1 first
+        assert run(capsys, command, "--eps", "1", "--partition", "43,2") == (
+            2, "", "error: [43,2] is not a valid diagram for eps=+1:"
+                   " even part 2 has odd multiplicity\n")
+
 
 class TestOracleBound:
     """The oracle obeys the one enumeration bound, so it answers every orbit check answers."""
@@ -679,8 +716,7 @@ class TestOracleBound:
     @pytest.mark.parametrize("eps,parts", [
         ("1", "39,1"), ("1", "9,9,7,7,3,3,1,1"), ("-1", "40"), ("-1", "10,10,6,6,4,4"),
     ])
-    def test_oracle_commands_answer_at_40(self, capsys, monkeypatch, eps, parts):
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+    def test_oracle_commands_answer_at_40(self, capsys, eps, parts):
         orbit = ("--eps", eps, "--partition", parts)
         code, out, err = run(capsys, "check", *orbit, "--format", "json")
         oracle_code, oracle_out, oracle_err = run(capsys, "check", *orbit, "--format", "json",
@@ -702,9 +738,8 @@ class TestOracleBound:
         assert run(capsys, "dim", "--eps", "-1", "--partition", "22") == (
             3, "", "error: size 22 exceeds the enumeration bound 20\n")
 
-    def test_max_size_above_the_bound_does_not_lift_the_oracle(self, capsys, monkeypatch):
+    def test_max_size_above_the_bound_does_not_lift_the_oracle(self, capsys):
         # --max-size bounds check's enumeration only; the oracle keeps the enumeration bound
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
         orbit = ("check", "--eps", "1", "--partition", "43,1,1", "--max-size", "50")
         assert run(capsys, *orbit)[0] == 0
         assert run(capsys, *orbit, "--oracle") == (
@@ -714,7 +749,6 @@ class TestOracleBound:
     def test_oracle_refuses_before_the_cache_and_decide(self, capsys, monkeypatch, tmp_path,
                                                          parts):
         # [43,1,1] has a witness for the oracle to check and [1^45] has none; both refuse
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
         orbit = ("check", "--eps", "1", "--partition", parts, "--max-size", "50")
         cache = tmp_path / "cache.jsonl"
         assert run(capsys, *orbit, "--cache", str(cache))[0] == 0
@@ -742,7 +776,7 @@ def _program(argv, unbuffered=False, **kwargs):
     script = ("import atexit, os\natexit.register(os.write, 2, b'atexit ran\\n')\n"
               "from orbitnorm.cli import main\nmain()\nos.write(2, b'after main\\n')")
     # stdout buffered unless asked, as it is by default when it is not a terminal
-    env = {k: v for k, v in os.environ.items() if k not in ("ORBIT_MAX_SIZE", "PYTHONUNBUFFERED")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-c", script, *argv],
@@ -901,7 +935,6 @@ class TestOtherCommands:
     @pytest.mark.parametrize("command", ["reduce", "classify"])
     def test_pair_commands_obey_the_enumeration_bound(self, capsys, monkeypatch, command):
         pair = (command, "--eps", "1", "--top", "41", "--bottom", "39,1,1")
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
         assert run(capsys, *pair) == (3, "", "error: size 41 exceeds the enumeration bound 40\n")
         monkeypatch.setenv("ORBIT_MAX_SIZE", "41")
         code, out, err = run(capsys, *pair, "--format", "json")

@@ -7,7 +7,7 @@ import pytest
 from orbitnorm import cli
 from orbitnorm.classification import classify_minimal_degeneration
 from orbitnorm.degeneration import DegenPair, covers, dominates, hasse, minimal_degenerations
-from orbitnorm.errors import CapacityError, ContractError
+from orbitnorm.errors import ContractError
 from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 from test_cli import pair_json
 from test_partitions import partitions_of
@@ -174,11 +174,6 @@ class TestMinimalDegenerations:
     def test_matches_brute_force(self, n, eps):
         for eta in enumerate_eps_diagrams(n, eps):
             assert minimal_degenerations(eta) == brute_force_minimal_degenerations(eta), eta
-
-    def test_capacity_bound(self):
-        eta = EpsDiagram(Partition([2] * 30), -1)
-        with pytest.raises(CapacityError, match="size 60 exceeds the enumeration bound 20"):
-            minimal_degenerations(eta, 20)
 
     def test_large_orbit_covers(self):
         found = covers(EpsDiagram(Partition([13, 13, 7, 5, 1, 1]), 1))

@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from orbitnorm import matrix_oracle, partitions
-from orbitnorm.degeneration import DegenPair, covers, dominates
-from orbitnorm.errors import CapacityError, ContractError
+from orbitnorm.degeneration import DegenPair, covers, dominates, hasse, minimal_degenerations
+from orbitnorm.errors import ContractError
 from orbitnorm.matrix_oracle import (
     NilpotentModel,
     algebra_dim,
@@ -21,10 +21,10 @@ from orbitnorm.matrix_oracle import (
     orbit_dim,
     restrict_to_image,
 )
+from orbitnorm.normality import decide, survey
 from orbitnorm.partitions import (
     EpsDiagram,
     Partition,
-    check_size,
     enumerate_eps_diagrams,
     is_eps_diagram,
 )
@@ -174,7 +174,6 @@ def reference_build_nilpotent_model(lam, eps):
     """The block-wise builder that wrote D in each of its three branches: the former builder."""
     lam = EpsDiagram(lam, eps).partition
     n = lam.size
-    check_size(n)
     J, D = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
     offset = 0
     pending = {}  # part size -> offset of an unpaired block
@@ -244,24 +243,18 @@ class TestBuild:
                 build_nilpotent_model(Partition(lam), eps)
 
     @pytest.mark.parametrize("eps", [1, -1])
-    def test_same_matrices_as_the_reference_builder(self, eps, monkeypatch):
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+    def test_same_matrices_as_the_reference_builder(self, eps):
         diagrams = [d.partition for n in range(0, 17) for d in enumerate_eps_diagrams(n, eps)]
         for lam in diagrams + bound_sample(eps):
             model = build_nilpotent_model(lam, eps)
             assert (model.gram, model.nilpotent) == reference_build_nilpotent_model(lam, eps), lam
 
-    def test_capacity(self, monkeypatch):
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
-        with pytest.raises(CapacityError, match="size 41 exceeds the enumeration bound 40"):
-            build_nilpotent_model(Partition([41]), 1)
-
-    def test_bound_is_a_constant(self, monkeypatch):
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+    def test_bound_is_a_constant(self):
+        # the size bound is the command line's alone: no library function takes one
         for f in (build_nilpotent_model, orbit_dim, codim_oracle):
             assert "max_dim" not in inspect.signature(f).parameters
-        with pytest.raises(CapacityError, match="size 41 exceeds the enumeration bound 40"):
-            orbit_dim(Partition([41]), 1)
+        for f in (enumerate_eps_diagrams, covers, minimal_degenerations, decide, survey, hasse):
+            assert "bound" not in inspect.signature(f).parameters, f.__name__
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_all_invariants_small(self, eps):
@@ -444,8 +437,7 @@ class TestCentralizerSystem:
                         assert k < l or (k == l and eps == -1), (d.partition, var)
 
     @pytest.mark.parametrize("eps", [1, -1])
-    def test_orbit_dim_closed_form_at_the_bound(self, eps, monkeypatch):
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+    def test_orbit_dim_closed_form_at_the_bound(self, eps):
         for lam in bound_sample(eps):
             assert orbit_dim(lam, eps) == closed_form_orbit_dim(lam, eps), lam
 
@@ -641,7 +633,6 @@ class TestSolveInSpan:
     def test_restriction_meets_the_precondition(self, eps, monkeypatch):
         # restrict_to_image passes independent columns of D and targets D u_j in their span:
         # on every restriction the former refusing solver never refuses and agrees entry for entry
-        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
         solve, calls = matrix_oracle._solve_in_span, []
 
         def checked(basis, targets):

@@ -6,7 +6,7 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitnorm.errors import CapacityError, ContractError, PartitionParseError
+from orbitnorm.errors import ContractError, PartitionParseError
 from orbitnorm.partitions import (
     EpsDiagram,
     Partition,
@@ -226,14 +226,10 @@ class TestEnumerate:
     def test_orthogonal_two(self):
         assert [list(d.partition) for d in enumerate_eps_diagrams(2, 1)] == [[1, 1]]
 
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            enumerate_eps_diagrams(100, 1)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ORBIT_MAX_SIZE", "3")
-        with pytest.raises(CapacityError):
-            enumerate_eps_diagrams(4, -1)
+    def test_negative_size(self):
+        # the domain check stays the library's; only the size bound moved to the command line
+        with pytest.raises(ContractError, match=r"^n must be nonnegative, got -1$"):
+            enumerate_eps_diagrams(-1, 1)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_direct_generation_matches_filtered_partitions(self, eps):
@@ -245,8 +241,8 @@ class TestEnumerate:
             assert all(type(d) is EpsDiagram and type(d.partition) is Partition for d in got)
 
     def test_counts_at_the_default_bound(self):
-        assert len(enumerate_eps_diagrams(40, 1, 40)) == 5096
-        assert len(enumerate_eps_diagrams(40, -1, 40)) == 7336
+        assert len(enumerate_eps_diagrams(40, 1)) == 5096
+        assert len(enumerate_eps_diagrams(40, -1)) == 7336
 
     def test_subset_of_all_partitions(self):
         for n in range(0, 10):
