@@ -25,8 +25,8 @@ from .matrix_oracle import (
     algebra_dim,
     build_nilpotent_model,
     centralizer_dim,
-    codim_oracle,
     jordan_type,
+    orbit_dim,
     restrict_to_image,
 )
 from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide, survey
@@ -178,19 +178,21 @@ def _cache_append(path: str, record: str) -> None:
 
 # --- subcommand bodies -----------------------------------------------------
 
-def _verdict_text(verdict: NormalityVerdict, codims: list | None = None) -> str:
-    """The verdict and its witnesses, each with its oracle codim where codims has one."""
+def _verdict_text(verdict: NormalityVerdict, heads: dict, codims: list | None = None) -> str:
+    """The verdict and its witnesses, each with its oracle codim where codims has one; the
+    text from its core on is built once per type into heads, as _witness_json does."""
     eta = verdict.eta
     lines = [f"partition [{_partition_csv(eta.partition)}] eps {eta.eps:+d}: {verdict.verdict}"]
     for w, codim in zip(verdict.witnesses, codims or [None] * len(verdict.witnesses)):
-        core, t = w.core, w.degen_type
-        lines.append(
-            f"  witness [{_partition_csv(w.sigma)}]"
-            f" -> core ([{_partition_csv(core.bottom)}] <="
-            f" [{_partition_csv(core.top)}], eps {core.eps:+d})"
-            f" type {t.family} codim {t.codim}"
-            + ("" if codim is None else f" oracle_codim {codim}")
-        )
+        t = w.degen_type
+        tail = heads.get(t)
+        if tail is None:
+            core = w.core
+            tail = heads[t] = (f" -> core ([{_partition_csv(core.bottom)}] <="
+                               f" [{_partition_csv(core.top)}], eps {core.eps:+d})"
+                               f" type {t.family} codim {t.codim}")
+        oracle = "" if codim is None else f" oracle_codim {codim}"
+        lines.append(f"  witness [{_partition_csv(w.sigma)}]{tail}{oracle}")
     return "\n".join(lines)
 
 
@@ -228,13 +230,15 @@ def run_check(args) -> tuple[int, str]:
     verdict = decide(eta)  # always: the cache holds oracle codims, not verdicts
     codims = _cache_lookup(args.cache, verdict, args.oracle) if args.cache else None
     if codims is None:
-        codims = [codim_oracle(DegenPair(eta.eps, w.sigma, eta.partition)) if args.oracle
-                  else None for w in verdict.witnesses]
+        codims = [None] * len(verdict.witnesses)
+        if args.oracle and verdict.witnesses:  # eta's own dimension once, and only for a witness
+            top = orbit_dim(eta.partition, eta.eps)
+            codims = [top - orbit_dim(w.sigma, eta.eps) for w in verdict.witnesses]
         if args.cache:
             _cache_append(args.cache, _verdict_json(verdict, {}, codims))
     code = VERDICT_EXIT[verdict.verdict]
     if args.format == "text":
-        return code, _verdict_text(verdict, codims)
+        return code, _verdict_text(verdict, {}, codims)
     return code, _verdict_json(verdict, {}, codims)
 
 
@@ -256,7 +260,8 @@ def run_survey(args) -> tuple[int, str]:
             families = ",".join(w.degen_type.family for w in v.witnesses)
             lines.append(f"{_partition_csv(v.eta.partition)};{v.verdict};{families}")
         return EXIT_NORMAL, "\n".join(lines)
-    lines = [_verdict_text(v) for v in verdicts]
+    heads = {}
+    lines = [_verdict_text(v, heads) for v in verdicts]
     lines.append(
         f"summary: {counts[NORMAL]} Normal, {counts[NOT_NORMAL]} NotNormal,"
         f" {counts[UNDETERMINED]} Undetermined"

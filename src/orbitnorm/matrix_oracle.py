@@ -27,7 +27,6 @@ compare centralizer ranks over Q and over F_p for p in {3, 5, 7, 11}.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import compress
 
 from .degeneration import DegenPair
@@ -253,15 +252,10 @@ def centralizer_dim(model: NilpotentModel) -> int:
     return algebra_dim(model.dim, model.eps) - len(_eliminate(_centralizer_rows(model))[0])
 
 
-@lru_cache(maxsize=None)
-def _orbit_dim_cached(lam: tuple[int, ...], eps: int) -> int:
-    model = build_nilpotent_model(Partition(lam), eps)
-    return algebra_dim(model.dim, eps) - centralizer_dim(model)
-
-
 def orbit_dim(lam: Partition, eps: int) -> int:
     """Adjoint-orbit dimension of the nilpotent class labelled by lam."""
-    return _orbit_dim_cached(tuple(Partition(lam)), eps)
+    model = build_nilpotent_model(lam, eps)
+    return algebra_dim(model.dim, eps) - centralizer_dim(model)
 
 
 def codim_oracle(pair: DegenPair) -> int:

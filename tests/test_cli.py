@@ -376,10 +376,10 @@ class TestCache:
     def test_cache_under_a_regular_file_exit_2(self, capsys, tmp_path, monkeypatch):
         # stat fails with ENOTDIR, which is no missing file: the cache can never be
         # written, so the call is refused at the lookup, before the oracle runs
-        def no_oracle(pair):
+        def no_oracle(lam, eps):
             raise AssertionError("the oracle ran")
 
-        monkeypatch.setattr(cli, "codim_oracle", no_oracle)
+        monkeypatch.setattr(cli, "orbit_dim", no_oracle)
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache.jsonl"
         check = ("check", "--eps", "-1", "--partition", "6,1,1", "--oracle", "--cache", str(cache))
@@ -912,7 +912,6 @@ class TestOtherCommands:
 
         monkeypatch.setattr(matrix_oracle, "centralizer_dim", counted)
         monkeypatch.setattr(cli, "centralizer_dim", counted)
-        matrix_oracle._orbit_dim_cached.cache_clear()  # an earlier test may have filled it
         code, out, _ = run(capsys, "dim", "--eps", "+1", "--partition", "9,7,3,3,1,1",
                            "--format", "json")
         doc = json.loads(out)

@@ -378,7 +378,6 @@ class TestDimensions:
                 made.append(frame.f_code.co_name)
 
         diagrams = [d.partition for d in enumerate_eps_diagrams(20, eps)]
-        matrix_oracle._orbit_dim_cached.cache_clear()
         sys.setprofile(profile)
         try:
             dims = [orbit_dim(lam, eps) for lam in diagrams]
@@ -418,7 +417,6 @@ class TestCentralizerSystem:
         with pytest.raises(ContractError, match=message):
             build()
         monkeypatch.setattr(matrix_oracle, "build_nilpotent_model", lambda lam, eps: build())
-        matrix_oracle._orbit_dim_cached.cache_clear()
         with pytest.raises(ContractError, match=message):
             orbit_dim(Partition([1, 1]), -1)  # any orbit: the patched builder makes the bad model
 

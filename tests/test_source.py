@@ -204,7 +204,6 @@ def test_records_are_collections_namedtuples_with_their_annotations():
 #: needs a line here and one there.
 CACHED = {
     "degeneration.table_pair",
-    "matrix_oracle._orbit_dim_cached",
     "partitions._diagrams_desc",
     "table.table_types",
 }
