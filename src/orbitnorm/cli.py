@@ -60,9 +60,9 @@ def check_size(n: int, bound: int | None = None) -> None:
         raise ContractError(f"n must be nonnegative, got {n}")
     limit = max_size() if bound is None else bound
     if limit < 0:
-        raise ContractError(f"the enumeration bound must be nonnegative, got {limit}")
+        raise ContractError(f"the size bound must be nonnegative, got {limit}")
     if n > limit:
-        raise CapacityError(f"size {n} exceeds the enumeration bound {limit}")
+        raise CapacityError(f"size {n} exceeds the size bound {limit}")
 
 
 def _parse_eps(text: str) -> int:
@@ -191,8 +191,8 @@ def _verdict_text(verdict: NormalityVerdict, heads: dict, codims: list | None = 
             tail = heads[t] = (f" -> core ([{_partition_csv(core.bottom)}] <="
                                f" [{_partition_csv(core.top)}], eps {core.eps:+d})"
                                f" type {t.family} codim {t.codim}")
-        oracle = "" if codim is None else f" oracle_codim {codim}"
-        lines.append(f"  witness [{_partition_csv(w.sigma)}]{tail}{oracle}")
+        lines.append(f"  witness [{_partition_csv(w.sigma)}]{tail}"
+                     + ("" if codim is None else f" oracle_codim {codim}"))
     return "\n".join(lines)
 
 
@@ -230,10 +230,9 @@ def run_check(args) -> tuple[int, str]:
     verdict = decide(eta)  # always: the cache holds oracle codims, not verdicts
     codims = _cache_lookup(args.cache, verdict, args.oracle) if args.cache else None
     if codims is None:
-        codims = [None] * len(verdict.witnesses)
-        if args.oracle and verdict.witnesses:  # eta's own dimension once, and only for a witness
-            top = orbit_dim(eta.partition, eta.eps)
-            codims = [top - orbit_dim(w.sigma, eta.eps) for w in verdict.witnesses]
+        top = orbit_dim(eta.partition, eta.eps) if args.oracle and verdict.witnesses else None
+        codims = [None if top is None else top - orbit_dim(w.sigma, eta.eps)
+                  for w in verdict.witnesses]
         if args.cache:
             _cache_append(args.cache, _verdict_json(verdict, {}, codims))
     code = VERDICT_EXIT[verdict.verdict]
@@ -248,8 +247,8 @@ def run_survey(args) -> tuple[int, str]:
     counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
     for v in verdicts:
         counts[v.verdict] += 1
+    heads = {}  # one witness memo for the whole survey, in JSON or text
     if args.format == "json":
-        heads = {}
         results = ",".join([_verdict_json(v, heads) for v in verdicts])
         tally = ",".join(f'"{name}":{count}' for name, count in sorted(counts.items()))
         return EXIT_NORMAL, (f'{{"counts":{{{tally}}},"eps":{args.eps},"n":{args.size},'
@@ -260,7 +259,6 @@ def run_survey(args) -> tuple[int, str]:
             families = ",".join(w.degen_type.family for w in v.witnesses)
             lines.append(f"{_partition_csv(v.eta.partition)};{v.verdict};{families}")
         return EXIT_NORMAL, "\n".join(lines)
-    heads = {}
     lines = [_verdict_text(v, heads) for v in verdicts]
     lines.append(
         f"summary: {counts[NORMAL]} Normal, {counts[NOT_NORMAL]} NotNormal,"
@@ -295,7 +293,7 @@ def run_hasse(args) -> tuple[int, str]:
 
 
 def _pair(args) -> DegenPair:
-    """The --bottom <= --top pair, within the enumeration bound, checked before any reduction."""
+    """The --bottom <= --top pair, within the size bound, checked before any reduction."""
     pair = DegenPair(args.eps, parse_partition(args.bottom), parse_partition(args.top))
     check_size(pair.size)
     return pair
@@ -379,7 +377,7 @@ def _format(*choices: str, default: str = "text") -> _Option:
 
 
 _EPS = _Option("--eps", _parse_eps, required=True, help="+1 orthogonal, -1 symplectic")
-_MAX_SIZE = _Option("--max-size", int, help="override the enumeration bound")
+_MAX_SIZE = _Option("--max-size", int, help="override the size bound")
 _PARTITION = _Option("--partition", str, required=True)
 _SIZE = _Option("--size", int, required=True)
 _PAIR = (_Option("--top", str, required=True), _Option("--bottom", str, required=True))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
+from operator import index
 
 from .errors import ContractError, PartitionParseError
 
@@ -30,7 +31,12 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is cls:
             return parts
-        norm = sorted(map(int, parts), reverse=True)
+        parts = list(parts)  # kept, so a part that is no integer can be named
+        try:  # index, unlike int, refuses a float or a str rather than truncate or parse it
+            norm = sorted(map(index, parts), reverse=True)
+        except TypeError:
+            bad = next(p for p in parts if not hasattr(type(p), "__index__"))
+            raise ContractError(f"partition parts must be integers, got {bad!r}") from None
         # sorted descending, the smallest part decides; name the largest bad one
         if norm and norm[-1] <= 0:
             bad = next(p for p in norm if p <= 0)

@@ -46,7 +46,7 @@ from orbitnorm import cli
 
 #: The line this corpus prints for the current command-line output, under CPython 3.11:
 #: argparse's help text, which the corpus hashes, differs between Python minor versions.
-EXPECTED = "8325 38a72be039efbb53e8f62f3e91ada86a927563580f9d59872d056652378fdc3d"
+EXPECTED = "8325 e74892363ab558a9c7457ef1b0cd9811bd8c6ce2bd9e3121b655611621c920f6"
 EPS = ("1", "-1")
 SMALL = 10
 LARGE = 40

@@ -264,7 +264,7 @@ class TestCache:
             [int(x) for x in cached.split(",")], [int(x) for x in asked.split(",")]]
 
     @pytest.mark.parametrize("bound,env,code,message", [
-        ("5", None, 3, "error: size 11 exceeds the enumeration bound 5"),
+        ("5", None, 3, "error: size 11 exceeds the size bound 5"),
         (None, "abc", 2, "error: ORBIT_MAX_SIZE is not an integer: 'abc'"),
     ], ids=["max-size", "bad-env"])
     def test_hit_honours_the_bound(self, capsys, tmp_path, monkeypatch, bound, env, code, message):
@@ -606,6 +606,44 @@ class TestTextOutput:
         assert run(capsys, *argv) == (0, text + "\n", "")
         assert run(capsys, *argv, "--format", "text") == (0, text + "\n", "")
 
+    @staticmethod
+    def verdict_text(doc):
+        lines = [f"partition [{csv(doc['partition'])}] eps {doc['eps']:+d}: {doc['verdict']}"]
+        for w in doc["witnesses"]:
+            core = w["core"]
+            oracle = f" oracle_codim {w['codim_oracle']}" if "codim_oracle" in w else ""
+            lines.append(f"  witness [{csv(w['sigma'])}] -> core ([{csv(core['bottom'])}] <="
+                         f" [{csv(core['top'])}], eps {core['eps']:+d})"
+                         f" type {w['family']} codim {w['codim']}{oracle}")
+        return "\n".join(lines)
+
+    @classmethod
+    def survey_text(cls, doc):
+        counts = doc["counts"]
+        return "\n".join([*map(cls.verdict_text, doc["results"]),
+                          f"summary: {counts[NORMAL]} Normal, {counts[NOT_NORMAL]} NotNormal,"
+                          f" {counts[UNDETERMINED]} Undetermined"])
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_survey_and_check_text_are_the_json_answer(self, capsys, eps):
+        # the text writer shares one witness memo per call (per survey), as the JSON writer does
+        def answer(*argv):
+            code, text, err = run(capsys, *argv, "--format", "text")
+            json_code, out, json_err = run(capsys, *argv, "--format", "json")
+            assert (code, err) == (json_code, json_err) == (code, "")
+            return text.removesuffix("\n"), json.loads(out)
+
+        for n in [*range(21), 40]:
+            text, doc = answer("survey", "--eps", str(eps), "--size", str(n))
+            assert text == self.survey_text(doc)
+        diagrams = [eta for n in range(21) for eta in enumerate_eps_diagrams(n, eps)]
+        at_40 = enumerate_eps_diagrams(40, eps)
+        for eta in [*diagrams, *random.Random(40).sample(at_40, 25)]:
+            orbit = ("check", "--eps", str(eps), "--partition", csv(eta.partition))
+            for oracle in ((), ("--oracle",)) if eta.size <= 8 else ((),):
+                text, doc = answer(*orbit, *oracle)
+                assert text == self.verdict_text(doc)
+
     @pytest.mark.parametrize("eps", [1, -1])
     def test_text_is_the_json_answer(self, capsys, eps):
         def answer(*argv):
@@ -650,7 +688,7 @@ class TestMaxSize:
     def test_honoured_by_whole_size_commands(self, capsys, command):
         code, _, err = run(capsys, command, "--eps", "-1", "--size", "6", "--max-size", "4")
         assert code == 3
-        assert "enumeration bound 4" in err
+        assert "size bound 4" in err
 
     @pytest.mark.parametrize("argv,expected", [
         (("survey", "--size", "10"), 1),
@@ -674,11 +712,11 @@ class TestMaxSize:
     def test_hasse_env_override(self, capsys, monkeypatch):
         code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "41")
         assert code == 3
-        assert "enumeration bound 40" in err
+        assert "size bound 40" in err
         monkeypatch.setenv("ORBIT_MAX_SIZE", "3")
         code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "4")
         assert code == 3
-        assert "enumeration bound 3" in err
+        assert "size bound 3" in err
         monkeypatch.setenv("ORBIT_MAX_SIZE", "4")
         code, out, _ = run(capsys, "hasse", "--eps", "-1", "--size", "4")
         assert code == 0
@@ -695,7 +733,7 @@ class TestMaxSize:
         if env is not None:
             monkeypatch.setenv("ORBIT_MAX_SIZE", env)
         assert run(capsys, *argv, "--eps", "1") == (
-            2, "", "error: the enumeration bound must be nonnegative, got -1\n")
+            2, "", "error: the size bound must be nonnegative, got -1\n")
 
     @pytest.mark.parametrize("command", ["survey", "hasse"])
     def test_negative_size_is_refused_before_the_bound(self, capsys, command):
@@ -711,7 +749,7 @@ class TestMaxSize:
 
 
 class TestOracleBound:
-    """The oracle obeys the one enumeration bound, so it answers every orbit check answers."""
+    """The oracle obeys the one size bound, so it answers every orbit check answers."""
 
     @pytest.mark.parametrize("eps,parts", [
         ("1", "39,1"), ("1", "9,9,7,7,3,3,1,1"), ("-1", "40"), ("-1", "10,10,6,6,4,4"),
@@ -736,14 +774,14 @@ class TestOracleBound:
     def test_env_bound_caps_the_oracle(self, capsys, monkeypatch):
         monkeypatch.setenv("ORBIT_MAX_SIZE", "20")
         assert run(capsys, "dim", "--eps", "-1", "--partition", "22") == (
-            3, "", "error: size 22 exceeds the enumeration bound 20\n")
+            3, "", "error: size 22 exceeds the size bound 20\n")
 
     def test_max_size_above_the_bound_does_not_lift_the_oracle(self, capsys):
-        # --max-size bounds check's enumeration only; the oracle keeps the enumeration bound
+        # --max-size bounds check's enumeration only; the oracle keeps the size bound
         orbit = ("check", "--eps", "1", "--partition", "43,1,1", "--max-size", "50")
         assert run(capsys, *orbit)[0] == 0
         assert run(capsys, *orbit, "--oracle") == (
-            3, "", "error: size 45 exceeds the enumeration bound 40\n")
+            3, "", "error: size 45 exceeds the size bound 40\n")
 
     @pytest.mark.parametrize("parts", ["43,1,1", ",".join(["1"] * 45)], ids=["43,1,1", "1^45"])
     def test_oracle_refuses_before_the_cache_and_decide(self, capsys, monkeypatch, tmp_path,
@@ -758,7 +796,7 @@ class TestOracleBound:
             raise AssertionError("decide ran")
 
         monkeypatch.setattr(cli, "decide", no_decide)
-        refusal = (3, "", "error: size 45 exceeds the enumeration bound 40\n")
+        refusal = (3, "", "error: size 45 exceeds the size bound 40\n")
         assert run(capsys, *orbit, "--oracle") == refusal
         # the plain record of [1^45] has no witness, so the cache would serve it to --oracle
         assert run(capsys, *orbit, "--oracle", "--cache", str(cache)) == refusal
@@ -919,6 +957,25 @@ class TestOtherCommands:
         assert doc["orbit_dim"] == doc["algebra_dim"] - doc["centralizer_dim"]
         assert doc["orbit_dim"] == matrix_oracle.orbit_dim([9, 7, 3, 3, 1, 1], 1)
 
+    @pytest.mark.parametrize("eps,parts,models", [
+        ("1", "9,7,3,3,1,1", 4), ("-1", "4,4,3,3", 2), ("1", "1,1,1", 0),
+    ])
+    def test_check_oracle_builds_one_model_per_orbit(self, capsys, monkeypatch, eps, parts,
+                                                     models):
+        # eta's model once and each witness's once; none when there is no witness to check
+        built = []
+        build = matrix_oracle.build_nilpotent_model
+
+        def counted(lam, eps):
+            built.append(lam)
+            return build(lam, eps)
+
+        monkeypatch.setattr(matrix_oracle, "build_nilpotent_model", counted)
+        code, out, err = run(capsys, "check", "--eps", eps, "--partition", parts,
+                             "--format", "json", "--oracle")
+        witnesses = json.loads(out)["witnesses"]
+        assert err == "" and len(built) == models == (1 + len(witnesses) if witnesses else 0)
+
     def test_verify_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--eps", "-1", "--partition", "6,1,1")
         assert code == 0
@@ -934,7 +991,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("command", ["reduce", "classify"])
     def test_pair_commands_obey_the_enumeration_bound(self, capsys, monkeypatch, command):
         pair = (command, "--eps", "1", "--top", "41", "--bottom", "39,1,1")
-        assert run(capsys, *pair) == (3, "", "error: size 41 exceeds the enumeration bound 40\n")
+        assert run(capsys, *pair) == (3, "", "error: size 41 exceeds the size bound 40\n")
         monkeypatch.setenv("ORBIT_MAX_SIZE", "41")
         code, out, err = run(capsys, *pair, "--format", "json")
         assert (code, err) == (0, "")

@@ -135,6 +135,10 @@ class TestDegenPair:
         with pytest.raises(ContractError):
             DegenPair(-1, Partition([3, 1]), Partition([4]))
 
+    def test_float_part_is_refused(self):
+        with pytest.raises(ContractError, match=r"^partition parts must be integers, got 1\.5$"):
+            DegenPair(-1, [4, 2, 1.5, 0.5], [6, 1, 1])
+
     def test_json(self):
         pair = DegenPair(-1, Partition([4, 2, 2]), Partition([6, 1, 1]))
         assert json.loads(cli._pair_json(pair)) == pair_json(pair) == {

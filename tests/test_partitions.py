@@ -111,6 +111,19 @@ class TestAgainstReference:
         assert str(Partition([1, 3, 1])) == "[3,1,1]"
         assert (repr(Partition()), str(Partition())) == ("Partition([])", "[]")
 
+    @pytest.mark.parametrize("parts,bad", [
+        ([2.5, 1.9], "2.5"), (["3", "1"], "'3'"), ((p for p in [3, 2.0]), "2.0"), ([2, 1.0], "1.0"),
+    ], ids=["float", "str", "generator", "integral-float"])
+    def test_non_integer_part_is_refused(self, parts, bad):
+        # int() would truncate 2.5 to 2 and parse "3"; a part must be an integer already
+        with pytest.raises(ContractError, match=rf"^partition parts must be integers, got {bad}$"):
+            Partition(parts)
+
+    def test_diagram_of_float_parts_is_refused(self):
+        # [2.7, 2.2] once truncated to the valid diagram [2,2]
+        with pytest.raises(ContractError, match=r"^partition parts must be integers, got 2\.7$"):
+            EpsDiagram([2.7, 2.2], -1)
+
     @pytest.mark.parametrize("bad", [[0], [-1], [-2, 0], [0, -5], [-1, -3]])
     def test_nonpositive_parts_same_error(self, bad):
         for p in SMALL[:60]:

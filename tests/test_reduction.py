@@ -97,6 +97,13 @@ class TestErase:
         with pytest.raises(ContractError):
             erase(p, 0, 2)
 
+    def test_bounds_are_the_common_counts(self):
+        # one past each bound would still erase to a valid pair: [1,1] <= [1,1] and [] <= []
+        with pytest.raises(ContractError, match=r"^cannot erase 2 common rows from "):
+            erase(pair(-1, [3, 3, 1, 1], [4, 2, 1, 1]), 2, 0)
+        with pytest.raises(ContractError, match=r"^cannot erase 2 common columns from "):
+            erase(pair(-1, [1, 1], [2]), 0, 2)
+
 
 class TestIrreducible:
     def test_examples(self):
