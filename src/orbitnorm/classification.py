@@ -43,7 +43,7 @@ def classify_core(pair: DegenPair) -> DegenType:
         raise ContractError(f"{pair} is not irreducible")
     t = table_types(pair.size).get((pair.eps, len(pair.top), pair.top[0]))
     if t is None or table_pair(t) != pair:
-        raise NotMinimalIrreducible(f"no family matches {pair}")
+        raise NotMinimalIrreducible(f"not a minimal degeneration: no family matches {pair}")
     return t
 
 

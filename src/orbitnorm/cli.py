@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, survey, hasse, reduce, classify, dim, verify.
-Exit codes: 0 Normal/success, 10 NotNormal, 11 Undetermined,
-2 input error, 3 capacity exceeded, 1 a failed verify or output that cannot be written.
+Exit codes: 0 Normal/success, 10 NotNormal, 11 Undetermined, 2 input error (a ContractError),
+3 capacity exceeded (a CapacityError), 1 a failed verify or output that cannot be written.
 All output is byte-deterministic for fixed inputs.  Every JSON output, and each cache
 record, is written here from fragments, as the text json.dumps gives with sorted keys
 and no spaces; the json module is imported only to parse a cache line.
@@ -18,9 +18,9 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 from . import __version__
-from .classification import classify_core
+from .classification import classify_minimal_degeneration
 from .degeneration import DegenPair, PosetGraph, Witness, hasse
-from .errors import CapacityError, ContractError, NotMinimalIrreducible, PartitionParseError
+from .errors import CapacityError, ContractError
 from .matrix_oracle import (
     algebra_dim,
     build_nilpotent_model,
@@ -51,7 +51,7 @@ def max_size() -> int:
     try:
         return DEFAULT_MAX_SIZE if env is None else int(env)
     except ValueError:
-        raise PartitionParseError(f"ORBIT_MAX_SIZE is not an integer: {env!r}")
+        raise ContractError(f"ORBIT_MAX_SIZE is not an integer: {env!r}")
 
 
 def check_size(n: int, bound: int | None = None) -> None:
@@ -70,7 +70,7 @@ def _parse_eps(text: str) -> int:
         return 1
     if text == "-1":
         return -1
-    raise PartitionParseError(f"eps must be +1 or -1, got {text!r}")
+    raise ContractError(f"eps must be +1 or -1, got {text!r}")
 
 
 def _dumps(obj) -> str:
@@ -229,16 +229,16 @@ def run_check(args) -> tuple[int, str]:
         check_size(eta.size)  # the oracle's bound, which --max-size does not lift
     verdict = decide(eta)  # always: the cache holds oracle codims, not verdicts
     codims = _cache_lookup(args.cache, verdict, args.oracle) if args.cache else None
+    code, record = VERDICT_EXIT[verdict.verdict], None
     if codims is None:
         top = orbit_dim(eta.partition, eta.eps) if args.oracle and verdict.witnesses else None
         codims = [None if top is None else top - orbit_dim(w.sigma, eta.eps)
                   for w in verdict.witnesses]
-        if args.cache:
-            _cache_append(args.cache, _verdict_json(verdict, {}, codims))
-    code = VERDICT_EXIT[verdict.verdict]
+        if args.cache:  # the record appended is check's JSON output, built once
+            _cache_append(args.cache, record := _verdict_json(verdict, {}, codims))
     if args.format == "text":
         return code, _verdict_text(verdict, {}, codims)
-    return code, _verdict_json(verdict, {}, codims)
+    return code, record or _verdict_json(verdict, {}, codims)
 
 
 def run_survey(args) -> tuple[int, str]:
@@ -318,11 +318,7 @@ def run_reduce(args) -> tuple[int, str]:
 
 
 def run_classify(args) -> tuple[int, str]:
-    reduction = irreducible_core(_pair(args))
-    try:
-        degen_type = classify_core(reduction.core)
-    except NotMinimalIrreducible as exc:  # the user's pair, not a gap in the table
-        raise ContractError(f"not a minimal degeneration: {exc}") from None
+    reduction, degen_type = classify_minimal_degeneration(_pair(args))
     if args.format == "json":
         return EXIT_NORMAL, (f'{{"reduction":{_reduction_json(reduction)},"type":{{"codim":'
                              f'{degen_type.codim},"family":"{degen_type.family}","n":'
@@ -495,7 +491,7 @@ def _run(argv: list[str]) -> tuple[int, str | None]:
                 return code, text if text and code == 0 else None
     try:
         return args.func(args)
-    except (PartitionParseError, ContractError) as exc:
+    except ContractError as exc:
         _stderr(f"error: {exc}")
         return EXIT_INPUT, None
     except CapacityError as exc:

@@ -129,7 +129,8 @@ def covers(eta: EpsDiagram) -> tuple[Witness, ...]:
     T is all of lam[i:].  Only those (i, j) are tried.  T's form type, row
     count and first part name the one table row it can be the top of
     (``table_types``); T is built, and compared with that row's top, only
-    when there is one.
+    when there is one.  No sigma is found twice: sigma fixes i (no table
+    pair has equal first parts), then s and j (bottoms are longer than tops).
     """
     lam, eps = eta
     types = table_types(lam.size)
@@ -137,7 +138,7 @@ def covers(eta: EpsDiagram) -> tuple[Witness, ...]:
     ends = [(j, lam[j], -eps if lam[j] % 2 else eps)
             for j in range(1, len(lam)) if lam[j] < lam[j - 1]]
     ends.append((len(lam), 0, eps))
-    found: dict[tuple[int, ...], Witness] = {}
+    found: list[Witness] = []
     for j, s, core_eps in ends:
         for i in range(j):
             t = types.get((core_eps, j - i, lam[i] - s))
@@ -148,8 +149,8 @@ def covers(eta: EpsDiagram) -> tuple[Witness, ...]:
                 continue
             extra = len(core.bottom) - (j - i) if s else 0
             sigma = lam[:i] + tuple([b + s for b in core.bottom]) + lam[j + extra:]
-            found[sigma] = Witness(Partition(sigma), t)
-    return tuple(found[sigma] for sigma in sorted(found, reverse=True))
+            found.append(Witness(Partition(sigma), t))
+    return tuple(sorted(found, reverse=True))
 
 
 def minimal_degenerations(eta: EpsDiagram) -> list[DegenPair]:

@@ -1,21 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""The package's exceptions, one per refusal exit code: ContractError 2, CapacityError 3."""
 
 
-class OrbitNormError(Exception):
-    """Base class for all package-specific errors."""
+class ContractError(ValueError):
+    """Input the package refuses: text that does not parse, or a broken precondition."""
 
 
-class PartitionParseError(OrbitNormError, ValueError):
-    """Raised when partition text cannot be parsed into positive parts."""
-
-
-class ContractError(OrbitNormError, ValueError):
-    """A precondition was violated by the caller."""
-
-
-class CapacityError(OrbitNormError):
-    """A command's size exceeds its bound; only the command line has a bound and raises this."""
-
-
-class NotMinimalIrreducible(OrbitNormError):
+class NotMinimalIrreducible(ContractError):
     """An irreducible pair matched no row of the table; only classify_core raises it."""
+
+
+class CapacityError(Exception):
+    """A command's size exceeds its bound; only the command line has a bound and raises this."""

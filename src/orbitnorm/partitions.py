@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 from operator import index
 
-from .errors import ContractError, PartitionParseError
+from .errors import ContractError
 
 ORTHOGONAL = 1
 SYMPLECTIC = -1
@@ -75,9 +75,9 @@ def parse_partition(text: str) -> Partition:
         try:
             value = int(tok)
         except ValueError:
-            raise PartitionParseError(f"not an integer part: {tok!r}")
+            raise ContractError(f"not an integer part: {tok!r}")
         if value <= 0:
-            raise PartitionParseError(f"parts must be positive, got {tok!r}")
+            raise ContractError(f"parts must be positive, got {tok!r}")
         parts.append(value)
     return Partition(parts)
 

@@ -46,8 +46,9 @@ class TestClassifyCore:
             classify_core(pair(-1, [2, 2, 1, 1], [4, 2]))
 
     def test_reducible_input_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"is not irreducible$") as info:
             classify_core(pair(1, [7, 1, 1, 1, 1], [7, 2, 2]))
+        assert not isinstance(info.value, NotMinimalIrreducible)
 
 
 class TestTieBreaks:

@@ -319,6 +319,46 @@ class TestCache:
         assert (code, out, err) == (0, fresh, "warning: ignoring over-long cache line\n")
         assert cache.read_bytes().endswith(b"\n" + record)  # a hit appends nothing
 
+    def test_over_long_line_with_a_short_tail_warns_once(self, capsys, tmp_path, monkeypatch):
+        # the last piece of the line is shorter than the limit, and is skipped, not parsed
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "-1", "--partition", "6,1,1", "--cache", str(cache))
+        _, fresh, _ = run(capsys, *args)
+        record = cache.read_bytes()
+        monkeypatch.setattr(cli, "_CACHE_LINE_LIMIT", len(record))
+        cache.write_bytes(b"x" * (3 * len(record) + 5) + b"\n" + record)
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (0, fresh, "warning: ignoring over-long cache line\n")
+        assert cache.read_bytes().endswith(b"\n" + record)
+
+    @pytest.mark.parametrize("fmt, miss, hit", [("json", 2, 2), ("text", 2, 1)])
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_check_builds_the_cache_record_once(self, capsys, tmp_path, monkeypatch, fmt, miss,
+                                                hit, oracle):
+        # the lookup builds the record to compare, and a miss builds the one it appends;
+        # with --format json that record is the output, so it is not built a third time
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "check", "--eps", "-1", "--partition", "4,2", "--cache", str(cache))
+        calls = []
+        verdict_json = cli._verdict_json
+
+        def counted(*args):
+            calls.append(args)
+            return verdict_json(*args)
+
+        monkeypatch.setattr(cli, "_verdict_json", counted)
+        args = ("check", "--eps", "-1", "--partition", "6,1,1", "--format", fmt,
+                "--cache", str(cache), *oracle)
+        code, out, err = run(capsys, *args)
+        record = cache.read_text().splitlines()[-1]
+        assert (code, err, len(calls)) == (0, "", miss)
+        assert record == verdict_json(*calls[-1])
+        if fmt == "json":
+            assert out == record + "\n"
+        calls.clear()
+        assert run(capsys, *args) == (code, out, err)
+        assert len(calls) == hit
+
     def test_over_long_record_is_a_miss(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache.jsonl"
         args = ("check", "--eps", "-1", "--partition", "6,1,1", "--cache", str(cache))
@@ -803,15 +843,15 @@ class TestOracleBound:
         assert cache.read_bytes() == primed
 
 
-def _program(argv, unbuffered=False, **kwargs):
+def _program(argv, unbuffered=False, handler="os.write, 2, b'atexit ran\\n'", **kwargs):
     """Run main() as the installed script runs it, in a fresh process; kwargs go to subprocess.run.
 
-    An atexit handler registered before main() writes to stderr, and so would
-    a statement after main(), which must never run.  sys.executable, not a
-    launcher script, runs it, so a file descriptor the test closes stays closed.
+    handler is registered with atexit before main(); the default writes to stderr,
+    and so would a statement after main(), which must never run.  sys.executable,
+    not a launcher script, runs it, so a file descriptor the test closes stays closed.
     """
     src = str(Path(cli.__file__).parent.parent)
-    script = ("import atexit, os\natexit.register(os.write, 2, b'atexit ran\\n')\n"
+    script = (f"import atexit, os\natexit.register({handler})\n"
               "from orbitnorm.cli import main\nmain()\nos.write(2, b'after main\\n')")
     # stdout buffered unless asked, as it is by default when it is not a terminal
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -840,6 +880,14 @@ class TestExitFreeze:
         err = proc.stderr.decode().removesuffix("atexit ran\n")
         monkeypatch.setenv("COLUMNS", "80")
         assert run(capsys, *argv) == (code, proc.stdout.decode(), err)
+
+    def test_program_entry_keeps_what_an_atexit_handler_prints(self, capsys):
+        # the handler's line waits in stdout's buffer, which os._exit would drop unflushed
+        argv = ("check", "--eps", "1", "--partition", "7,2,2")
+        proc = _program(argv, handler="print, 'atexit printed'", capture_output=True)
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            code, out + "atexit printed\n", err)
 
     def test_in_process_call_does_not_freeze(self, capsys):
         before = gc.get_freeze_count()

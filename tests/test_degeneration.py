@@ -92,6 +92,10 @@ class TestDominates:
         p = Partition([3, 2, 1])
         assert dominates(p, p)
 
+    def test_unsorted_lists_are_sorted_first(self):
+        # [1, 3] is [3, 1], which lies above [2, 2]; compared as given, 1 < 2 would refuse it
+        assert dominates([1, 3], [2, 2]) is True
+
     def test_size_mismatch(self):
         with pytest.raises(ContractError):
             dominates(Partition([3]), Partition([2]))
@@ -134,6 +138,12 @@ class TestDegenPair:
     def test_validates_diagrams(self):
         with pytest.raises(ContractError):
             DegenPair(-1, Partition([3, 1]), Partition([4]))
+
+    def test_validates_the_top_diagram(self):
+        # the bottom is a diagram and lies below the top, so only the top's parity refuses it
+        with pytest.raises(ContractError, match=r"^\[2,1,1\] is not a valid diagram for eps=\+1:"
+                                                r" even part 2 has odd multiplicity$"):
+            DegenPair(1, [1, 1, 1, 1], [2, 1, 1])
 
     def test_float_part_is_refused(self):
         with pytest.raises(ContractError, match=r"^partition parts must be integers, got 1\.5$"):

@@ -6,10 +6,11 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitnorm.errors import ContractError, PartitionParseError
+from orbitnorm.errors import ContractError
 from orbitnorm.partitions import (
     EpsDiagram,
     Partition,
+    _diagrams_desc,
     enumerate_eps_diagrams,
     eps_violation,
     is_eps_diagram,
@@ -51,9 +52,9 @@ def reference_parse_partition(text):
         try:
             value = int(tok)
         except ValueError:
-            raise PartitionParseError(f"not an integer part: {tok!r}")
+            raise ContractError(f"not an integer part: {tok!r}")
         if value <= 0:
-            raise PartitionParseError(f"parts must be positive, got {tok!r}")
+            raise ContractError(f"parts must be positive, got {tok!r}")
         parts.append(value)
     return Partition(parts)
 
@@ -161,11 +162,11 @@ class TestParse:
         assert parse_partition(" 4 2,2 ") == (4, 2, 2)
 
     def test_zero_part_rejected(self):
-        with pytest.raises(PartitionParseError, match="0"):
+        with pytest.raises(ContractError, match=r"^parts must be positive, got '0'$"):
             parse_partition("6,0,1")
 
     def test_non_integer_rejected(self):
-        with pytest.raises(PartitionParseError, match="x"):
+        with pytest.raises(ContractError, match=r"^not an integer part: 'x'$"):
             parse_partition("3,x")
 
     def test_empty_text_is_empty_partition(self):
@@ -179,7 +180,7 @@ class TestParse:
                 for parse in (parse_partition, reference_parse_partition):
                     try:
                         outcomes.append(parse(text))
-                    except PartitionParseError as exc:
+                    except ContractError as exc:
                         outcomes.append(str(exc))
                 assert outcomes[0] == outcomes[1], repr(c)
 
@@ -243,6 +244,13 @@ class TestEnumerate:
         # the domain check stays the library's; only the size bound moved to the command line
         with pytest.raises(ContractError, match=r"^n must be nonnegative, got -1$"):
             enumerate_eps_diagrams(-1, 1)
+
+    def test_bad_eps_is_refused_before_anything_is_memoized(self):
+        # enumerated first, eps 5 would leave 11 entries in the memo before EpsDiagram refused it
+        before = _diagrams_desc.cache_info().currsize
+        with pytest.raises(ContractError, match=r"^eps must be \+1 or -1, got 5$"):
+            enumerate_eps_diagrams(6, 5)
+        assert _diagrams_desc.cache_info().currsize == before
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_direct_generation_matches_filtered_partitions(self, eps):

@@ -243,3 +243,36 @@ def test_every_import_of_the_package_is_used_or_exported():
     for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
         offenders += _unused_imports(path)
     assert offenders == []
+
+
+#: The package's exceptions, each with its one base: ContractError is exit 2, CapacityError exit 3.
+EXCEPTIONS = {"ContractError": "ValueError", "NotMinimalIrreducible": "ContractError",
+              "CapacityError": "Exception"}
+
+
+def test_errors_defines_one_exception_per_refusal_exit_code():
+    path = Path(orbitnorm.__file__).parent / "errors.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    classes = {node.name: [ast.unparse(base) for base in node.bases]
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {name: [base] for name, base in EXCEPTIONS.items()}
+
+
+def _raised(node):
+    """The name each raise statement within node raises; None for a bare re-raise."""
+    return [None if r.exc is None else
+            ast.unparse(r.exc.func if isinstance(r.exc, ast.Call) else r.exc)
+            for r in ast.walk(node) if isinstance(r, ast.Raise)]
+
+
+def test_every_raise_names_a_package_exception_and_only_check_size_a_capacity_error():
+    # the command line catches ContractError and CapacityError alone, so no other can escape
+    raised, capacity = [], []
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        raised += _raised(tree)
+        capacity += [f"{path.stem}.{func.name}" for func in ast.walk(tree)
+                     if isinstance(func, ast.FunctionDef)
+                     and "CapacityError" in _raised(func)]
+    assert set(raised) <= set(EXCEPTIONS), sorted(set(raised) - set(EXCEPTIONS), key=str)
+    assert raised.count("CapacityError") == 1 and capacity == ["cli.check_size"]
