@@ -29,8 +29,8 @@ from .matrix_oracle import (
     orbit_dim,
     restrict_to_image,
 )
-from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide, survey
-from .partitions import EpsDiagram, parse_partition
+from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide
+from .partitions import EpsDiagram, enumerate_eps_diagrams, parse_partition, size_text
 from .reduction import ReductionResult, irreducible_core
 
 EXIT_NORMAL = 0
@@ -62,7 +62,7 @@ def check_size(n: int, bound: int | None = None) -> None:
     if limit < 0:
         raise ContractError(f"the size bound must be nonnegative, got {limit}")
     if n > limit:
-        raise CapacityError(f"size {n} exceeds the size bound {limit}")
+        raise CapacityError(f"size {size_text(n)} exceeds the size bound {limit}")
 
 
 def _parse_eps(text: str) -> int:
@@ -105,8 +105,10 @@ def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | 
     """Each witness's codim_oracle (None where it has none) from the first record for the
     verdict's orbit that is its JSON but for those; with oracle, from one that has them all.
 
-    A record is compared with the verdict as JSON text, which keeps true from 1 and 7.0
-    from 7; json is imported only to parse a line that may be this orbit's record.
+    A record is compared with the verdict as values, which stops at the verdict's depth,
+    so no record too deep to encode again gets further; then as JSON text, which keeps
+    true from 1 and 7.0 from 7.  json is imported only to parse a line that may be this
+    orbit's record.
     The cache must be a regular file or not exist yet: a FIFO would block the
     read and a device need not end, so either is an input error.
     """
@@ -140,7 +142,7 @@ def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | 
 
             try:
                 record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+            except (ValueError, RecursionError):  # also too many digits, or too deep
                 _stderr("warning: ignoring unparseable cache line")
                 continue
             if not isinstance(record, dict):
@@ -153,7 +155,7 @@ def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | 
                 witnesses = []  # the verdict's are a list of records, so the comparison fails
             typed = all(type(w.get("codim_oracle", 0)) is int for w in witnesses)
             codims = [w.pop("codim_oracle", None) for w in witnesses]
-            if not typed or _dumps(record) != fresh:
+            if not typed or record != json.loads(fresh) or _dumps(record) != fresh:
                 _stderr(f"warning: ignoring malformed cache record for [{_partition_csv(parts)}]")
                 continue
             if oracle and None in codims:
@@ -228,13 +230,13 @@ def run_check(args) -> tuple[int, str]:
     if args.oracle:
         check_size(eta.size)  # the oracle's bound, which --max-size does not lift
     verdict = decide(eta)  # always: the cache holds oracle codims, not verdicts
-    codims = _cache_lookup(args.cache, verdict, args.oracle) if args.cache else None
+    codims = None if args.cache is None else _cache_lookup(args.cache, verdict, args.oracle)
     code, record = VERDICT_EXIT[verdict.verdict], None
     if codims is None:
         top = orbit_dim(eta.partition, eta.eps) if args.oracle and verdict.witnesses else None
         codims = [None if top is None else top - orbit_dim(w.sigma, eta.eps)
                   for w in verdict.witnesses]
-        if args.cache:  # the record appended is check's JSON output, built once
+        if args.cache is not None:  # the record appended is check's JSON output, built once
             _cache_append(args.cache, record := _verdict_json(verdict, {}, codims))
     if args.format == "text":
         return code, _verdict_text(verdict, {}, codims)
@@ -243,7 +245,7 @@ def run_check(args) -> tuple[int, str]:
 
 def run_survey(args) -> tuple[int, str]:
     check_size(args.size, args.max_size)
-    verdicts = survey(args.size, args.eps)
+    verdicts = [decide(eta) for eta in enumerate_eps_diagrams(args.size, args.eps)]
     counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
     for v in verdicts:
         counts[v.verdict] += 1
@@ -280,16 +282,9 @@ def run_hasse(args) -> tuple[int, str]:
     graph = hasse(args.size, args.eps)
     if args.format == "json":
         return EXIT_NORMAL, _hasse_json(graph)
-    lines = ["digraph hasse {"]
-    for node in graph.nodes:
-        lines.append(f'  "{node.partition}";')
-    for edge in graph.edges:
-        lines.append(
-            f'  "{edge.top}" -> "{edge.bottom}"'
-            f' [label="{edge.family},{edge.codim}"];'
-        )
-    lines.append("}")
-    return EXIT_NORMAL, "\n".join(lines)
+    nodes = [f'  "{node.partition}";' for node in graph.nodes]
+    edges = [f'  "{e.top}" -> "{e.bottom}" [label="{e.family},{e.codim}"];' for e in graph.edges]
+    return EXIT_NORMAL, "\n".join(["digraph hasse {", *nodes, *edges, "}"])
 
 
 def _pair(args) -> DegenPair:

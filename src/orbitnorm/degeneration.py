@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from .errors import ContractError
-from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams
+from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams, size_text
 from .table import TABLE, DegenType, table_types
 
 __all__ = [
@@ -41,7 +41,7 @@ def dominates(top: Partition, bottom: Partition) -> bool:
     top, bottom = Partition(top), Partition(bottom)
     if top.size != bottom.size:
         raise ContractError(
-            f"dominance needs equal sizes, got {top.size} and {bottom.size}"
+            f"dominance needs equal sizes, got {size_text(top.size)} and {size_text(bottom.size)}"
         )
     # Past the shorter partition its prefix sum is the total.  If bottom ends
     # first, top's sum there falls short of the total, so the loop fails at

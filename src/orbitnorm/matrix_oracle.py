@@ -42,7 +42,6 @@ __all__ = [
     "orbit_dim",
     "codim_oracle",
     "restrict_to_image",
-    "mat_rank",
 ]
 
 Scalar = int  # else a fractions.Fraction, where not integral; naming it would import fractions
@@ -127,11 +126,6 @@ def _eliminate(rows: list[Row]) -> tuple[dict[int, Row], list[int]]:
             pivots[var] = {k: _quotient(v, coeff) for k, v in row.items()}
             raised.append(index)
     return pivots, raised
-
-
-def mat_rank(m: Matrix) -> int:
-    """Rank over the rationals by exact elimination."""
-    return len(_eliminate(_rows(m))[0])
 
 
 class NilpotentModel(namedtuple("NilpotentModel", "eps gram nilpotent")):

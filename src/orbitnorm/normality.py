@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .degeneration import Witness, covers
-from .partitions import EpsDiagram, enumerate_eps_diagrams
+from .partitions import EpsDiagram
 
-__all__ = ["NORMAL", "NOT_NORMAL", "UNDETERMINED", "NormalityVerdict", "decide", "survey"]
+__all__ = ["NORMAL", "NOT_NORMAL", "UNDETERMINED", "NormalityVerdict", "decide"]
 
 NORMAL = "Normal"
 NOT_NORMAL = "NotNormal"
@@ -43,8 +43,3 @@ def decide(eta: EpsDiagram) -> NormalityVerdict:
     type it found while it built each cover; nothing is reduced a second time.
     """
     return NormalityVerdict(eta, covers(eta))
-
-
-def survey(n: int, eps: int) -> list[NormalityVerdict]:
-    """decide() over every eps-diagram of n, in enumeration order."""
-    return [decide(eta) for eta in enumerate_eps_diagrams(n, eps)]

@@ -9,6 +9,7 @@ multiplicity.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
@@ -68,6 +69,12 @@ class Partition(tuple):
         return "[" + ",".join(str(p) for p in self) + "]"
 
 
+def size_text(n: int) -> str:
+    """n in decimal; ">=10^D" once n has more than the D digits that str() may print."""
+    digits = sys.get_int_max_str_digits()
+    return f">=10^{digits}" if digits and n >= 10 ** digits else str(n)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma- or space-separated positive integers; order irrelevant."""
     parts = []
@@ -105,11 +112,6 @@ def eps_violation(p: Partition, eps: int) -> str | None:
         else:
             return f"{'odd' if odd else 'even'} part {part} has odd multiplicity"
     return None
-
-
-def is_eps_diagram(p: Iterable[int], eps: int) -> bool:
-    """True iff p is the Jordan type of a nilpotent element for form type eps."""
-    return eps_violation(p, eps) is None
 
 
 class EpsDiagram(namedtuple("EpsDiagram", "partition eps")):

@@ -14,7 +14,7 @@ from orbitnorm.cli import main
 from orbitnorm.classification import classify_core
 from orbitnorm.degeneration import DegenPair, dominates, hasse
 from orbitnorm.matrix_oracle import algebra_dim, build_nilpotent_model, centralizer_dim, codim_oracle
-from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
+from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide
 from orbitnorm.partitions import enumerate_eps_diagrams
 from orbitnorm.reduction import irreducible_core
 
@@ -450,6 +450,51 @@ class TestCache:
         assert run(capsys, *args) == fresh
         assert cache.read_bytes() == primed  # a hit appends nothing
 
+    @pytest.mark.parametrize("own", [False, True], ids=["bare", "own-prefix"])
+    @pytest.mark.parametrize("body", [b"1" * 5000, b"[" * 100_000 + b"]" * 100_000],
+                             ids=["5000-digits", "100000-deep"])
+    def test_line_json_cannot_decode_warns_as_unparseable(self, capsys, tmp_path, own, body):
+        # an int past the digit limit raises ValueError, deep nesting RecursionError
+        args = ("check", "--eps", "1", "--partition", "3,1,1")
+        fresh = run(capsys, *args)
+        line = b'{"eps":1,"partition":[3,1,1],"verdict":' + body + b"}" if own else body
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(line + b"\n")
+        assert run(capsys, *args, "--cache", str(cache)) == (
+            fresh[0], fresh[1], "warning: ignoring unparseable cache line\n")
+        assert cache.read_bytes().splitlines()[1:] == [
+            run(capsys, *args, "--format", "json")[1].strip().encode()]  # the miss appended
+
+    def test_deepest_record_that_decodes_is_a_miss_not_a_crash(self, capsys, tmp_path):
+        # decoding and encoding again share the stack, so a record just shallow enough to
+        # decode must not reach an encoder that needs a frame more
+        args = ("check", "--eps", "1", "--partition", "3,1,1")
+        fresh = run(capsys, *args)
+        cache = tmp_path / "cache.jsonl"
+
+        def warning(depth):
+            nested = b"[" * depth + b"]" * depth
+            cache.write_bytes(b'{"eps":1,"partition":[3,1,1],"verdict":' + nested + b"}\n")
+            code, out, err = run(capsys, *args, "--cache", str(cache))
+            assert (code, out) == fresh[:2]
+            return err
+
+        malformed = "warning: ignoring malformed cache record for [3,1,1]\n"
+        decodes, fails = 1, 100_000
+        assert (warning(decodes), warning(fails)) == (
+            malformed, "warning: ignoring unparseable cache line\n")
+        while fails - decodes > 1:
+            mid = (decodes + fails) // 2
+            if warning(mid) == malformed:
+                decodes = mid
+            else:
+                fails = mid
+        assert warning(decodes) == malformed
+
+    def test_empty_cache_path_is_refused_not_ignored(self, capsys):
+        assert run(capsys, "check", "--eps", "1", "--partition", "3,1,1", "--cache", "") == (
+            2, "", "error: cannot write cache : No such file or directory\n")
+
     def test_hand_written_record_for_another_orbit_is_skipped_silently(self, capsys, tmp_path):
         # spaced, so it is parsed before its orbit is compared
         cache = tmp_path / "cache.jsonl"
@@ -486,6 +531,20 @@ class TestSurvey:
         _, second, _ = run(capsys, "survey", "--eps", "-1", "--size", "8", "--format", "json")
         assert first == second
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_enumerates_once_then_decides_each_diagram_once(self, capsys, monkeypatch, eps,
+                                                            fmt):
+        # the two stages of a survey, in the command itself, so each can be timed
+        enumerated, decided = [], []
+        real_enumerate, real_decide = cli.enumerate_eps_diagrams, cli.decide
+        monkeypatch.setattr(cli, "enumerate_eps_diagrams",
+                            lambda n, e: enumerated.append((n, e)) or real_enumerate(n, e))
+        monkeypatch.setattr(cli, "decide", lambda eta: decided.append(eta) or real_decide(eta))
+        code, _, err = run(capsys, "survey", "--eps", str(eps), "--size", "8", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert (enumerated, decided) == ([(8, eps)], enumerate_eps_diagrams(8, eps))
+
 
 class TestHasse:
     def test_sp2_dot(self, capsys):
@@ -514,7 +573,7 @@ class TestJsonFragments:
 
     @staticmethod
     def survey_reference(n, eps):
-        reports = [verdict_json(v) for v in survey(n, eps)]
+        reports = [verdict_json(decide(eta)) for eta in enumerate_eps_diagrams(n, eps)]
         counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
         for r in reports:
             counts[r["verdict"]] += 1
@@ -1046,6 +1105,30 @@ class TestOtherCommands:
         doc = json.loads(out)
         reduction = doc if command == "reduce" else doc["reduction"]
         assert reduction["core"] == {"eps": 1, "top": [41], "bottom": [39, 1, 1]}
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--partition", "{N},{N}"),
+        ("dim", "--partition", "{N},{N}"),
+        ("verify", "--partition", "{N},{N}"),
+        ("reduce", "--top", "{N},{N}", "--bottom", "{N},{N}"),
+        ("classify", "--top", "{N},{N}", "--bottom", "{N},{N}"),
+        ("reduce", "--top", "{N},{N}", "--bottom", "1"),
+        ("classify", "--top", "{N},{N}", "--bottom", "1"),
+    ], ids=["check", "dim", "verify", "reduce", "classify", "reduce-unequal",
+            "classify-unequal"])
+    def test_size_too_long_to_print_is_one_line(self, capsys, argv):
+        # each part of N,N parses, but their sum has one digit more than str() may print
+        digits = sys.get_int_max_str_digits()
+        if not digits:
+            pytest.skip("int to str conversion has no digit limit here")
+        argv = [arg.format(N="9" * digits) for arg in argv]
+        code, out, err = run(capsys, *argv, "--eps", "1")
+        if argv[-1] == "1":
+            assert (code, out, err) == (
+                2, "", f"error: dominance needs equal sizes, got >=10^{digits} and 1\n")
+        else:
+            assert (code, out, err) == (
+                3, "", f"error: size >=10^{digits} exceeds the size bound 40\n")
 
     @pytest.mark.parametrize("command", ["reduce", "classify"])
     def test_equal_pair_is_input_error(self, capsys, command):

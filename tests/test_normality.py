@@ -5,12 +5,17 @@ import pytest
 
 from orbitnorm import classification, reduction
 from orbitnorm.cli import main
-from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide, survey
-from orbitnorm.partitions import EpsDiagram, Partition
+from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide
+from orbitnorm.partitions import EpsDiagram, Partition, enumerate_eps_diagrams
 
 
 def verdict(parts, eps):
     return decide(EpsDiagram(Partition(parts), eps))
+
+
+def survey(n, eps):
+    """decide() over every eps-diagram of n, in enumeration order, as `survey` runs it."""
+    return [decide(eta) for eta in enumerate_eps_diagrams(n, eps)]
 
 
 class TestGoldenVerdicts:

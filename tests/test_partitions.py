@@ -13,9 +13,15 @@ from orbitnorm.partitions import (
     _diagrams_desc,
     enumerate_eps_diagrams,
     eps_violation,
-    is_eps_diagram,
     parse_partition,
+    size_text,
 )
+
+
+def is_eps_diagram(p, eps):
+    """Whether p is the Jordan type of a nilpotent element for form type eps."""
+    return eps_violation(p, eps) is None
+
 
 partitions = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(Partition)
 
@@ -285,3 +291,24 @@ class TestEraseFirstColumn:
                 for d in enumerate_eps_diagrams(n, eps):
                     erased = d.partition.erase_first_column()
                     assert is_eps_diagram(erased, -eps), d
+
+
+class TestSizeText:
+    def test_decimal_up_to_the_digit_limit(self):
+        digits = sys.get_int_max_str_digits()
+        if not digits:
+            pytest.skip("int to str conversion has no digit limit here")
+        assert size_text(0) == "0" and size_text(40) == "40"
+        assert size_text(10 ** digits - 1) == "9" * digits
+        assert size_text(10 ** digits) == size_text(3 * 10 ** digits) == f">=10^{digits}"
+
+    def test_follows_a_lowered_limit(self):
+        # the smallest limit CPython allows: a sum of two 640-digit parts has 641 digits
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            parts = parse_partition(",".join(["9" * 640] * 2))
+            assert size_text(parts.size) == ">=10^640"
+            assert size_text(parts[0]) == "9" * 640
+        finally:
+            sys.set_int_max_str_digits(previous)

@@ -276,3 +276,26 @@ def test_every_raise_names_a_package_exception_and_only_check_size_a_capacity_er
                      and "CapacityError" in _raised(func)]
     assert set(raised) <= set(EXCEPTIONS), sorted(set(raised) - set(EXCEPTIONS), key=str)
     assert raised.count("CapacityError") == 1 and capacity == ["cli.check_size"]
+
+
+def test_every_public_definition_is_used_by_the_package_or_the_acceptance_suite():
+    # code that only the tests need lives in the tests: each top-level function or class
+    # without a leading underscore is named in src/ outside its own definition, or
+    # tests/test_acceptance.py imports it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py"))}
+    acceptance = Path(__file__).parent / "test_acceptance.py"
+    imported = {alias.name for node in ast.walk(ast.parse(acceptance.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for stem, tree in trees.items():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name, inside = definition.name, {id(node) for node in ast.walk(definition)}
+            named = any(id(node) not in inside
+                        and name in (getattr(node, "id", None), getattr(node, "attr", None))
+                        for other in trees.values() for node in ast.walk(other))
+            if not (name.startswith("_") or named or name in imported):
+                unused.append(f"{stem}.{name}")
+    assert unused == []
