@@ -12,13 +12,6 @@ from .errors import ContractError, NotMinimalIrreducible
 from .reduction import ReductionResult, irreducible_core, is_irreducible
 from .table import TABLE, DegenType, table_types
 
-__all__ = [
-    "instantiate",
-    "classify_core",
-    "table_codim",
-    "classify_minimal_degeneration",
-]
-
 
 def table_codim(t: DegenType) -> int:
     return t.codim

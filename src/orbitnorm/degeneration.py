@@ -23,18 +23,6 @@ from .errors import ContractError
 from .partitions import EpsDiagram, Partition, enumerate_eps_diagrams, size_text
 from .table import TABLE, DegenType, table_types
 
-__all__ = [
-    "DegenPair",
-    "Witness",
-    "table_pair",
-    "PosetEdge",
-    "PosetGraph",
-    "dominates",
-    "covers",
-    "minimal_degenerations",
-    "hasse",
-]
-
 
 def dominates(top: Partition, bottom: Partition) -> bool:
     """Prefix-sum dominance at equal size: bottom lies below top."""

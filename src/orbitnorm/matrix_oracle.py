@@ -33,17 +33,6 @@ from .degeneration import DegenPair
 from .errors import ContractError
 from .partitions import EpsDiagram, Partition
 
-__all__ = [
-    "NilpotentModel",
-    "build_nilpotent_model",
-    "jordan_type",
-    "algebra_dim",
-    "centralizer_dim",
-    "orbit_dim",
-    "codim_oracle",
-    "restrict_to_image",
-]
-
 Scalar = int  # else a fractions.Fraction, where not integral; naming it would import fractions
 Matrix = list[list[Scalar]]
 Row = dict[int, Scalar]  # sparse row: variable -> coefficient

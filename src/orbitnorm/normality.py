@@ -14,8 +14,6 @@ from collections import namedtuple
 from .degeneration import Witness, covers
 from .partitions import EpsDiagram
 
-__all__ = ["NORMAL", "NOT_NORMAL", "UNDETERMINED", "NormalityVerdict", "decide"]
-
 NORMAL = "Normal"
 NOT_NORMAL = "NotNormal"
 UNDETERMINED = "Undetermined"

@@ -15,16 +15,6 @@ from .degeneration import DegenPair
 from .errors import ContractError
 from .partitions import Partition
 
-__all__ = [
-    "ReductionResult",
-    "common_leading_rows",
-    "common_leading_columns",
-    "erase",
-    "is_irreducible",
-    "irreducible_core",
-    "reconstruct",
-]
-
 # Erasure ledger events: ("row", length) or ("col", height), in erasure order.
 Step = tuple[str, int]
 
@@ -64,13 +54,14 @@ def erase(pair: DegenPair, r: int, s: int) -> DegenPair:
     """
     if not 0 <= r <= common_leading_rows(pair):
         raise ContractError(f"cannot erase {r} common rows from {pair}")
-    rows_gone = DegenPair(pair.eps, _drop_rows(pair.bottom, r), _drop_rows(pair.top, r))
-    if not 0 <= s <= common_leading_columns(rows_gone):
-        raise ContractError(f"cannot erase {s} common columns from {rows_gone}")
-    eps = pair.eps if s % 2 == 0 else -pair.eps
-    return DegenPair(
-        eps, _drop_columns(rows_gone.bottom, s), _drop_columns(rows_gone.top, s)
-    )
+    if r:
+        pair = DegenPair(pair.eps, _drop_rows(pair.bottom, r), _drop_rows(pair.top, r))
+    if not 0 <= s <= common_leading_columns(pair):
+        raise ContractError(f"cannot erase {s} common columns from {pair}")
+    if s:
+        eps = pair.eps if s % 2 == 0 else -pair.eps
+        pair = DegenPair(eps, _drop_columns(pair.bottom, s), _drop_columns(pair.top, s))
+    return pair
 
 
 def is_irreducible(pair: DegenPair) -> bool:
@@ -108,7 +99,7 @@ def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionR
     With no common row left the first parts differ; erasing common columns
     keeps the sizes equal, so they cannot both vanish, and they stay different.
     With no common column left the row counts differ, and erasing common rows
-    lowers both by as much.  So the core is irreducible, which nothing checks again.
+    lowers both by as much.  So the core is irreducible; classify_core checks it again.
     Every erasure is recorded in order.
     """
     if not pair.is_strict:

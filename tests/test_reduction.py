@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from orbitnorm import reduction
 from orbitnorm.degeneration import DegenPair, dominates, minimal_degenerations
 from orbitnorm.cli import main
 from orbitnorm.errors import ContractError
@@ -101,8 +102,14 @@ class TestErase:
         # one past each bound would still erase to a valid pair: [1,1] <= [1,1] and [] <= []
         with pytest.raises(ContractError, match=r"^cannot erase 2 common rows from "):
             erase(pair(-1, [3, 3, 1, 1], [4, 2, 1, 1]), 2, 0)
-        with pytest.raises(ContractError, match=r"^cannot erase 2 common columns from "):
+        message = "cannot erase 2 common columns from ([1,1] <= [2], eps=-1)"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             erase(pair(-1, [1, 1], [2]), 0, 2)
+
+    def test_a_column_refusal_prints_the_pair_left_after_the_rows(self):
+        message = "cannot erase 1 common columns from ([1,1] <= [2], eps=-1)"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            erase(pair(-1, [4, 1, 1], [4, 2]), 1, 1)
 
 
 class TestIrreducible:
@@ -138,6 +145,20 @@ class TestIrreducibleCore:
     def test_equal_pair_rejected(self):
         with pytest.raises(ContractError):
             irreducible_core(pair(-1, [2], [2]))
+
+    def test_builds_one_pair_per_non_empty_phase(self, monkeypatch):
+        # each erase builds only the pair it changes: the row-erased one, then the column-erased
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return DegenPair(*args)
+
+        monkeypatch.setattr(reduction, "DegenPair", counted)
+        result = irreducible_core(pair(-1, [6, 4, 2, 2], [6, 6, 1, 1]))
+        assert result.core == pair(1, [3, 1, 1], [5])
+        assert result.steps == (("row", 6), ("col", 3))
+        assert len(built) == 2
 
     def test_json_shape(self, capsys):
         assert main(["reduce", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2",

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -220,7 +221,7 @@ def test_only_the_listed_functions_are_memoized():
 
 
 def _unused_imports(path):
-    """Names a module imports but neither uses nor lists in __all__ (from __future__ aside)."""
+    """Names a module imports but does not use (from __future__ aside)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = {}
     for node in ast.walk(tree):
@@ -229,20 +230,39 @@ def _unused_imports(path):
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
-                                                for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    return [f"{path.name}:{line} {name}" for name, line in imported.items()
-            if name not in used and name not in exported]
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
-def test_every_import_of_the_package_is_used_or_exported():
+def test_every_import_of_the_package_is_used():
+    # nothing is exported by import alone: a name is public where it is defined
     offenders = []
     for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
         offenders += _unused_imports(path)
     assert offenders == []
+
+
+def _assigned_names(node):
+    """The names an assignment statement binds; none for any other statement."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
+def test_no_module_of_the_package_assigns_dunder_all():
+    # the leading underscore is the one statement of what is public
+    offenders = []
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if "__all__" in _assigned_names(node)]
+    assert offenders == []
+
+
+def test_the_package_version_is_the_one_in_pyproject():
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    assert re.findall(r'^version = "(.*)"$', text, re.MULTILINE) == [orbitnorm.__version__]
 
 
 #: The package's exceptions, each with its one base: ContractError is exit 2, CapacityError exit 3.
@@ -279,9 +299,9 @@ def test_every_raise_names_a_package_exception_and_only_check_size_a_capacity_er
 
 
 def test_every_public_definition_is_used_by_the_package_or_the_acceptance_suite():
-    # code that only the tests need lives in the tests: each top-level function or class
-    # without a leading underscore is named in src/ outside its own definition, or
-    # tests/test_acceptance.py imports it
+    # code that only the tests need lives in the tests: each top-level function, class or
+    # assigned name without a leading underscore is named in src/ outside its own
+    # definition, or tests/test_acceptance.py imports it
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py"))}
     acceptance = Path(__file__).parent / "test_acceptance.py"
@@ -290,12 +310,13 @@ def test_every_public_definition_is_used_by_the_package_or_the_acceptance_suite(
     unused = []
     for stem, tree in trees.items():
         for definition in tree.body:
-            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name, inside = definition.name, {id(node) for node in ast.walk(definition)}
-            named = any(id(node) not in inside
-                        and name in (getattr(node, "id", None), getattr(node, "attr", None))
-                        for other in trees.values() for node in ast.walk(other))
-            if not (name.startswith("_") or named or name in imported):
-                unused.append(f"{stem}.{name}")
+            names = ([definition.name] if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                     else _assigned_names(definition))
+            inside = {id(node) for node in ast.walk(definition)}
+            for name in names:
+                named = any(id(node) not in inside
+                            and name in (getattr(node, "id", None), getattr(node, "attr", None))
+                            for other in trees.values() for node in ast.walk(other))
+                if not (name.startswith("_") or named or name in imported):
+                    unused.append(f"{stem}.{name}")
     assert unused == []
