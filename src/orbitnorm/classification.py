@@ -5,8 +5,6 @@ one table row it can be (``table.table_types``, which also fixes the a/g
 tie-break), and the core must equal that row's pair.
 """
 
-from __future__ import annotations
-
 from .degeneration import DegenPair, table_pair
 from .errors import ContractError, NotMinimalIrreducible
 from .reduction import ReductionResult, irreducible_core, is_irreducible

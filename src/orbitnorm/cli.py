@@ -8,8 +8,6 @@ record, is written here from fragments, as the text json.dumps gives with sorted
 and no spaces; the json module is imported only to parse a cache line.
 """
 
-from __future__ import annotations
-
 import atexit
 import os
 import stat
@@ -404,7 +402,7 @@ def _print_version(args) -> tuple[int, str]:
     return EXIT_NORMAL, __version__
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
     """The argparse parser for the whole command line: its help, usage and error output."""
     import argparse  # a well-formed command line never gets here; see _parse
 

@@ -13,8 +13,6 @@ over the other diagrams of the same size, and gives each cover's table row
 on the way; the row determines the cover's core.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache

@@ -24,8 +24,6 @@ oracle can back combinatorics stated for characteristic p > 2; the tests
 compare centralizer ranks over Q and over F_p for p in {3, 5, 7, 11}.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import compress
 

@@ -7,8 +7,6 @@ Families a, b, c never obstruct (their closures are full nilpotent cones),
 and f, g, h exceed codimension 2, so only d and e enter the decision.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .degeneration import Witness, covers

@@ -7,8 +7,6 @@ even multiplicity, and for eps=-1 iff every odd part size occurs with even
 multiplicity.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from collections.abc import Iterable

@@ -7,8 +7,6 @@ which the classification table is matched.  The sign rule is
 eps' = (-1)^s * eps; the package README says why it carries the original eps.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .degeneration import DegenPair

@@ -10,8 +10,6 @@ index is filled in a..h order, so a claims the shape (2)/(1,1) that g also has
 at n=1; h starts at n=3, so the e shape at n=1 has no second reading.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache

@@ -108,8 +108,8 @@ def _fresh_modules(code):
     return lines, set(json.loads(modules))
 
 
-NOT_AT_IMPORT = {"argparse", "dataclasses", "decimal", "fractions", "inspect", "json", "numbers",
-                 "re", "typing"}
+NOT_AT_IMPORT = {"__future__", "argparse", "dataclasses", "decimal", "fractions", "inspect", "json",
+                 "numbers", "re", "typing"}
 
 
 def test_cli_import_leaves_out_what_no_command_needs():
@@ -180,8 +180,28 @@ def test_help_imports_argparse():
     assert "argparse" in loaded
 
 
+def test_no_module_of_the_package_imports_from_future():
+    # annotations are evaluated where they are written, so a dangling name fails at import
+    offenders = []
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "__future__"]
+    assert offenders == []
+
+
+def test_the_cli_imports_without_a_warning(tmp_path):
+    # every module compiles afresh, so a compile-time SyntaxWarning fails here as well
+    src = str(Path(orbitnorm.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", "-c", "import orbitnorm.cli"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "PYTHONPYCACHEPREFIX": str(tmp_path)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_records_are_collections_namedtuples_with_their_annotations():
-    # typing.NamedTuple compiles a ForwardRef per field at import; the records do without it
+    # typing.NamedTuple would import typing, which NOT_AT_IMPORT keeps out; the records avoid it
     records = []
     for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -197,6 +217,8 @@ def test_records_are_collections_namedtuples_with_their_annotations():
     for cls in records:
         assert tuple(cls.__annotations__) == cls._fields, cls.__name__
         assert tuple(typing.get_type_hints(cls)) == cls._fields, cls.__name__
+        # evaluated where written: no annotation is left as a string to resolve later
+        assert not [a for a in cls.__annotations__.values() if isinstance(a, str)], cls.__name__
 
 
 
@@ -221,12 +243,11 @@ def test_only_the_listed_functions_are_memoized():
 
 
 def _unused_imports(path):
-    """Names a module imports but does not use (from __future__ aside)."""
+    """Names a module imports but does not use."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
-                                            and node.module != "__future__"):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
