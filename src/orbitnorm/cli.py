@@ -201,7 +201,7 @@ def _pair_json(pair: DegenPair) -> str:
             f'"top":[{_partition_csv(pair.top)}]}}')
 
 
-def _witness_json(w: Witness, heads: dict, codim: int | None = None) -> str:
+def _witness_json(w: Witness, heads: dict, codim: int | None) -> str:
     """A witness, with codim_oracle where codim is given; the text from its core up to
     sigma is built once per type into heads."""
     t = w.degen_type
@@ -295,7 +295,7 @@ def _pair(args) -> DegenPair:
 def _reduction_json(reduction: ReductionResult) -> str:
     return (f'{{"core":{_pair_json(reduction.core)},'
             f'"erased_rows":[{_partition_csv(reduction.erased_rows)}],'
-            f'"r":{reduction.row_count},"s":{reduction.erased_columns}}}')
+            f'"r":{len(reduction.erased_rows)},"s":{reduction.erased_columns}}}')
 
 
 def run_reduce(args) -> tuple[int, str]:
@@ -305,7 +305,7 @@ def run_reduce(args) -> tuple[int, str]:
     core = reduction.core
     return EXIT_NORMAL, (
         f"core: [{_partition_csv(core.bottom)}] <= [{_partition_csv(core.top)}]"
-        f" eps' {core.eps:+d}; erased {reduction.row_count} rows"
+        f" eps' {core.eps:+d}; erased {len(reduction.erased_rows)} rows"
         f" [{_partition_csv(reduction.erased_rows)}], {reduction.erased_columns} columns"
     )
 
@@ -357,7 +357,7 @@ def run_verify(args) -> tuple[int, str]:
 _Option = namedtuple("_Option", "flag convert required help choices default",
                      defaults=(False, None, None, None))
 
-#: One subcommand.  Each takes --eps and then its options, in the order help lists them.
+#: One subcommand.  options is every option it takes, --eps first, in the order help lists them.
 _Command = namedtuple("_Command", "run help options")
 
 
@@ -374,28 +374,23 @@ _PAIR = (_Option("--top", str, required=True), _Option("--bottom", str, required
 #: The whole command line, in the order help lists it; both parsers derive from it.
 COMMANDS = {
     "check": _Command(run_check, "normality verdict for one orbit", (
-        _format("json", "text"), _MAX_SIZE, _PARTITION,
+        _EPS, _format("json", "text"), _MAX_SIZE, _PARTITION,
         _Option("--cache", str, help="append-only JSONL verdict cache"),
         _Option("--oracle", None, help="cross-check codims with the matrix oracle", default=False),
     )),
     "survey": _Command(run_survey, "verdicts for every diagram of a size",
-                       (_format("json", "csv", "text"), _MAX_SIZE, _SIZE)),
+                       (_EPS, _format("json", "csv", "text"), _MAX_SIZE, _SIZE)),
     "hasse": _Command(run_hasse, "annotated cover graph as DOT or JSON",
-                      (_format("dot", "json", default="dot"), _MAX_SIZE, _SIZE)),
+                      (_EPS, _format("dot", "json", default="dot"), _MAX_SIZE, _SIZE)),
     "reduce": _Command(run_reduce, "irreducible core of a degeneration pair",
-                       (_format("json", "text"), *_PAIR)),
+                       (_EPS, _format("json", "text"), *_PAIR)),
     "classify": _Command(run_classify, "reduce and classify a minimal degeneration",
-                         (_format("json", "text"), *_PAIR)),
+                         (_EPS, _format("json", "text"), *_PAIR)),
     "dim": _Command(run_dim, "orbit/centralizer dimensions from the matrix oracle",
-                    (_format("json", "text"), _PARTITION)),
+                    (_EPS, _format("json", "text"), _PARTITION)),
     "verify": _Command(run_verify, "check the column-erasure identity on one orbit",
-                       (_format("text"), _PARTITION)),
+                       (_EPS, _format("text"), _PARTITION)),
 }
-
-
-def _options(command: _Command) -> list[_Option]:
-    """Every option of a command, in the order help lists them."""
-    return [_EPS, *command.options]
 
 
 def _print_version(args) -> tuple[int, str]:
@@ -414,7 +409,7 @@ def _build_parser() -> "argparse.ArgumentParser":
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for opt in _options(command):
+        for opt in command.options:
             if opt.convert is None:
                 p.add_argument(opt.flag, action="store_true", help=opt.help)
             else:
@@ -439,7 +434,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    options = {opt.flag: opt for opt in _options(command)}
+    options = {opt.flag: opt for opt in command.options}
     found = {}
     rest = iter(argv[1:])
     for flag in rest:

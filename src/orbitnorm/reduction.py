@@ -37,31 +37,6 @@ def common_leading_columns(pair: DegenPair) -> int:
     return s
 
 
-def _drop_rows(p: Partition, r: int) -> Partition:
-    return Partition(p[r:])
-
-
-def _drop_columns(p: Partition, s: int) -> Partition:
-    return Partition(x - s for x in p if x > s)
-
-
-def erase(pair: DegenPair, r: int, s: int) -> DegenPair:
-    """Erase the first r common rows, then the first s common columns.
-
-    The form type flips once per erased column.
-    """
-    if not 0 <= r <= common_leading_rows(pair):
-        raise ContractError(f"cannot erase {r} common rows from {pair}")
-    if r:
-        pair = DegenPair(pair.eps, _drop_rows(pair.bottom, r), _drop_rows(pair.top, r))
-    if not 0 <= s <= common_leading_columns(pair):
-        raise ContractError(f"cannot erase {s} common columns from {pair}")
-    if s:
-        eps = pair.eps if s % 2 == 0 else -pair.eps
-        pair = DegenPair(eps, _drop_columns(pair.bottom, s), _drop_columns(pair.top, s))
-    return pair
-
-
 def is_irreducible(pair: DegenPair) -> bool:
     """No shared leading row and no shared leading column remain."""
     if not pair.is_strict:
@@ -80,10 +55,6 @@ class ReductionResult(namedtuple("ReductionResult", "core steps")):
     @property
     def erased_rows(self) -> tuple[int, ...]:
         return tuple(value for kind, value in self.steps if kind == "row")
-
-    @property
-    def row_count(self) -> int:
-        return len(self.erased_rows)
 
     @property
     def erased_columns(self) -> int:
@@ -106,10 +77,17 @@ def irreducible_core(pair: DegenPair, columns_first: bool = False) -> ReductionR
     steps: list[Step] = []
     for rows in (not columns_first, columns_first):
         count = common_leading_rows(current) if rows else common_leading_columns(current)
-        if count:  # an empty phase would only rebuild the pair
-            erased = current.top[:count] if rows else current.top.dual()[:count]
-            steps.extend(("row" if rows else "col", value) for value in erased)
-            current = erase(current, count, 0) if rows else erase(current, 0, count)
+        if not count:  # an empty phase would only rebuild the pair
+            continue
+        bottom, top = current.bottom, current.top
+        if rows:
+            steps.extend(("row", length) for length in top[:count])
+            current = DegenPair(current.eps, bottom[count:], top[count:])
+        else:  # the form type flips once per erased column
+            steps.extend(("col", height) for height in top.dual()[:count])
+            eps = current.eps if count % 2 == 0 else -current.eps
+            current = DegenPair(eps, [x - count for x in bottom if x > count],
+                                [x - count for x in top if x > count])
     return ReductionResult(core=current, steps=tuple(steps))
 
 

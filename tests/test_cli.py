@@ -78,7 +78,7 @@ def graph_json(graph):
 def reduction_json(result):
     return {
         "core": pair_json(result.core),
-        "r": result.row_count,
+        "r": len(result.erased_rows),
         "s": result.erased_columns,
         "erased_rows": list(result.erased_rows),
     }

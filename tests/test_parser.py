@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitnorm import cli
-from orbitnorm.cli import COMMANDS, _build_parser, _options, _parse, main
+from orbitnorm.cli import COMMANDS, _build_parser, _parse, main
 
 PARSER = _build_parser()
 
@@ -40,7 +40,7 @@ def _argparse(argv):
 def command_lines(draw):
     """argv drawn from the command table, then perhaps perturbed; and whether it is canonical."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
-    options = _options(COMMANDS[name])
+    options = COMMANDS[name].options
     canonical = True
     tokens = []
     for opt in draw(st.permutations(options)):

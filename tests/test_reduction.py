@@ -12,7 +12,6 @@ from orbitnorm.reduction import (
     ReductionResult,
     common_leading_columns,
     common_leading_rows,
-    erase,
     irreducible_core,
     is_irreducible,
     reconstruct,
@@ -24,7 +23,10 @@ def pair(eps, bottom, top):
 
 
 def fixpoint_core(pair, columns_first=False):
-    """Reference reduction: erase common rows and single columns until neither is left."""
+    """Reference reduction: erase common rows and single columns until neither is left.
+
+    It erases with its own slices and arithmetic, none of irreducible_core's.
+    """
     current = pair
     steps = []
 
@@ -34,7 +36,7 @@ def fixpoint_core(pair, columns_first=False):
         if r == 0:
             return False
         steps.extend(("row", length) for length in current.top[:r])
-        current = erase(current, r, 0)
+        current = DegenPair(current.eps, current.bottom[r:], current.top[r:])
         return True
 
     def take_columns():
@@ -42,7 +44,8 @@ def fixpoint_core(pair, columns_first=False):
         changed = False
         while common_leading_columns(current) > 0:
             steps.append(("col", current.top.dual()[0]))
-            current = erase(current, 0, 1)
+            current = DegenPair(-current.eps, [x - 1 for x in current.bottom if x > 1],
+                                [x - 1 for x in current.top if x > 1])
             changed = True
         return changed
 
@@ -78,40 +81,6 @@ class TestLeadingRowsColumns:
         assert common_leading_columns(p) == 4
 
 
-class TestErase:
-    def test_column_flips_type(self):
-        got = erase(pair(-1, [4, 2, 2], [6, 1, 1]), 0, 1)
-        assert got == pair(1, [3, 1, 1], [5])
-
-    def test_row_keeps_type(self):
-        got = erase(pair(1, [7, 1, 1, 1, 1], [7, 2, 2]), 1, 0)
-        assert got == pair(1, [1, 1, 1, 1], [2, 2])
-
-    def test_identity(self):
-        p = pair(-1, [4, 2, 2], [6, 1, 1])
-        assert erase(p, 0, 0) == p
-
-    def test_out_of_range(self):
-        p = pair(-1, [4, 2, 2], [6, 1, 1])
-        with pytest.raises(ContractError):
-            erase(p, 1, 0)
-        with pytest.raises(ContractError):
-            erase(p, 0, 2)
-
-    def test_bounds_are_the_common_counts(self):
-        # one past each bound would still erase to a valid pair: [1,1] <= [1,1] and [] <= []
-        with pytest.raises(ContractError, match=r"^cannot erase 2 common rows from "):
-            erase(pair(-1, [3, 3, 1, 1], [4, 2, 1, 1]), 2, 0)
-        message = "cannot erase 2 common columns from ([1,1] <= [2], eps=-1)"
-        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
-            erase(pair(-1, [1, 1], [2]), 0, 2)
-
-    def test_a_column_refusal_prints_the_pair_left_after_the_rows(self):
-        message = "cannot erase 1 common columns from ([1,1] <= [2], eps=-1)"
-        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
-            erase(pair(-1, [4, 1, 1], [4, 2]), 1, 1)
-
-
 class TestIrreducible:
     def test_examples(self):
         assert is_irreducible(pair(1, [1, 1, 1, 1], [2, 2]))
@@ -127,27 +96,28 @@ class TestIrreducibleCore:
     def test_row_reduction(self):
         result = irreducible_core(pair(-1, [4, 4, 2, 2, 2], [4, 4, 3, 3]))
         assert result.core == pair(-1, [2, 2, 2], [3, 3])
-        assert result.row_count == 2
+        assert len(result.erased_rows) == 2
         assert result.erased_columns == 0
 
     def test_column_reduction(self):
         result = irreducible_core(pair(-1, [4, 2, 2], [6, 1, 1]))
         assert result.core == pair(1, [3, 1, 1], [5])
-        assert result.row_count == 0
+        assert len(result.erased_rows) == 0
         assert result.erased_columns == 1
 
     def test_already_irreducible(self):
         p = pair(-1, [1, 1], [2])
         result = irreducible_core(p)
         assert result.core == p
-        assert result.row_count == 0 and result.erased_columns == 0
+        assert len(result.erased_rows) == 0 and result.erased_columns == 0
 
     def test_equal_pair_rejected(self):
         with pytest.raises(ContractError):
             irreducible_core(pair(-1, [2], [2]))
 
     def test_builds_one_pair_per_non_empty_phase(self, monkeypatch):
-        # each erase builds only the pair it changes: the row-erased one, then the column-erased
+        # irreducible_core builds one pair per non-empty phase: the row-erased one, then the
+        # column-erased one
         built = []
 
         def counted(*args):
