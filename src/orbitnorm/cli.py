@@ -13,11 +13,12 @@ import os
 import stat
 import sys
 from collections import namedtuple
+from functools import lru_cache
 from types import SimpleNamespace
 
 from . import __version__
 from .classification import classify_minimal_degeneration
-from .degeneration import DegenPair, PosetGraph, Witness, hasse
+from .degeneration import DegenPair, PosetGraph, Witness, hasse, table_pair
 from .errors import CapacityError, ContractError
 from .matrix_oracle import (
     algebra_dim,
@@ -30,6 +31,7 @@ from .matrix_oracle import (
 from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide
 from .partitions import EpsDiagram, enumerate_eps_diagrams, parse_partition, size_text
 from .reduction import ReductionResult, irreducible_core
+from .table import DegenType
 
 EXIT_NORMAL = 0
 EXIT_INTERNAL = 1
@@ -122,7 +124,7 @@ def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | 
         handle = open(path, "rb")
     except OSError:
         return None
-    eps, parts, fresh = verdict.eta.eps, list(verdict.eta.partition), _verdict_json(verdict, {})
+    eps, parts, fresh = verdict.eta.eps, list(verdict.eta.partition), _verdict_json(verdict)
     own = f'{{"eps":{eps},"partition":[{_partition_csv(parts)}],'.encode()
     with handle:
         while line := handle.readline(_CACHE_LINE_LIMIT):
@@ -178,20 +180,23 @@ def _cache_append(path: str, record: str) -> None:
 
 # --- subcommand bodies -----------------------------------------------------
 
-def _verdict_text(verdict: NormalityVerdict, heads: dict, codims: list | None = None) -> str:
-    """The verdict and its witnesses, each with its oracle codim where codims has one; the
-    text from its core on is built once per type into heads, as _witness_json does."""
+@lru_cache(maxsize=None)
+def _type_texts(t: DegenType) -> tuple[str, str]:
+    """What a witness's type fixes, built once per type from its table pair: the text
+    from its core on, and the JSON from its core up to its sigma."""
+    core = table_pair(t)
+    return ((f" -> core ([{_partition_csv(core.bottom)}] <= [{_partition_csv(core.top)}],"
+             f" eps {core.eps:+d}) type {t.family} codim {t.codim}"),
+            (f'"core":{_pair_json(core)},"family":"{t.family}",'
+             f'"n":{"null" if t.n is None else t.n},"sigma":['))
+
+
+def _verdict_text(verdict: NormalityVerdict, codims: list | None = None) -> str:
+    """The verdict and its witnesses, each with its oracle codim where codims has one."""
     eta = verdict.eta
     lines = [f"partition [{_partition_csv(eta.partition)}] eps {eta.eps:+d}: {verdict.verdict}"]
     for w, codim in zip(verdict.witnesses, codims or [None] * len(verdict.witnesses)):
-        t = w.degen_type
-        tail = heads.get(t)
-        if tail is None:
-            core = w.core
-            tail = heads[t] = (f" -> core ([{_partition_csv(core.bottom)}] <="
-                               f" [{_partition_csv(core.top)}], eps {core.eps:+d})"
-                               f" type {t.family} codim {t.codim}")
-        lines.append(f"  witness [{_partition_csv(w.sigma)}]{tail}"
+        lines.append(f"  witness [{_partition_csv(w.sigma)}]{_type_texts(w.degen_type)[0]}"
                      + ("" if codim is None else f" oracle_codim {codim}"))
     return "\n".join(lines)
 
@@ -201,22 +206,17 @@ def _pair_json(pair: DegenPair) -> str:
             f'"top":[{_partition_csv(pair.top)}]}}')
 
 
-def _witness_json(w: Witness, heads: dict, codim: int | None) -> str:
-    """A witness, with codim_oracle where codim is given; the text from its core up to
-    sigma is built once per type into heads."""
+def _witness_json(w: Witness, codim: int | None) -> str:
+    """A witness, with codim_oracle where codim is given."""
     t = w.degen_type
-    tail = heads.get(t)
-    if tail is None:
-        tail = heads[t] = (f'"core":{_pair_json(w.core)},"family":"{t.family}",'
-                           f'"n":{"null" if t.n is None else t.n},"sigma":[')
     oracle = "" if codim is None else f'"codim_oracle":{codim},'
-    return f'{{"codim":{t.codim},{oracle}{tail}{_partition_csv(w.sigma)}]}}'
+    return f'{{"codim":{t.codim},{oracle}{_type_texts(t)[1]}{_partition_csv(w.sigma)}]}}'
 
 
-def _verdict_json(verdict: NormalityVerdict, heads: dict, codims: list | None = None) -> str:
+def _verdict_json(verdict: NormalityVerdict, codims: list | None = None) -> str:
     """The verdict and its witnesses, each with its oracle codim where codims has one:
     check's JSON and its cache record."""
-    witnesses = ",".join([_witness_json(w, heads, codim) for w, codim in
+    witnesses = ",".join([_witness_json(w, codim) for w, codim in
                           zip(verdict.witnesses, codims or [None] * len(verdict.witnesses))])
     return (f'{{"eps":{verdict.eta.eps},"partition":[{_partition_csv(verdict.eta.partition)}],'
             f'"verdict":"{verdict.verdict}","witnesses":[{witnesses}]}}')
@@ -235,10 +235,10 @@ def run_check(args) -> tuple[int, str]:
         codims = [None if top is None else top - orbit_dim(w.sigma, eta.eps)
                   for w in verdict.witnesses]
         if args.cache is not None:  # the record appended is check's JSON output, built once
-            _cache_append(args.cache, record := _verdict_json(verdict, {}, codims))
+            _cache_append(args.cache, record := _verdict_json(verdict, codims))
     if args.format == "text":
-        return code, _verdict_text(verdict, {}, codims)
-    return code, record or _verdict_json(verdict, {}, codims)
+        return code, _verdict_text(verdict, codims)
+    return code, record or _verdict_json(verdict, codims)
 
 
 def run_survey(args) -> tuple[int, str]:
@@ -247,9 +247,8 @@ def run_survey(args) -> tuple[int, str]:
     counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
     for v in verdicts:
         counts[v.verdict] += 1
-    heads = {}  # one witness memo for the whole survey, in JSON or text
     if args.format == "json":
-        results = ",".join([_verdict_json(v, heads) for v in verdicts])
+        results = ",".join([_verdict_json(v) for v in verdicts])
         tally = ",".join(f'"{name}":{count}' for name, count in sorted(counts.items()))
         return EXIT_NORMAL, (f'{{"counts":{{{tally}}},"eps":{args.eps},"n":{args.size},'
                              f'"results":[{results}]}}')
@@ -259,7 +258,7 @@ def run_survey(args) -> tuple[int, str]:
             families = ",".join(w.degen_type.family for w in v.witnesses)
             lines.append(f"{_partition_csv(v.eta.partition)};{v.verdict};{families}")
         return EXIT_NORMAL, "\n".join(lines)
-    lines = [_verdict_text(v, heads) for v in verdicts]
+    lines = [_verdict_text(v) for v in verdicts]
     lines.append(
         f"summary: {counts[NORMAL]} Normal, {counts[NOT_NORMAL]} NotNormal,"
         f" {counts[UNDETERMINED]} Undetermined"

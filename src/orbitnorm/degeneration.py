@@ -83,10 +83,6 @@ class Witness(namedtuple("Witness", "sigma degen_type")):
     sigma: Partition
     degen_type: DegenType
 
-    @property
-    def core(self) -> DegenPair:
-        return table_pair(self.degen_type)
-
 
 @lru_cache(maxsize=None)
 def table_pair(t: DegenType) -> DegenPair:

@@ -12,7 +12,7 @@ import pytest
 from orbitnorm import cli, matrix_oracle
 from orbitnorm.cli import main
 from orbitnorm.classification import classify_core
-from orbitnorm.degeneration import DegenPair, dominates, hasse
+from orbitnorm.degeneration import DegenPair, dominates, hasse, table_pair
 from orbitnorm.matrix_oracle import algebra_dim, build_nilpotent_model, centralizer_dim, codim_oracle
 from orbitnorm.normality import NORMAL, NOT_NORMAL, UNDETERMINED, decide
 from orbitnorm.partitions import enumerate_eps_diagrams
@@ -40,7 +40,7 @@ def type_json(t):
 def witness_json(w):
     return {
         "sigma": list(w.sigma),
-        "core": pair_json(w.core),
+        "core": pair_json(table_pair(w.degen_type)),
         "family": w.degen_type.family,
         "n": w.degen_type.n,
         "codim": w.degen_type.codim,
@@ -544,6 +544,15 @@ class TestSurvey:
         code, _, err = run(capsys, "survey", "--eps", str(eps), "--size", "8", "--format", fmt)
         assert (code, err) == (0, "")
         assert (enumerated, decided) == ([(8, eps)], enumerate_eps_diagrams(8, eps))
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_the_text_a_witness_type_fixes_is_built_once_per_type(self, capsys, eps):
+        cli._type_texts.cache_clear()
+        code, out, _ = run(capsys, "survey", "--eps", str(eps), "--size", "40", "--format", "json")
+        witnesses = [w for result in json.loads(out)["results"] for w in result["witnesses"]]
+        types = {(w["family"], w["n"]) for w in witnesses}
+        info = cli._type_texts.cache_info()
+        assert (code, info.misses, info.hits) == (0, len(types), len(witnesses) - len(types))
 
 
 class TestHasse:

@@ -5,7 +5,15 @@ import pickle
 import pytest
 
 from orbitnorm.classification import instantiate
-from orbitnorm.degeneration import DegenPair, PosetEdge, PosetGraph, Witness, covers, hasse
+from orbitnorm.degeneration import (
+    DegenPair,
+    PosetEdge,
+    PosetGraph,
+    Witness,
+    covers,
+    hasse,
+    table_pair,
+)
 from orbitnorm.errors import ContractError
 from orbitnorm.matrix_oracle import NilpotentModel, build_nilpotent_model
 from orbitnorm.normality import NormalityVerdict, decide
@@ -148,4 +156,4 @@ class TestDerivedFields:
             for eta in enumerate_eps_diagrams(n, eps):
                 for w in covers(eta):
                     t = w.degen_type
-                    assert w.core == instantiate(t.family, t.n), (eta, w)
+                    assert table_pair(t) == instantiate(t.family, t.n), (eta, w)

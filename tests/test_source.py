@@ -226,6 +226,7 @@ def test_records_are_collections_namedtuples_with_their_annotations():
 #: within a single command (README, "Where validation happens"); a new cache
 #: needs a line here and one there.
 CACHED = {
+    "cli._type_texts",
     "degeneration.table_pair",
     "partitions._diagrams_desc",
     "table.table_types",
