@@ -5,7 +5,8 @@ Exit codes: 0 Normal/success, 10 NotNormal, 11 Undetermined, 2 input error (a Co
 3 capacity exceeded (a CapacityError), 1 a failed verify or output that cannot be written.
 All output is byte-deterministic for fixed inputs.  Every JSON output, and each cache
 record, is written here from fragments, as the text json.dumps gives with sorted keys
-and no spaces; the json module is imported only to parse a cache line.
+and no spaces.  A cache line is read back by comparing its bytes with the record the
+program would write, so the json module is imported nowhere.
 """
 
 import atexit
@@ -73,13 +74,6 @@ def _parse_eps(text: str) -> int:
     raise ContractError(f"eps must be +1 or -1, got {text!r}")
 
 
-def _dumps(obj) -> str:
-    """A parsed cache line in the text the program writes: compact, with sorted keys."""
-    import json  # on demand: every output is written from fragments; see _cache_lookup
-
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
-
-
 def _stderr(line: str) -> None:
     """Print one line on stderr; nothing when fd 2 was closed, so sys.stderr is None."""
     if sys.stderr is not None:
@@ -93,22 +87,41 @@ def _partition_csv(parts) -> str:
 
 # --- cache -----------------------------------------------------------------
 
-#: Keys are written sorted, so every record the program writes starts with one of these.
-_RECORD_PREFIXES = (b'{"eps":1,"partition":[', b'{"eps":-1,"partition":[')
-
-
 #: Longest cache line read whole; a record the program writes is a few kB at most.
 _CACHE_LINE_LIMIT = 1 << 20
 
+#: Most digits of a codim_oracle that is read: more than any codimension the oracle can
+#: reach, and far fewer than int() refuses.
+_CODIM_DIGITS = 20
+
+
+def _record_codims(line: bytes, fresh: bytes, witnesses: int) -> list | None:
+    """Each witness's codim_oracle, or None for each, when line is fresh with
+    `"codim_oracle":N,` before every witness's `"core":` or before none; else None.
+
+    N is canonical decimal: no sign, no leading zero, at most _CODIM_DIGITS digits.
+    """
+    first, *pieces = line.split(b'"codim_oracle":')
+    kept, codims = [first], []
+    for piece in pieces:
+        digits, core, rest = piece.partition(b',"core":')
+        if not (core and len(digits) <= _CODIM_DIGITS and digits.isdigit()
+                and digits == b"%d" % int(digits)):
+            return None
+        kept.append(core[1:] + rest)
+        codims.append(int(digits))
+    if b"".join(kept) != fresh or len(codims) not in (0, witnesses):
+        return None
+    return codims or [None] * witnesses
+
 
 def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | None:
-    """Each witness's codim_oracle (None where it has none) from the first record for the
-    verdict's orbit that is its JSON but for those; with oracle, from one that has them all.
+    """Each witness's codim_oracle (None where it has none) from the first line that is
+    the verdict's record as the program writes it, but for those; with oracle, from one
+    that has them all.
 
-    A record is compared with the verdict as values, which stops at the verdict's depth,
-    so no record too deep to encode again gets further; then as JSON text, which keeps
-    true from 1 and 7.0 from 7.  json is imported only to parse a line that may be this
-    orbit's record.
+    Only a line that starts as the orbit's record does is read further, and one of
+    those that is not such a record warns.
     The cache must be a regular file or not exist yet: a FIFO would block the
     read and a device need not end, so either is an input error.
     """
@@ -124,8 +137,8 @@ def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | 
         handle = open(path, "rb")
     except OSError:
         return None
-    eps, parts, fresh = verdict.eta.eps, list(verdict.eta.partition), _verdict_json(verdict)
-    own = f'{{"eps":{eps},"partition":[{_partition_csv(parts)}],'.encode()
+    fresh = _verdict_json(verdict).encode()
+    own = fresh[:fresh.index(b'"verdict":')]  # the orbit's eps and partition
     with handle:
         while line := handle.readline(_CACHE_LINE_LIMIT):
             if len(line) == _CACHE_LINE_LIMIT and not line.endswith(b"\n"):
@@ -133,34 +146,14 @@ def _cache_lookup(path: str, verdict: NormalityVerdict, oracle: bool) -> list | 
                 while line and not line.endswith(b"\n"):  # skip the rest, a bounded piece at a time
                     line = handle.readline(_CACHE_LINE_LIMIT)
                 continue
-            if line.startswith(_RECORD_PREFIXES) and not line.startswith(own):
-                continue  # a record the program wrote for another orbit: skip it unparsed
-            line = line.strip()
-            if not line:
-                continue
-            import json  # on demand, as in _dumps
-
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, RecursionError):  # also too many digits, or too deep
-                _stderr("warning: ignoring unparseable cache line")
-                continue
-            if not isinstance(record, dict):
-                _stderr("warning: ignoring cache line that is not a record")
-                continue
-            if record.get("eps") != eps or record.get("partition") != parts:
-                continue
-            witnesses = record.get("witnesses")
-            if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
-                witnesses = []  # the verdict's are a list of records, so the comparison fails
-            typed = all(type(w.get("codim_oracle", 0)) is int for w in witnesses)
-            codims = [w.pop("codim_oracle", None) for w in witnesses]
-            if not typed or record != json.loads(fresh) or _dumps(record) != fresh:
-                _stderr(f"warning: ignoring malformed cache record for [{_partition_csv(parts)}]")
-                continue
-            if oracle and None in codims:
-                continue
-            return codims
+            if not line.startswith(own):
+                continue  # another orbit's record, a blank or a garbled line: skipped unread
+            codims = _record_codims(line.removesuffix(b"\n"), fresh, len(verdict.witnesses))
+            if codims is None:
+                _stderr("warning: ignoring malformed cache record for"
+                        f" [{_partition_csv(verdict.eta.partition)}]")
+            elif not (oracle and None in codims):
+                return codims
     return None
 
 

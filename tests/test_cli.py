@@ -1,10 +1,13 @@
 import errno
 import gc
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,11 @@ def run(capsys, *argv):
 # --- reference encoder ------------------------------------------------------
 # The records as the dicts json.dumps writes, with sorted keys, as the command line's JSON.
 # The program writes that text from fragments; these are what it must equal.
+
+def dumps(obj):
+    """obj as the program writes JSON: compact, with sorted keys."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
 
 def pair_json(pair):
     return {"eps": pair.eps, "top": list(pair.top), "bottom": list(pair.bottom)}
@@ -134,13 +142,14 @@ class TestCache:
         assert len(open(cache).readlines()) == 1
 
     def test_corrupt_lines_ignored(self, capsys, tmp_path):
+        # a line that does not start as the orbit's record is skipped unread, without a warning
         cache = tmp_path / "cache.jsonl"
         cache.write_text("{not json}\n")
         code, out, err = run(capsys, "check", "--eps", "-1", "--partition", "6,1,1",
                              "--format", "json", "--cache", str(cache))
-        assert code == 0
-        assert "warning" in err
+        assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == "Normal"
+        assert cache.read_text().splitlines() == ["{not json}", out.strip()]  # the miss appended
 
     def test_oracle_after_plain_recomputes(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.jsonl")
@@ -166,14 +175,16 @@ class TestCache:
         b'\xff\xfe{"eps":-1,"partition":[6,1,1],"verdict":"Normal","witnesses":[]}',
     ])
     def test_malformed_record_is_miss(self, capsys, tmp_path, line):
+        # a line that starts as the orbit's record warns once; any other is skipped silently
+        line = line if isinstance(line, bytes) else line.encode()
         cache = tmp_path / "cache.jsonl"
-        cache.write_bytes((line if isinstance(line, bytes) else line.encode()) + b"\n")
+        cache.write_bytes(line + b"\n")
         code, out, err = run(capsys, "check", "--eps", "-1", "--partition", "6,1,1",
                              "--cache", str(cache))
         assert code == 0
         assert out.startswith("partition [6,1,1] eps -1: Normal\n")
-        assert [l for l in err.splitlines() if l] == [err.strip()]
-        assert err.startswith("warning: ")
+        own = line.startswith(b'{"eps":-1,"partition":[6,1,1],')
+        assert err == ("warning: ignoring malformed cache record for [6,1,1]\n" if own else "")
         assert len(cache.read_bytes().splitlines()) == 2
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -187,7 +198,8 @@ class TestCache:
     ])
     def test_record_with_a_field_of_the_wrong_type_is_a_miss(self, capsys, tmp_path, fmt,
                                                                field, value):
-        # w is the first witness; eps and partition equal the orbit's under ==, not in type
+        # w is the first witness; eps and partition equal the orbit's under ==, not in type,
+        # so with either changed the record no longer starts as the orbit's does: no warning
         args = ("check", "--eps", "+1", "--partition", "7,2,2", "--format", fmt)
         fresh = run(capsys, *args)
         record = json.loads(run(capsys, *args[:-1], "json")[1])
@@ -197,10 +209,11 @@ class TestCache:
             target = target["witnesses"][0] if step == "w" else target[step]
         target[key] = value
         cache = tmp_path / "cache.jsonl"
-        cache.write_text(json.dumps(record) + "\n")
+        cache.write_text(dumps(record) + "\n")
         code, out, err = run(capsys, *args, "--cache", str(cache))
         assert (code, out) == (10, fresh[1])
-        assert err == "warning: ignoring malformed cache record for [7,2,2]\n"
+        assert err == ("" if field in ("eps", "partition")
+                       else "warning: ignoring malformed cache record for [7,2,2]\n")
         assert len(cache.read_bytes().splitlines()) == 2
 
     def test_garbled_line_for_another_orbit_is_skipped_silently(self, capsys, tmp_path):
@@ -232,7 +245,7 @@ class TestCache:
         cache.write_bytes(b'{"eps":-1,"partition":[6,1,1],garbage\n')
         code, _, err = run(capsys, "check", "--eps", "-1", "--partition", "6,1,1",
                            "--cache", str(cache))
-        assert (code, err) == (0, "warning: ignoring unparseable cache line\n")
+        assert (code, err) == (0, "warning: ignoring malformed cache record for [6,1,1]\n")
         assert len(cache.read_bytes().splitlines()) == 2
 
     @pytest.mark.parametrize("rewrite", [
@@ -241,13 +254,17 @@ class TestCache:
         lambda record: "  " + json.dumps(record, separators=(",", ":")),
     ], ids=["spaces", "key-order", "leading-blanks"])
     def test_hand_written_record_for_this_orbit_hits(self, capsys, tmp_path, rewrite):
+        # only the program's own bytes hit: a hand-written record is a silent miss, the
+        # record is appended once in the program's form, and that one hits
         cache = tmp_path / "cache.jsonl"
         args = ("check", "--eps", "+1", "--partition", "7,2,2", "--format", "json")
         _, fresh, _ = run(capsys, *args)
-        cache.write_text(rewrite(json.loads(fresh)) + "\n")
-        code, out, err = run(capsys, *args, "--cache", str(cache))
-        assert (code, out, err) == (10, fresh, "")
-        assert len(cache.read_bytes().splitlines()) == 1
+        hand = rewrite(json.loads(fresh)) + "\n"
+        cache.write_text(hand)
+        assert run(capsys, *args, "--cache", str(cache)) == (10, fresh, "")
+        assert cache.read_text() == hand + fresh
+        assert run(capsys, *args, "--cache", str(cache)) == (10, fresh, "")
+        assert cache.read_text() == hand + fresh
 
     @pytest.mark.parametrize("eps,cached,asked", [
         ("+1", "7,1", "7,1,1"), ("+1", "7,1,1", "7,1"),
@@ -389,7 +406,7 @@ class TestCache:
         lambda record: record.update(verdict="Undetermined"),
         lambda record: record["witnesses"].pop(),
         lambda record: record["witnesses"][0].update(codim_oracle=None),
-        lambda record: record.update(note="x"),
+        lambda record: record.update(source="x"),  # sorts after the orbit's eps and partition
     ], ids=["codim", "family", "verdict", "witness-dropped", "null-oracle-codim", "extra-key"])
     def test_program_written_record_that_disagrees_is_a_miss(self, capsys, tmp_path, edit):
         cache = tmp_path / "cache.jsonl"
@@ -397,7 +414,7 @@ class TestCache:
         fresh = run(capsys, *args)
         record = json.loads(cache.read_bytes())
         edit(record)
-        cache.write_text(cli._dumps(record) + "\n")
+        cache.write_text(dumps(record) + "\n")
         code, out, err = run(capsys, *args)
         assert (code, out) == fresh[:2]
         assert err == "warning: ignoring malformed cache record for [7,2,2]\n"
@@ -453,50 +470,38 @@ class TestCache:
     @pytest.mark.parametrize("own", [False, True], ids=["bare", "own-prefix"])
     @pytest.mark.parametrize("body", [b"1" * 5000, b"[" * 100_000 + b"]" * 100_000],
                              ids=["5000-digits", "100000-deep"])
-    def test_line_json_cannot_decode_warns_as_unparseable(self, capsys, tmp_path, own, body):
-        # an int past the digit limit raises ValueError, deep nesting RecursionError
+    def test_line_json_cannot_decode_is_a_miss(self, capsys, tmp_path, own, body):
+        # json would raise ValueError on the int past its digit limit and RecursionError on
+        # the nesting; the lookup compares bytes, so the line is a miss that warns only
+        # when it starts as the orbit's record does
         args = ("check", "--eps", "1", "--partition", "3,1,1")
         fresh = run(capsys, *args)
         line = b'{"eps":1,"partition":[3,1,1],"verdict":' + body + b"}" if own else body
         cache = tmp_path / "cache.jsonl"
         cache.write_bytes(line + b"\n")
-        assert run(capsys, *args, "--cache", str(cache)) == (
-            fresh[0], fresh[1], "warning: ignoring unparseable cache line\n")
+        warning = "warning: ignoring malformed cache record for [3,1,1]\n" if own else ""
+        assert run(capsys, *args, "--cache", str(cache)) == (fresh[0], fresh[1], warning)
         assert cache.read_bytes().splitlines()[1:] == [
             run(capsys, *args, "--format", "json")[1].strip().encode()]  # the miss appended
 
     def test_deepest_record_that_decodes_is_a_miss_not_a_crash(self, capsys, tmp_path):
-        # decoding and encoding again share the stack, so a record just shallow enough to
-        # decode must not reach an encoder that needs a frame more
+        # no line is decoded, so no depth reaches a recursion limit: a record of the orbit
+        # nested 100,000 deep is one malformed record, and the miss is appended
         args = ("check", "--eps", "1", "--partition", "3,1,1")
         fresh = run(capsys, *args)
         cache = tmp_path / "cache.jsonl"
-
-        def warning(depth):
-            nested = b"[" * depth + b"]" * depth
-            cache.write_bytes(b'{"eps":1,"partition":[3,1,1],"verdict":' + nested + b"}\n")
-            code, out, err = run(capsys, *args, "--cache", str(cache))
-            assert (code, out) == fresh[:2]
-            return err
-
-        malformed = "warning: ignoring malformed cache record for [3,1,1]\n"
-        decodes, fails = 1, 100_000
-        assert (warning(decodes), warning(fails)) == (
-            malformed, "warning: ignoring unparseable cache line\n")
-        while fails - decodes > 1:
-            mid = (decodes + fails) // 2
-            if warning(mid) == malformed:
-                decodes = mid
-            else:
-                fails = mid
-        assert warning(decodes) == malformed
+        nested = b"[" * 100_000 + b"]" * 100_000
+        cache.write_bytes(b'{"eps":1,"partition":[3,1,1],"verdict":' + nested + b"}\n")
+        assert run(capsys, *args, "--cache", str(cache)) == (
+            *fresh[:2], "warning: ignoring malformed cache record for [3,1,1]\n")
+        assert len(cache.read_bytes().splitlines()) == 2
 
     def test_empty_cache_path_is_refused_not_ignored(self, capsys):
         assert run(capsys, "check", "--eps", "1", "--partition", "3,1,1", "--cache", "") == (
             2, "", "error: cannot write cache : No such file or directory\n")
 
     def test_hand_written_record_for_another_orbit_is_skipped_silently(self, capsys, tmp_path):
-        # spaced, so it is parsed before its orbit is compared
+        # spaced, so it does not start as any record the program writes
         cache = tmp_path / "cache.jsonl"
         other = ("check", "--eps", "-1", "--partition", "6,1,1", "--format", "json")
         cache.write_text(json.dumps(json.loads(run(capsys, *other)[1])) + "\n")
@@ -505,6 +510,131 @@ class TestCache:
         fresh = run(capsys, *args)
         assert run(capsys, *args, "--cache", str(cache)) == fresh
         assert cache.read_bytes() == primed + fresh[1].encode()  # the miss appended
+
+
+def oracle_codims(verdict):
+    """Each witness's codim_oracle, as check --oracle computes it."""
+    eta = verdict.eta
+    return [codim_oracle(DegenPair(eta.eps, w.sigma, eta.partition)) for w in verdict.witnesses]
+
+
+@pytest.fixture(scope="module")
+def written_records(tmp_path_factory):
+    """(verdict, line, codims) for every record check --cache writes on the eps-diagrams with
+    n <= 8, both eps, plain and with --oracle (a plain record with no witnesses serves both)."""
+    cache = tmp_path_factory.mktemp("records") / "cache.jsonl"
+    expected = []
+    for eps in (1, -1):
+        for eta in [eta for n in range(9) for eta in enumerate_eps_diagrams(n, eps)]:
+            verdict = decide(eta)
+            check = ["check", "--eps", str(eps), "--partition",
+                     cli._partition_csv(eta.partition), "--cache", str(cache)]
+            with redirect_stdout(io.StringIO()):
+                main(check)
+                main([*check, "--oracle"])
+            expected.append((verdict, [None] * len(verdict.witnesses)))
+            if verdict.witnesses:
+                expected.append((verdict, oracle_codims(verdict)))
+    lines = cache.read_bytes().splitlines()
+    assert len(lines) == len(expected) == 112
+    return [(verdict, line, codims) for line, (verdict, codims) in zip(lines, expected)]
+
+
+def recognized(verdict, line):
+    return cli._record_codims(line, cli._verdict_json(verdict).encode(), len(verdict.witnesses))
+
+
+def edited(line, codims, i, replacement):
+    """What the recognizer must make of line with byte i replaced: within a codim_oracle value
+    a canonical number is that codim, edited (a hit the bytes cannot tell from the
+    oracle's); anywhere else, or a number with a leading zero or no digit, a miss (None)."""
+    for k, value in enumerate(re.finditer(rb'"codim_oracle":([0-9]+),', line)):
+        start, end = value.span(1)
+        if start <= i < end:
+            digits = line[start:i] + replacement + line[i + 1:end]
+            if digits and digits == str(int(digits)).encode():
+                return [*codims[:k], int(digits), *codims[k + 1:]]
+    return None
+
+
+class TestNoFalseHit:
+    """Only a record the program writes hits: each one as written, with its own codims, and
+    no line one byte or one digit away from it, but for its codim_oracle values."""
+
+    def test_every_record_the_program_writes_hits_with_its_own_codims(self, written_records):
+        for verdict, line, codims in written_records:
+            assert recognized(verdict, line) == codims, line
+
+    def test_every_byte_deleted_is_a_miss(self, written_records):
+        for verdict, line, codims in written_records:
+            for i in range(len(line)):
+                assert (recognized(verdict, line[:i] + line[i + 1:])
+                        == edited(line, codims, i, b"")), (line, i)
+
+    def test_every_digit_changed_is_a_miss(self, written_records):
+        for verdict, line, codims in written_records:
+            for i in [i for i, byte in enumerate(line) if chr(byte).isdigit()]:
+                for digit in set(b"0123456789") - {line[i]}:
+                    changed = line[:i] + bytes([digit]) + line[i + 1:]
+                    assert (recognized(verdict, changed)
+                            == edited(line, codims, i, bytes([digit]))), (changed, i)
+
+    def test_a_mutated_record_through_the_command_is_a_miss_with_at_most_one_warning(
+            self, capsys, tmp_path, written_records):
+        rng = random.Random(8)
+        cache = tmp_path / "cache.jsonl"
+        for verdict, line, codims in rng.sample(written_records, 12):
+            i = rng.randrange(len(line))
+            replacement = b"" if i % 2 else b"x"
+            if edited(line, codims, i, replacement) is not None:
+                continue  # a codim_oracle edited to another number: a hit, as above
+            mutated = line[:i] + replacement + line[i + 1:]
+            eta = verdict.eta
+            args = ("check", "--eps", str(eta.eps), "--partition",
+                    cli._partition_csv(eta.partition), "--format", "json")
+            fresh = run(capsys, *args)
+            cache.write_bytes(mutated + b"\n")
+            code, out, err = run(capsys, *args, "--cache", str(cache))
+            own = mutated.startswith(line[:line.index(b'"verdict":')])
+            assert (code, out) == fresh[:2]
+            assert err == (f"warning: ignoring malformed cache record for"
+                           f" [{cli._partition_csv(eta.partition)}]\n" if own else "")
+            assert cache.read_bytes() == mutated + b"\n" + fresh[1].encode()  # the miss appended
+
+    @pytest.mark.parametrize("value", [b"1" * 5000, b"-2", b"02", b"+2", b" 2", b"2_0", b"2.0"],
+                             ids=["5000-digits", "negative", "zero-padded", "plus", "space",
+                                  "underscore", "float"])
+    def test_a_codim_oracle_that_is_not_canonical_decimal_is_malformed(self, capsys, tmp_path,
+                                                                        value):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "1", "--partition", "7,2,2", "--cache", str(cache))
+        fresh = run(capsys, *args, "--oracle")
+        record = cache.read_bytes()
+        assert record.count(b'"codim_oracle":2,') == 2
+        cache.write_bytes(record.replace(b'"codim_oracle":2,', b'"codim_oracle":' + value + b",", 1))
+        warning = "warning: ignoring malformed cache record for [7,2,2]\n"
+        assert run(capsys, *args, "--oracle") == (*fresh[:2], warning)
+        assert cache.read_bytes().endswith(b"\n" + record)  # the miss appended
+
+    @pytest.mark.parametrize("edit", [
+        lambda record: record.replace(b'"codim_oracle":2,', b"", 1),
+        lambda record: record.replace(b'"codim_oracle":2,', b'"codim_oracle":2,"codim_oracle":2,', 1),
+        lambda record: record.replace(b'"codim":2,"codim_oracle":2,', b'"codim_oracle":2,"codim":2,', 1),
+        lambda record: record[:-1].replace(b'"codim_oracle":2,', b"", 1) + b'"codim_oracle":2\n',
+        lambda record: record[:-1] + b"\r\n",
+        lambda record: record[:-1] + b" \n",
+    ], ids=["on-one-witness", "twice-on-one-witness", "before-codim", "one-at-the-end", "crlf",
+            "trailing-space"])
+    def test_codims_on_some_witnesses_or_out_of_place_are_malformed(self, capsys, tmp_path, edit):
+        cache = tmp_path / "cache.jsonl"
+        args = ("check", "--eps", "1", "--partition", "7,2,2", "--cache", str(cache))
+        fresh = run(capsys, *args, "--oracle")
+        record = cache.read_bytes()
+        cache.write_bytes(edit(record))
+        warning = "warning: ignoring malformed cache record for [7,2,2]\n"
+        assert run(capsys, *args, "--oracle") == (*fresh[:2], warning)
+        assert run(capsys, *args) == (*fresh[:2], warning)  # a plain check: a hit on the append
+        assert cache.read_bytes().endswith(b"\n" + record)
 
 
 class TestSurvey:
@@ -578,7 +708,7 @@ class TestHasse:
 
 
 class TestJsonFragments:
-    """Every JSON output is written from fragments: the text _dumps makes of the reference."""
+    """Every JSON output is written from fragments: the text dumps makes of the reference."""
 
     @staticmethod
     def survey_reference(n, eps):
@@ -586,19 +716,14 @@ class TestJsonFragments:
         counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
         for r in reports:
             counts[r["verdict"]] += 1
-        return cli._dumps({"eps": eps, "n": n, "results": reports, "counts": counts})
-
-    @staticmethod
-    def codims(verdict):
-        eta = verdict.eta
-        return [codim_oracle(DegenPair(eta.eps, w.sigma, eta.partition)) for w in verdict.witnesses]
+        return dumps({"eps": eps, "n": n, "results": reports, "counts": counts})
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_survey_and_hasse(self, capsys, eps):
         for n in [*range(21), 40]:
             size = ("--eps", str(eps), "--size", str(n), "--format", "json")
             assert run(capsys, "survey", *size) == (0, self.survey_reference(n, eps) + "\n", "")
-            graph = cli._dumps(graph_json(hasse(n, eps)))
+            graph = dumps(graph_json(hasse(n, eps)))
             assert run(capsys, "hasse", *size) == (0, graph + "\n", "")
 
     @pytest.mark.parametrize("eps", [1, -1])
@@ -610,7 +735,7 @@ class TestJsonFragments:
             code, out, _ = run(capsys, "check", "--eps", str(eps), "--partition",
                                cli._partition_csv(eta.partition), "--format", "json")
             assert (code, out) == (cli.VERDICT_EXIT[verdict.verdict],
-                                   cli._dumps(verdict_json(verdict)) + "\n")
+                                   dumps(verdict_json(verdict)) + "\n")
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_check_oracle(self, capsys, eps):
@@ -621,7 +746,7 @@ class TestJsonFragments:
             code, out, _ = run(capsys, "check", "--eps", str(eps), "--partition",
                                cli._partition_csv(eta.partition), "--format", "json", "--oracle")
             assert (code, out) == (cli.VERDICT_EXIT[verdict.verdict],
-                                   cli._dumps(verdict_json(verdict, self.codims(verdict))) + "\n")
+                                   dumps(verdict_json(verdict, oracle_codims(verdict))) + "\n")
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_dim_reduce_and_classify(self, capsys, eps):
@@ -633,7 +758,7 @@ class TestJsonFragments:
                 dim = {"eps": eps, "partition": list(p), "algebra_dim": total,
                        "centralizer_dim": cent, "orbit_dim": total - cent}
                 assert run(capsys, "dim", "--eps", str(eps), "--partition", cli._partition_csv(p),
-                           "--format", "json") == (0, cli._dumps(dim) + "\n", "")
+                           "--format", "json") == (0, dumps(dim) + "\n", "")
             pairs = [DegenPair(eps, bottom.partition, top.partition) for top in diagrams
                      for bottom in diagrams
                      if bottom != top and dominates(top.partition, bottom.partition)]
@@ -644,11 +769,11 @@ class TestJsonFragments:
                         "--bottom", cli._partition_csv(pair.bottom), "--format", "json")
                 result = irreducible_core(pair)
                 assert run(capsys, "reduce", *argv) == (
-                    0, cli._dumps(reduction_json(result)) + "\n", "")
+                    0, dumps(reduction_json(result)) + "\n", "")
                 if pair in covers:
                     doc = {"reduction": reduction_json(result),
                            "type": type_json(classify_core(result.core))}
-                    assert run(capsys, "classify", *argv) == (0, cli._dumps(doc) + "\n", "")
+                    assert run(capsys, "classify", *argv) == (0, dumps(doc) + "\n", "")
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_cache_records(self, capsys, tmp_path, eps):
@@ -660,9 +785,9 @@ class TestJsonFragments:
                      cli._partition_csv(eta.partition), "--cache", str(cache))
             run(capsys, *check)
             run(capsys, *check, "--oracle")
-            expected.append(cli._dumps(verdict_json(verdict)) + "\n")
+            expected.append(dumps(verdict_json(verdict)) + "\n")
             if verdict.witnesses:  # a plain record with no witnesses serves --oracle too
-                expected.append(cli._dumps(verdict_json(verdict, self.codims(verdict))) + "\n")
+                expected.append(dumps(verdict_json(verdict, oracle_codims(verdict))) + "\n")
         assert cache.read_text().splitlines(keepends=True) == expected
 
 

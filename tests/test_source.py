@@ -160,18 +160,37 @@ def test_json_output_does_not_import_json(argv, code):
     assert "json" not in loaded
 
 
-def test_only_a_cache_hit_imports_json(tmp_path):
+def test_no_command_imports_json(tmp_path):
+    # a cache line is compared as bytes, so neither a miss nor a hit parses one, not even
+    # a line that starts as the orbit's record does and is not one
     cache = str(tmp_path / "cache.jsonl")
     for p in ("3,1", "5,3", "7,2,2"):  # records the program writes, of other orbits
         orbitnorm.cli.main(["check", "--eps", "1", "--partition", p, "--cache", cache, "--oracle"])
+    with open(cache, "a") as handle:
+        handle.write('{"eps":1,"partition":[9,1],"verdict":"Normal","witnesses":[]}\n')
     primed = Path(cache).read_bytes()
-    assert len(primed.splitlines()) == 3
-    check = ["check", "--eps", "1", "--partition", "9,1", "--format", "json", "--cache", cache]
+    assert len(primed.splitlines()) == 4
+    check = ["check", "--eps", "1", "--partition", "9,1", "--format", "json", "--cache", cache,
+             "--oracle"]
     lines, loaded = _fresh_modules(f"from orbitnorm.cli import main\nprint(main({check!r}))")
     assert lines[-1] == "0" and "json" not in loaded
     assert Path(cache).read_bytes() == primed + lines[0].encode() + b"\n"  # the miss appended
     again, loaded = _fresh_modules(f"from orbitnorm.cli import main\nprint(main({check!r}))")
-    assert again == lines and "json" in loaded
+    assert again == lines and "json" not in loaded
+    assert Path(cache).read_bytes() == primed + lines[0].encode() + b"\n"  # the hit appended nothing
+
+
+def test_no_module_of_the_package_imports_json():
+    # every JSON output is written from fragments, and a cache line is compared as bytes
+    offenders = []
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "json"]
+    assert offenders == []
 
 
 def test_help_imports_argparse():
