@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: check, survey, hasse, reduce, classify, dim, verify.
+Subcommands: check, survey, hasse, reduce, classify, dim, verify, all in the table COMMANDS,
+from which the one parser reads a command line and help is written.
 Exit codes: 0 Normal/success, 10 NotNormal, 11 Undetermined, 2 input error (a ContractError),
 3 capacity exceeded (a CapacityError), 1 a failed verify or output that cannot be written.
 All output is byte-deterministic for fixed inputs.  Every JSON output, and each cache
@@ -99,14 +100,16 @@ def _record_codims(line: bytes, fresh: bytes, witnesses: int) -> list | None:
     """Each witness's codim_oracle, or None for each, when line is fresh with
     `"codim_oracle":N,` before every witness's `"core":` or before none; else None.
 
-    N is canonical decimal: no sign, no leading zero, at most _CODIM_DIGITS digits.
+    N is a codimension, so even and positive (orbit dimensions are even, and a strict
+    degeneration lowers them), in canonical decimal: no sign, no leading zero, at most
+    _CODIM_DIGITS digits.
     """
     first, *pieces = line.split(b'"codim_oracle":')
     kept, codims = [first], []
     for piece in pieces:
         digits, core, rest = piece.partition(b',"core":')
-        if not (core and len(digits) <= _CODIM_DIGITS and digits.isdigit()
-                and digits == b"%d" % int(digits)):
+        if not (core and len(digits) <= _CODIM_DIGITS and digits.isdigit() and digits != b"0"
+                and digits == b"%d" % int(digits) and digits[-1] in b"02468"):
             return None
         kept.append(core[1:] + rest)
         codims.append(int(digits))
@@ -344,8 +347,8 @@ def run_verify(args) -> tuple[int, str]:
 
 # --- argument wiring -------------------------------------------------------
 
-#: One option of a subcommand.  convert is argparse's type (str for plain text),
-#: or None for a flag that takes no value.
+#: One option of a subcommand.  convert turns the text of its value into the value (str
+#: keeps the text), or is None for a flag that takes no value.
 _Option = namedtuple("_Option", "flag convert required help choices default",
                      defaults=(False, None, None, None))
 
@@ -363,7 +366,7 @@ _PARTITION = _Option("--partition", str, required=True)
 _SIZE = _Option("--size", int, required=True)
 _PAIR = (_Option("--top", str, required=True), _Option("--bottom", str, required=True))
 
-#: The whole command line, in the order help lists it; both parsers derive from it.
+#: The whole command line, in the order help lists it; the parser and help read it.
 COMMANDS = {
     "check": _Command(run_check, "normality verdict for one orbit", (
         _EPS, _format("json", "text"), _MAX_SIZE, _PARTITION,
@@ -389,87 +392,83 @@ def _print_version(args) -> tuple[int, str]:
     return EXIT_NORMAL, __version__
 
 
-def _build_parser() -> "argparse.ArgumentParser":
-    """The argparse parser for the whole command line: its help, usage and error output."""
-    import argparse  # a well-formed command line never gets here; see _parse
-
-    parser = argparse.ArgumentParser(
-        prog="orbitnorm",
-        description="Decide normality of orthogonal/symplectic nilpotent orbit closures.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for opt in command.options:
-            if opt.convert is None:
-                p.add_argument(opt.flag, action="store_true", help=opt.help)
-            else:
-                p.add_argument(opt.flag, type=opt.convert, required=opt.required,
-                               choices=opt.choices, default=opt.default, help=opt.help)
-        p.set_defaults(func=command.run)
-    return parser
+def _print_help(args) -> tuple[int, str]:
+    """The program's help, each command with its help; or args.command's, each option
+    with its value or choices, whether it is required, its default and its help."""
+    if args.command is None:
+        return EXIT_NORMAL, "\n".join([
+            "usage: orbitnorm COMMAND OPTION..., orbitnorm [COMMAND] --help or orbitnorm --version",
+            "Decide normality of orthogonal/symplectic nilpotent orbit closures.", "", "commands:",
+            *(f"  {name:<10}{command.help}" for name, command in COMMANDS.items())])
+    command = COMMANDS[args.command]
+    lines = [f"usage: orbitnorm {args.command} OPTION..., each once, as --option VALUE or --flag",
+             command.help, "", "options:"]
+    for opt in command.options:
+        value = ("" if opt.convert is None else f" {{{','.join(opt.choices)}}}" if opt.choices
+                 else f" {opt.flag[2:].upper().replace('-', '_')}")
+        notes = ("required" if opt.required else None, opt.help,
+                 None if opt.convert is None or opt.default is None else f"default {opt.default}")
+        lines.append(f"  {opt.flag + value:<24}  {'; '.join(filter(None, notes))}")
+    return EXIT_NORMAL, "\n".join(lines)
 
 
-def _parse(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would return for a canonical command line, else None.
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace of a command line: its command's run function and option values, or
+    help or --version; any other line is a ContractError that names what is wrong.
 
-    Canonical is `--version` alone, or a command and then its options, each
-    spelled in full and given once, as `--opt value` or `--flag`.  No value
-    starts with "-" unless it is an ASCII negative integer, every value
-    converts and is among its choices, and every required option is there.
-    Anything else (help, abbreviations, `--opt=value`, repeats, `--`, any
-    error) gives None, so argparse answers it with its own output.
+    A line is `--help`, `-h` or `--version` alone, or a command and then its options,
+    each spelled in full and given once, as `--opt value` or `--flag`; `--help` or `-h`
+    where an option flag may stand asks for the command's help.  No value starts with
+    "-" unless it is an ASCII negative integer, every value converts and is among its
+    choices, and every required option is there.
     """
+    if argv in (["--help"], ["-h"]):
+        return SimpleNamespace(command=None, func=_print_help)
     if argv == ["--version"]:
         return SimpleNamespace(func=_print_version)
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
-        return None
+        problem = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise ContractError(f"{problem}; expected {', '.join(COMMANDS)},"
+                            " or --help or --version alone")
     options = {opt.flag: opt for opt in command.options}
     found = {}
     rest = iter(argv[1:])
     for flag in rest:
+        if flag in ("--help", "-h"):
+            return SimpleNamespace(command=argv[0], func=_print_help)
         opt = options.get(flag)
-        if opt is None or flag in found:
-            return None
+        if opt is None:
+            raise ContractError(f"{argv[0]} has no option {flag!r}")
+        if flag in found:
+            raise ContractError(f"{flag} is given twice")
         if opt.convert is None:
             found[flag] = True
             continue
         text = next(rest, None)
         if text is None or text.startswith("-") and not (text.isascii() and text[1:].isdigit()):
-            return None
+            raise ContractError(f"{flag} needs a value"
+                                + ("" if text is None else f", not {text!r}"))
         try:
             value = opt.convert(text)
-        except (TypeError, ValueError):
-            return None
+        except ValueError as exc:  # a converter's ContractError keeps its message; int's is worded
+            raise ContractError(str(exc) if isinstance(exc, ContractError)
+                                else f"{flag} must be an integer, got {text!r}")
         if opt.choices is not None and value not in opt.choices:
-            return None
+            raise ContractError(f"{flag} must be one of {', '.join(opt.choices)}, got {text!r}")
         found[flag] = value
-    if any(opt.required and flag not in found for flag, opt in options.items()):
-        return None
+    missing = [flag for flag, opt in options.items() if opt.required and flag not in found]
+    if missing:
+        raise ContractError(f"{argv[0]} requires {', '.join(missing)}")
     values = {flag[2:].replace("-", "_"): found.get(flag, opt.default)
               for flag, opt in options.items()}
-    return SimpleNamespace(command=argv[0], func=command.run, **values)
+    return SimpleNamespace(func=command.run, **values)
 
 
 def _run(argv: list[str]) -> tuple[int, str | None]:
     """The exit code and the output of a command line; messages go to stderr as they arise."""
-    args = _parse(argv)
-    if args is None:
-        import io  # argparse's stdout is captured, so a failed write is reported as any other is
-        from contextlib import redirect_stdout
-
-        with redirect_stdout(io.StringIO()) as out:
-            try:
-                args = _build_parser().parse_args(argv)
-            except SystemExit as exc:
-                # argparse uses 2 for usage errors, which matches our input-error code.  Only
-                # help and --version print on exit 0; a usage error prints on stdout only when
-                # sys.stderr is None, and then what it prints is dropped like any other message.
-                code, text = int(exc.code or 0), out.getvalue().removesuffix("\n")
-                return code, text if text and code == 0 else None
     try:
+        args = _parse(argv)
         return args.func(args)
     except ContractError as exc:
         _stderr(f"error: {exc}")

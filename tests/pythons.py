@@ -6,15 +6,14 @@ For each interpreter, in turn, it runs ``tests/cli_corpus.py`` and then, if
 ``import pytest`` works under that interpreter, the tier-1 suite, each with
 ``src`` put first on the inherited ``PYTHONPATH``.  It prints one line per
 interpreter: its version, the corpus line (marked ``EXPECTED`` when it is the
-line ``cli_corpus.py`` records for CPython 3.11), and pytest's summary line,
-or ``no pytest``.
+line ``cli_corpus.py`` records), and pytest's summary line, or ``no pytest``.
 
 pytest does not collect this file, and it imports only the standard library.
 It is not a test: which interpreters a machine has is the machine's own.  The
-exit status is 1 when a corpus or tier-1 run under some interpreter failed
-(or the interpreter did not start), else 0; a corpus line other than
-``EXPECTED`` is reported, not failed, because argparse's text differs between
-Python minor versions.
+exit status is 1 when, under some interpreter, the corpus line is not
+``EXPECTED`` (every run's output is the package's own, so it is the same
+under every CPython), a corpus or tier-1 run failed, or the interpreter did
+not start; else 0.
 """
 
 import os
@@ -52,8 +51,8 @@ def report(python: str, expected: str) -> tuple[bool, str]:
     except OSError as exc:
         return False, f"{python}: cannot run: {exc.strerror or exc}"
     code, corpus = _run(python, [str(CORPUS)], env, 600)
-    ok = code == 0
-    corpus = ("EXPECTED" if corpus == expected else corpus) if ok else f"exit {code}: {corpus}"
+    ok = code == 0 and corpus == expected
+    corpus = "EXPECTED" if ok else corpus if code == 0 else f"exit {code}: {corpus}"
     line = f"{python} {version}: corpus {corpus}; "
     if _run(python, ["-c", "import pytest"], env, 60)[0] != 0:
         return ok, line + "no pytest"

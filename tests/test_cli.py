@@ -546,13 +546,15 @@ def recognized(verdict, line):
 
 def edited(line, codims, i, replacement):
     """What the recognizer must make of line with byte i replaced: within a codim_oracle value
-    a canonical number is that codim, edited (a hit the bytes cannot tell from the
-    oracle's); anywhere else, or a number with a leading zero or no digit, a miss (None)."""
+    a canonical number that can be a codimension (even and positive) is that codim, edited
+    (a hit the bytes cannot tell from the oracle's); anywhere else, or a number with a
+    leading zero or no digit, or 0 or odd, a miss (None)."""
     for k, value in enumerate(re.finditer(rb'"codim_oracle":([0-9]+),', line)):
         start, end = value.span(1)
         if start <= i < end:
             digits = line[start:i] + replacement + line[i + 1:end]
-            if digits and digits == str(int(digits)).encode():
+            if (digits and digits == str(int(digits)).encode()
+                    and int(digits) > 0 and int(digits) % 2 == 0):
                 return [*codims[:k], int(digits), *codims[k + 1:]]
     return None
 
@@ -601,9 +603,10 @@ class TestNoFalseHit:
                            f" [{cli._partition_csv(eta.partition)}]\n" if own else "")
             assert cache.read_bytes() == mutated + b"\n" + fresh[1].encode()  # the miss appended
 
-    @pytest.mark.parametrize("value", [b"1" * 5000, b"-2", b"02", b"+2", b" 2", b"2_0", b"2.0"],
+    @pytest.mark.parametrize("value", [b"1" * 5000, b"-2", b"02", b"+2", b" 2", b"2_0", b"2.0",
+                                       b"0", b"3"],
                              ids=["5000-digits", "negative", "zero-padded", "plus", "space",
-                                  "underscore", "float"])
+                                  "underscore", "float", "zero", "odd"])
     def test_a_codim_oracle_that_is_not_canonical_decimal_is_malformed(self, capsys, tmp_path,
                                                                         value):
         cache = tmp_path / "cache.jsonl"
@@ -1051,7 +1054,7 @@ def _program(argv, unbuffered=False, handler="os.write, 2, b'atexit ran\\n'", **
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-c", script, *argv],
-                          env={**env, "PYTHONPATH": src, "COLUMNS": "80"}, timeout=60, **kwargs)
+                          env={**env, "PYTHONPATH": src}, timeout=60, **kwargs)
 
 
 class TestExitFreeze:
@@ -1065,13 +1068,11 @@ class TestExitFreeze:
         (("check", "--eps", "-1"), 2),
         (("check", "--eps", "-1", "--partition", ",".join(["2"] * 30), "--max-size", "20"), 3),
     ], ids=["normal", "not-normal", "undetermined", "input-error", "usage-error", "capacity"])
-    def test_program_entry_exits_with_the_code_and_output_of_main(self, capsys, monkeypatch,
-                                                                   argv, code):
+    def test_program_entry_exits_with_the_code_and_output_of_main(self, capsys, argv, code):
         proc = _program(argv, capture_output=True)
         assert proc.returncode == code
         assert proc.stderr.endswith(b"atexit ran\n")
         err = proc.stderr.decode().removesuffix("atexit ran\n")
-        monkeypatch.setenv("COLUMNS", "80")
         assert run(capsys, *argv) == (code, proc.stdout.decode(), err)
 
     def test_program_entry_keeps_what_an_atexit_handler_prints(self, capsys):
@@ -1103,7 +1104,7 @@ class TestWriteFailure:
     @pytest.mark.parametrize("argv", [
         ("survey", "--eps", "-1", "--size", "16"),  # more than the buffer: print itself fails
         ("check", "--eps", "1", "--partition", "7,2,2"),  # buffered: the flush fails
-        ("--help",),  # argparse's own output
+        ("--help",),  # help, written from the command table
     ])
     def test_pipe_closed_by_its_reader_is_one_line_and_exit_1(self, argv):
         read, write = os.pipe()
@@ -1117,7 +1118,7 @@ class TestWriteFailure:
         assert proc.stderr.decode() == message + "atexit ran\n"
 
     def test_unbuffered_help_to_a_full_device_is_one_line_and_exit_1(self):
-        # argparse swallows a failed write of its own; its help goes out through main's write
+        # help is output like any other, so a failed write of it is reported as any other is
         with open("/dev/full", "wb") as full:
             proc = _program(["--help"], unbuffered=True, stdout=full, stderr=subprocess.PIPE)
         assert proc.returncode == 1
@@ -1126,7 +1127,7 @@ class TestWriteFailure:
 
     @pytest.mark.parametrize("argv", [
         ("check", "--eps", "-1", "--partition", "3,1"),  # the package's error line
-        ("check", "--eps", "-1"),  # argparse's usage error
+        ("check", "--eps", "-1"),  # a usage error
     ], ids=["input-error", "usage-error"])
     def test_closed_stderr_leaves_stdout_empty_and_exit_2(self, argv):
         # sys.stderr is None then, and print(file=None) would fall back to stdout

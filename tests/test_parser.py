@@ -1,16 +1,15 @@
-"""The direct command-line parser against argparse, which answers everything it declines."""
+"""The one command-line parser against a reference reader written from the table's rules."""
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitnorm import cli
-from orbitnorm.cli import COMMANDS, _build_parser, _parse, main
-
-PARSER = _build_parser()
+from orbitnorm.cli import COMMANDS, _parse, main
 
 #: Canonical values of each option that has no choices (every one converts), and bad values.
 GOOD = {
@@ -25,15 +24,71 @@ GOOD = {
 BAD = ["2", "-2", "0", "x", "-x", "-", "--", "-h", "--eps", "-١", "-²", "-.5", "-1 2", "JSON", "xml",
        "--partition=1"]
 
+HELP = ("-h", "--help")
+#: A value, as the grammar reads it: any text that does not start with "-", or an ASCII
+#: negative integer.
+VALUE = re.compile(r"(?!-).*|-[0-9]+", re.DOTALL)
 
-def _argparse(argv):
-    """argparse alone on argv: ("ns", vars) or ("exit", code, stdout, stderr)."""
+
+def reference(argv):
+    """What the table's rules make of argv, read without cli._parse: "help", the namespace's
+    fields as a dict, or None for a line that is refused."""
+    if argv in (["-h"], ["--help"]):
+        return "help"
+    if argv == ["--version"]:
+        return {"func": cli._print_version}
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    by_flag = {opt.flag: opt for opt in COMMANDS[argv[0]].options}
+    given_values, i = {}, 1
+    while i < len(argv):
+        token = argv[i]
+        if token in HELP:
+            return "help"
+        if token not in by_flag or token in given_values:
+            return None
+        opt = by_flag[token]
+        if opt.convert is None:
+            given_values[token], i = True, i + 1
+            continue
+        if i + 1 == len(argv) or not VALUE.fullmatch(argv[i + 1]):
+            return None
+        try:
+            value = opt.convert(argv[i + 1])
+        except ValueError:
+            return None
+        if opt.choices and value not in opt.choices:
+            return None
+        given_values[token], i = value, i + 2
+    if not all(flag in given_values for flag, opt in by_flag.items() if opt.required):
+        return None
+    fields = {flag.lstrip("-").replace("-", "_"): given_values.get(flag, opt.default)
+              for flag, opt in by_flag.items()}
+    return {"func": COMMANDS[argv[0]].run, **fields}
+
+
+def run(argv):
+    """main's exit code, stdout and stderr on argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return ("ns", vars(PARSER.parse_args(argv)))
-        except SystemExit as exc:
-            return ("exit", exc.code, out.getvalue(), err.getvalue())
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def refused(argv):
+    """The one stderr line of a refused argv, once main gave exit 2 and no stdout."""
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    return err.removesuffix("\n")
+
+
+def help_text(argv):
+    """The help main prints for argv, with exit 0 and nothing on stderr."""
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: orbitnorm ")
+    return out
 
 
 @st.composite
@@ -72,7 +127,7 @@ def command_lines(draw):
         elif perturb == "dashdash":
             tokens.insert(i, ["--"])
         elif perturb == "help":
-            tokens.insert(i, [draw(st.sampled_from(["-h", "--help"]))])
+            tokens.insert(i, [draw(st.sampled_from(HELP))])
         elif perturb == "drop":
             del tokens[i]
         elif perturb == "unknown":
@@ -85,17 +140,20 @@ def command_lines(draw):
     return argv, canonical
 
 
-class TestAgainstArgparse:
+class TestAgainstAReferenceReader:
     @settings(max_examples=600, deadline=None)
     @given(command_lines())
-    def test_a_direct_parse_is_what_argparse_returns(self, drawn):
+    def test_a_line_is_read_as_the_reference_reads_it_or_refused_in_one_line(self, drawn):
         argv, canonical = drawn
-        ns = _parse(argv)
-        if ns is not None:
-            assert _argparse(argv) == ("ns", vars(ns))
-        # the drawn canonical lines that argparse accepts must not fall back
-        if canonical and _argparse(argv)[0] == "ns":
-            assert ns is not None
+        expected = reference(argv)
+        if canonical:
+            assert isinstance(expected, dict)
+        if isinstance(expected, dict):
+            assert vars(_parse(argv)) == expected
+        elif expected == "help":
+            assert help_text(argv) == help_text([argv[0], "--help"])
+        else:
+            refused(argv)
 
     @pytest.mark.parametrize("argv", [
         ["check", "--eps", "-1", "--partition", "6,1,1"],
@@ -107,67 +165,112 @@ class TestAgainstArgparse:
         ["classify", "--bottom", "4,2,2", "--top", "6,1,1", "--eps", "-1", "--format", "text"],
         ["dim", "--eps", "1", "--partition", "9,7,3,3,1,1"],
         ["verify", "--eps", "-1", "--partition", "6,1,1", "--format", "text"],
+        ["--version"],
     ], ids=lambda argv: argv[0])
-    def test_canonical_lines_parse_directly(self, argv):
-        ns = _parse(argv)
-        assert ns is not None and _argparse(argv) == ("ns", vars(ns))
+    def test_canonical_lines_parse_as_the_reference_reads_them(self, argv):
+        expected = reference(argv)
+        assert isinstance(expected, dict) and vars(_parse(argv)) == expected
 
 
-#: Help, version and error command lines; main must print and exit as argparse alone does.
-HELP_AND_ERRORS = [
-    [], ["-h"], ["--help"], ["--version"], ["--version", "check"], ["nope"], ["--eps", "1"],
-    *([name, "-h"] for name in COMMANDS),
-    *([name] for name in COMMANDS),
-    ["check", "--eps", "-1", "--part", "6,1,1", "-h"],
-    ["check", "--eps", "-1", "--part"],
-    ["check", "--eps", "2", "--partition", "6,1,1"],
-    ["check", "--eps", "-1"],
-    ["check", "--eps", "-1", "--partition"],
-    ["check", "--eps", "-1", "--partition", "6,1,1", "--format", "csv"],
-    ["check", "--eps", "-1", "--partition", "6,1,1", "--oracle", "yes"],
-    ["check", "--eps", "-1", "--partition", "6,1,1", "--", "x"],
-    ["check", "--eps", "-1", "--partition", "6,1,1", "--version"],
-    ["check", "--eps", "-١", "--partition", "6,1,1"],
-    ["survey", "--eps", "-1", "--size", "x"],
-    ["survey", "--eps", "-1", "--size", "-x"],
-    ["hasse", "--eps", "-1", "--size", "4", "--format", "text"],
-    ["reduce", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2", "--max-size", "5"],
-    ["verify", "--eps", "-1", "--partition", "6,1,1", "--format", "json"],
+#: Refused command lines and the one error line each prints: what is wrong, named.
+ERRORS = [
+    ([], "missing command; expected check, survey, hasse, reduce, classify, dim, verify,"
+         " or --help or --version alone"),
+    (["nope"], "unknown command 'nope'; expected check, survey, hasse, reduce, classify, dim,"
+               " verify, or --help or --version alone"),
+    (["--version", "check"], "unknown command '--version'; expected check, survey, hasse,"
+                             " reduce, classify, dim, verify, or --help or --version alone"),
+    (["-h", "check"], "unknown command '-h'; expected check, survey, hasse, reduce, classify,"
+                      " dim, verify, or --help or --version alone"),
+    (["--eps", "1"], "unknown command '--eps'; expected check, survey, hasse, reduce, classify,"
+                     " dim, verify, or --help or --version alone"),
+    *(([name], f"{name} requires {', '.join(o.flag for o in COMMANDS[name].options if o.required)}")
+      for name in COMMANDS),
+    (["check", "--eps", "-1"], "check requires --partition"),
+    (["reduce", "--eps", "-1", "--top", "6,1,1"], "reduce requires --bottom"),
+    (["check", "--eps", "-1", "--part", "6,1,1", "-h"], "check has no option '--part'"),
+    (["check", "--ep", "1", "--partition", "3,1"], "check has no option '--ep'"),
+    (["check", "--eps=1", "--partition=3,1"], "check has no option '--eps=1'"),
+    (["check", "--eps", "-1", "--partition", "6,1,1", "--", "x"], "check has no option '--'"),
+    (["check", "--eps", "-1", "--partition", "6,1,1", "--version"],
+     "check has no option '--version'"),
+    (["check", "--eps", "-1", "--partition", "6,1,1", "--oracle", "yes"],
+     "check has no option 'yes'"),
+    (["reduce", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2", "--max-size", "5"],
+     "reduce has no option '--max-size'"),
+    (["check", "--eps", "1", "--eps", "1", "--partition", "3,1"], "--eps is given twice"),
+    (["check", "--eps", "-1", "--oracle", "--oracle", "--partition", "3,1"],
+     "--oracle is given twice"),
+    (["check", "--eps", "-1", "--partition"], "--partition needs a value"),
+    (["check", "--eps", "-1", "--part"], "check has no option '--part'"),
+    (["check", "--eps", "--partition", "6,1,1"], "--eps needs a value, not '--partition'"),
+    (["check", "--eps", "-١", "--partition", "6,1,1"], "--eps needs a value, not '-١'"),
+    (["survey", "--eps", "-1", "--size", "-x"], "--size needs a value, not '-x'"),
+    (["check", "--eps", "-1", "--partition", "-h"], "--partition needs a value, not '-h'"),
+    (["check", "--eps", "0", "--partition", "3,1"], "eps must be +1 or -1, got '0'"),
+    (["check", "--eps", "2", "--partition", "6,1,1"], "eps must be +1 or -1, got '2'"),
+    (["survey", "--eps", "+-1", "--size", "3"], "eps must be +1 or -1, got '+-1'"),
+    (["survey", "--eps", "-1", "--size", "x"], "--size must be an integer, got 'x'"),
+    (["check", "--eps", "1", "--partition", "3,1", "--max-size", "1.5"],
+     "--max-size must be an integer, got '1.5'"),
+    (["check", "--eps", "-1", "--partition", "6,1,1", "--format", "csv"],
+     "--format must be one of json, text, got 'csv'"),
+    (["hasse", "--eps", "-1", "--size", "4", "--format", "text"],
+     "--format must be one of dot, json, got 'text'"),
+    (["verify", "--eps", "-1", "--partition", "6,1,1", "--format", "json"],
+     "--format must be one of text, got 'json'"),
 ]
 
 
-@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=" ".join)
-def test_help_and_errors_are_argparse_output(capsys, argv):
-    expected = _argparse(argv)
-    assert expected[0] == "exit"
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (expected[1] or 0, *expected[2:])
+@pytest.mark.parametrize("argv, message", ERRORS, ids=[" ".join(argv) for argv, _ in ERRORS])
+def test_a_refused_line_is_one_error_line_that_names_what_is_wrong(argv, message):
+    assert reference(argv) is None
+    assert refused(argv) == f"error: {message}"
 
 
-@pytest.mark.parametrize("argv,canonical", [
-    (["check", "--eps=-1", "--partition", "6,1,1"], ["check", "--eps", "-1", "--partition", "6,1,1"]),
-    (["check", "--eps", "-1", "--part", "7,2,2"], ["check", "--eps", "-1", "--partition", "7,2,2"]),
-    (["check", "--eps", "1", "--partition", "7,2,2", "--eps", "-1"],
-     ["check", "--eps", "-1", "--partition", "7,2,2"]),
-    (["survey", "--eps", "-1", "--size", "-٣"], ["survey", "--eps", "-1", "--size", "-3"]),
-    (["hasse", "--eps", "-1", "--format", "json", "--", "--size", "4"], None),
-], ids=lambda argv: " ".join(argv or []))
-def test_other_accepted_spellings_run_through_argparse(capsys, argv, canonical):
-    assert _parse(argv) is None
-    if canonical is None:
-        assert _argparse(argv)[0] == "exit"
-    else:
-        assert _argparse(argv)[0] == "ns"
-        expected = (main(canonical), *capsys.readouterr())
-        assert (main(argv), *capsys.readouterr()) == expected
+@pytest.mark.parametrize("argv", [
+    ["check", "--eps=-1", "--partition", "6,1,1"],
+    ["check", "--eps", "-1", "--part", "7,2,2"],
+    ["check", "--eps", "1", "--partition", "7,2,2", "--eps", "-1"],
+    ["survey", "--eps", "-1", "--size", "-٣"],
+    ["hasse", "--eps", "-1", "--format", "json", "--", "--size", "4"],
+], ids=" ".join)
+def test_other_spellings_are_refused(argv):
+    # abbreviations, --opt=value, repeats, non-ASCII negative numbers and -- are not read
+    assert reference(argv) is None
+    refused(argv)
 
 
-def test_a_canonical_line_never_builds_the_argparse_parser(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("argparse parser built")
+def test_the_program_help_lists_each_command_with_its_help():
+    text = help_text(["--help"])
+    assert help_text(["-h"]) == text
+    listed = [line.split(None, 1) for line in text.splitlines() if line.startswith("  ")]
+    assert listed == [[name, command.help] for name, command in COMMANDS.items()]
 
-    monkeypatch.setattr(cli, "_build_parser", refuse)
-    assert main(["check", "--eps", "-1", "--partition", "6,1,1"]) == 0
-    assert main(["--version"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == cli.__version__
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_command_help_names_each_option_with_its_choices_and_help(name):
+    text = help_text([name, "--help"])
+    assert help_text([name, "-h"]) == text
+    assert COMMANDS[name].help in text.splitlines()
+    options = COMMANDS[name].options
+    rows = [line for line in text.splitlines() if line.startswith("  ")]
+    assert [row.split()[0] for row in rows] == [opt.flag for opt in options]
+    for opt, row in zip(options, rows):
+        if opt.choices is not None:
+            assert f" {{{','.join(opt.choices)}}} " in row
+        if opt.convert is not None and opt.default is not None:  # a flag is off unless given
+            assert f"default {opt.default}" in row
+        if opt.help is not None:
+            assert row.endswith(opt.help)
+        assert ("required" in row) == opt.required
+
+
+def test_help_may_stand_where_an_option_flag_is_expected():
+    text = help_text(["check", "--help"])
+    assert help_text(["check", "--eps", "-1", "-h"]) == text
+    assert help_text(["check", "--oracle", "--help", "--bogus"]) == text
+
+
+def test_version_alone_prints_the_package_version():
+    assert run(["--version"]) == (0, cli.__version__ + "\n", "")

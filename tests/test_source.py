@@ -193,10 +193,17 @@ def test_no_module_of_the_package_imports_json():
     assert offenders == []
 
 
-def test_help_imports_argparse():
-    lines, loaded = _fresh_modules("from orbitnorm.cli import main\nprint(main(['--help']))")
-    assert lines[0].startswith("usage: orbitnorm ") and lines[-1] == "0"
-    assert "argparse" in loaded
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["check", "-h"], 0),
+    (["check", "--eps", "1", "--part", "3,1"], 2),  # a usage error
+    (["check", "--eps", "0", "--partition", "3,1"], 2),  # a bad eps
+], ids=["help", "command-help", "usage-error", "bad-eps"])
+def test_no_command_line_imports_argparse(argv, code):
+    # help and every refusal come from the command table, so argparse is loaded by none
+    lines, loaded = _fresh_modules(f"from orbitnorm.cli import main\nprint(main({argv!r}))")
+    assert lines[-1] == str(code) and (lines[0].startswith("usage: orbitnorm ") or code)
+    assert "argparse" not in loaded
 
 
 def test_no_module_of_the_package_imports_from_future():
