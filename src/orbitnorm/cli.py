@@ -22,16 +22,11 @@ from . import __version__
 from .classification import classify_minimal_degeneration
 from .degeneration import DegenPair, PosetGraph, Witness, hasse, table_pair
 from .errors import CapacityError, ContractError
-from .matrix_oracle import (
-    algebra_dim,
-    build_nilpotent_model,
-    centralizer_dim,
-    jordan_type,
-    orbit_dim,
-    restrict_to_image,
-)
+from .matrix_oracle import (algebra_dim, build_nilpotent_model, centralizer_dim, jordan_type,
+                            orbit_dim, restrict_to_image)
 from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide
-from .partitions import EpsDiagram, enumerate_eps_diagrams, parse_partition, size_text
+from .partitions import (EpsDiagram, enumerate_eps_diagrams, integer, is_integer,
+                         parse_partition, size_text)
 from .reduction import ReductionResult, irreducible_core
 from .table import DegenType
 
@@ -50,10 +45,7 @@ DEFAULT_MAX_SIZE = 40  #: the size bound, unless --max-size or ORBIT_MAX_SIZE se
 def max_size() -> int:
     """The size bound: the ORBIT_MAX_SIZE environment override, else the default."""
     env = os.environ.get("ORBIT_MAX_SIZE")
-    try:
-        return DEFAULT_MAX_SIZE if env is None else int(env)
-    except ValueError:
-        raise ContractError(f"ORBIT_MAX_SIZE is not an integer: {env!r}")
+    return DEFAULT_MAX_SIZE if env is None else integer(env, "ORBIT_MAX_SIZE")
 
 
 def check_size(n: int, bound: int | None = None) -> None:
@@ -361,9 +353,10 @@ def _format(*choices: str, default: str = "text") -> _Option:
 
 
 _EPS = _Option("--eps", _parse_eps, required=True, help="+1 orthogonal, -1 symplectic")
-_MAX_SIZE = _Option("--max-size", int, help="override the size bound")
+_MAX_SIZE = _Option("--max-size", lambda text: integer(text, "--max-size"),
+                    help="override the size bound")
 _PARTITION = _Option("--partition", str, required=True)
-_SIZE = _Option("--size", int, required=True)
+_SIZE = _Option("--size", lambda text: integer(text, "--size"), required=True)
 _PAIR = (_Option("--top", str, required=True), _Option("--bottom", str, required=True))
 
 #: The whole command line, in the order help lists it; the parser and help read it.
@@ -419,8 +412,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     A line is `--help`, `-h` or `--version` alone, or a command and then its options,
     each spelled in full and given once, as `--opt value` or `--flag`; `--help` or `-h`
     where an option flag may stand asks for the command's help.  No value starts with
-    "-" unless it is an ASCII negative integer, every value converts and is among its
-    choices, and every required option is there.
+    "-" unless it is negative integer text (is_integer), every value converts and is among
+    its choices, and every required option is there.
     """
     if argv in (["--help"], ["-h"]):
         return SimpleNamespace(command=None, func=_print_help)
@@ -446,14 +439,10 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             found[flag] = True
             continue
         text = next(rest, None)
-        if text is None or text.startswith("-") and not (text.isascii() and text[1:].isdigit()):
+        if text is None or text.startswith("-") and not is_integer(text):
             raise ContractError(f"{flag} needs a value"
                                 + ("" if text is None else f", not {text!r}"))
-        try:
-            value = opt.convert(text)
-        except ValueError as exc:  # a converter's ContractError keeps its message; int's is worded
-            raise ContractError(str(exc) if isinstance(exc, ContractError)
-                                else f"{flag} must be an integer, got {text!r}")
+        value = opt.convert(text)  # a ContractError that names what is wrong, if any
         if opt.choices is not None and value not in opt.choices:
             raise ContractError(f"{flag} must be one of {', '.join(opt.choices)}, got {text!r}")
         found[flag] = value

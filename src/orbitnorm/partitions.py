@@ -11,7 +11,6 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
-from operator import index
 
 from .errors import ContractError
 
@@ -30,17 +29,17 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is cls:
             return parts
-        parts = list(parts)  # kept, so a part that is no integer can be named
-        try:  # index, unlike int, refuses a float or a str rather than truncate or parse it
-            norm = sorted(map(index, parts), reverse=True)
-        except TypeError:
-            bad = next(p for p in parts if not hasattr(type(p), "__index__"))
-            raise ContractError(f"partition parts must be integers, got {bad!r}") from None
+        parts = list(parts)  # kept, so a part that is no int can be named
+        # a part is an int: a float, a str or a bool (True == 1) is refused, not read as one
+        if not {*map(type, parts)} <= {int}:
+            bad = next(p for p in parts if type(p) is not int)
+            raise ContractError(f"partition parts must be integers, got {bad!r}")
+        norm = sorted(parts, reverse=True)
         # sorted descending, the smallest part decides; name the largest bad one
         if norm and norm[-1] <= 0:
             bad = next(p for p in norm if p <= 0)
             raise ContractError(f"partition parts must be positive, got {bad}")
-        return super().__new__(cls, norm)
+        return tuple.__new__(cls, norm)
 
     @property
     def size(self) -> int:
@@ -73,14 +72,26 @@ def size_text(n: int) -> str:
     return f">=10^{digits}" if digits and n >= 10 ** digits else str(n)
 
 
+def is_integer(text: str) -> bool:
+    """Whether text is integer text: an optional "-", then ASCII digits and nothing else."""
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def integer(text: str, what: str) -> int:
+    """The int that integer text spells; any other text is a ContractError naming what."""
+    try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+        if is_integer(text):
+            return int(text)
+    except ValueError:
+        pass
+    raise ContractError(f"{what} must be an integer, got {text!r}")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma- or space-separated positive integers; order irrelevant."""
     parts = []
     for tok in text.replace(",", " ").split():
-        try:
-            value = int(tok)
-        except ValueError:
-            raise ContractError(f"not an integer part: {tok!r}")
+        value = integer(tok, "partition part")
         if value <= 0:
             raise ContractError(f"parts must be positive, got {tok!r}")
         parts.append(value)

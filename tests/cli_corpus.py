@@ -21,6 +21,9 @@ editing ``EXPECTED``.  The run set:
   at n = 40;
 - help, usage errors and ``--version``;
 - bad eps, partition, bound (``--max-size``) and ``ORBIT_MAX_SIZE`` input;
+- at each reader of integer text (a partition part, ``--size``, ``--max-size``
+  and ``ORBIT_MAX_SIZE``), each spelling in ``NOT_INTEGER_TEXT`` and a value
+  of 4,301 digits, one more than ``int()`` converts by default;
 - ``check --cache`` on one cache file, which starts with a hand-written
   record for [7,2,2] (spaces, keys in reverse order): on every eps-diagram with
   n <= 8, a plain check and then ``--oracle``, each a miss and then a hit, in
@@ -47,12 +50,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 #: The line this corpus prints for the current command-line output, under every CPython.
-EXPECTED = "8325 908dca0bf733f241219d1833e5b41870398ba8d4b2745e039ea21168e36aee6d"
+EXPECTED = "8365 4ed63f3c56f16c8c2fa8896f3c802c5f041f65b1f851bd9dfffdf31ba1d44f87"
 EPS = ("1", "-1")
 SMALL = 10
 LARGE = 40
 LARGE_SAMPLE = 8
 CACHE_SIZE = 8
+#: Text that int() reads as an integer but the program does not: an integer is an optional
+#: "-" and then ASCII digits.  A part is split on whitespace, so " 4" is the part 4.
+NOT_INTEGER_TEXT = ("1_0", "+3", " 4", "4 ", "٣", "٤٠", "-٣")
 #: Relative, and the cache runs happen in a temporary directory, so no argv holds its path.
 CACHE = "cache.jsonl"
 #: The record the program writes for check --oracle on [7,2,2] at eps +1, as a hand would;
@@ -159,6 +165,13 @@ def runs():
         yield ["verify", "--eps", "1", "--partition", "3,1"], env
         yield ["reduce", "--eps", "1", "--top", "3,1", "--bottom", "1,1,1,1"], env
         yield ["classify", "--eps", "1", "--top", "3,1", "--bottom", "2,2"], env
+    # integer text at each of its readers: spellings int() reads, and too many digits
+    for text in (*NOT_INTEGER_TEXT, "9" * 4301):
+        yield ["check", "--eps", "1", "--partition", text], None
+        yield ["check", "--eps", "1", "--partition", f"1,{text}"], None
+        yield ["survey", "--eps", "1", "--size", text], None
+        yield ["hasse", "--eps", "1", "--size", "4", "--max-size", text], None
+        yield ["survey", "--eps", "-1", "--size", "4"], text
 
 
 def cache_runs():

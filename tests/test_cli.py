@@ -282,7 +282,7 @@ class TestCache:
 
     @pytest.mark.parametrize("bound,env,code,message", [
         ("5", None, 3, "error: size 11 exceeds the size bound 5"),
-        (None, "abc", 2, "error: ORBIT_MAX_SIZE is not an integer: 'abc'"),
+        (None, "abc", 2, "error: ORBIT_MAX_SIZE must be an integer, got 'abc'"),
     ], ids=["max-size", "bad-env"])
     def test_hit_honours_the_bound(self, capsys, tmp_path, monkeypatch, bound, env, code, message):
         cache = str(tmp_path / "cache.jsonl")

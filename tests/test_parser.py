@@ -3,6 +3,7 @@
 import contextlib
 import io
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +15,15 @@ from orbitnorm.cli import COMMANDS, _parse, main
 #: Canonical values of each option that has no choices (every one converts), and bad values.
 GOOD = {
     "--eps": ["1", "+1", "-1"],
-    "--max-size": ["0", "12", "40", "-1", "-7", "١٢", " 9", "1_0"],
-    "--size": ["0", "3", "16", "-2", "٣", "+4"],
+    "--max-size": ["0", "12", "40", "-1", "-7", "007"],
+    "--size": ["0", "3", "16", "-2", "-0"],
     "--partition": ["6,1,1", "7,2,2", "1", "", "3 1", "x", "-5", "4,-2"],
     "--top": ["6,1,1", "5", "a"],
     "--bottom": ["4,2,2", "1,1,1,1,1"],
     "--cache": ["cache.jsonl", "c=d", "h"],
 }
 BAD = ["2", "-2", "0", "x", "-x", "-", "--", "-h", "--eps", "-١", "-²", "-.5", "-1 2", "JSON", "xml",
-       "--partition=1"]
+       "--partition=1", "١٢", " 9", "9 ", "1_0", "+4", "٣"]
 
 HELP = ("-h", "--help")
 #: A value, as the grammar reads it: any text that does not start with "-", or an ASCII
@@ -239,6 +240,88 @@ def test_other_spellings_are_refused(argv):
     # abbreviations, --opt=value, repeats, non-ASCII negative numbers and -- are not read
     assert reference(argv) is None
     refused(argv)
+
+
+def _reads_integers(opt):
+    """Whether opt's value is integer text: its converter reads "12" as 12."""
+    try:
+        return opt.convert is not None and opt.convert("12") == 12
+    except ValueError:
+        return False
+
+
+#: (command, flag) of every option whose value is integer text, drawn from the table.
+INTEGER_OPTIONS = [(name, opt.flag) for name, command in COMMANDS.items()
+                   for opt in command.options if _reads_integers(opt)]
+#: A value of each required option that the command line takes as it stands.
+REQUIRED = {"--eps": "1", "--partition": "3,1", "--size": "3", "--top": "3,1",
+            "--bottom": "1,1,1,1"}
+
+
+def with_value(name, flag, text):
+    """name's command line with its required options and flag set to text."""
+    argv = [name]
+    for opt in COMMANDS[name].options:
+        if opt.flag == flag:
+            argv += [flag, text]
+        elif opt.required:
+            argv += [opt.flag, REQUIRED[opt.flag]]
+    return argv
+
+
+def test_the_integer_options_are_the_sizes_and_bounds():
+    assert sorted(INTEGER_OPTIONS) == [("check", "--max-size"), ("hasse", "--max-size"),
+                                       ("hasse", "--size"), ("survey", "--max-size"),
+                                       ("survey", "--size")]
+
+
+@pytest.mark.parametrize("name, flag", INTEGER_OPTIONS, ids=map(" ".join, INTEGER_OPTIONS))
+@pytest.mark.parametrize("text", ["1_0", "+3", " 4", "4 ", "٣", "٤٠", "-٣"])
+def test_an_integer_option_takes_only_integer_text(name, flag, text):
+    # int() reads each of these; an integer is an optional "-" and then ASCII digits
+    problem = "needs a value, not" if text.startswith("-") else "must be an integer, got"
+    assert refused(with_value(name, flag, text)) == f"error: {flag} {problem} {text!r}"
+
+
+@pytest.mark.parametrize("name, flag", INTEGER_OPTIONS, ids=map(" ".join, INTEGER_OPTIONS))
+@pytest.mark.parametrize("text, value", [("0", 0), ("-1", -1), ("007", 7)])
+def test_an_integer_option_takes_zero_negatives_and_leading_zeros(name, flag, text, value):
+    args = _parse(with_value(name, flag, text))
+    assert getattr(args, flag[2:].replace("-", "_")) == value
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["survey", "--eps", "1", "--size", "-3"], "n must be nonnegative, got -3"),
+    (["hasse", "--eps", "1", "--size", "4", "--max-size", "-1"],
+     "the size bound must be nonnegative, got -1"),
+    (["check", "--eps", "1", "--partition", "3,0,1"], "parts must be positive, got '0'"),
+    (["check", "--eps", "1", "--partition", "3,-1"], "parts must be positive, got '-1'"),
+], ids=" ".join)
+def test_a_negative_integer_reaches_the_check_that_words_it(argv, message):
+    assert refused(argv) == f"error: {message}"
+
+
+def _too_long():
+    digits = sys.get_int_max_str_digits()
+    if not digits:
+        pytest.skip("int from str conversion has no digit limit here")
+    return "9" * (digits + 1)  # 4,301 digits by default
+
+
+@pytest.mark.parametrize("argv, env, what", [
+    (["check", "--eps", "1", "--partition", "3,{}"], None, "partition part"),
+    (["survey", "--eps", "1", "--size", "{}"], None, "--size"),
+    (["survey", "--eps", "1", "--size", "-{}"], None, "--size"),
+    (["check", "--eps", "1", "--partition", "3,1", "--max-size", "{}"], None, "--max-size"),
+    (["survey", "--eps", "1", "--size", "3"], "{}", "ORBIT_MAX_SIZE"),
+], ids=["partition", "size", "negative-size", "max-size", "env"])
+def test_more_digits_than_int_converts_is_one_error_line(monkeypatch, argv, env, what):
+    text = _too_long()
+    if env is not None:
+        monkeypatch.setenv("ORBIT_MAX_SIZE", env.format(text))
+    argv = [token.format(text) for token in argv]
+    got = text if env is not None else argv[-1].removeprefix("3,")
+    assert refused(argv) == f"error: {what} must be an integer, got {got!r}"
 
 
 def test_the_program_help_lists_each_command_with_its_help():

@@ -13,6 +13,8 @@ from orbitnorm.partitions import (
     _diagrams_desc,
     enumerate_eps_diagrams,
     eps_violation,
+    integer,
+    is_integer,
     parse_partition,
     size_text,
 )
@@ -51,14 +53,18 @@ def reference_eps_violation(p, eps):
     return None
 
 
+def reference_integer(text, what):
+    """An optional "-" and then ASCII digits, matched by a regex, as int() reads them."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ContractError(f"{what} must be an integer, got {text!r}")
+    return int(text)
+
+
 def reference_parse_partition(text):
     """Split on runs of commas and whitespace with a regex, then parse each token."""
     parts = []
     for tok in [t for t in re.split(r"[,\s]+", text.strip()) if t]:
-        try:
-            value = int(tok)
-        except ValueError:
-            raise ContractError(f"not an integer part: {tok!r}")
+        value = reference_integer(tok, "partition part")
         if value <= 0:
             raise ContractError(f"parts must be positive, got {tok!r}")
         parts.append(value)
@@ -126,6 +132,29 @@ class TestAgainstReference:
         with pytest.raises(ContractError, match=rf"^partition parts must be integers, got {bad}$"):
             Partition(parts)
 
+    @pytest.mark.parametrize("parts,bad", [
+        ([True, 2], "True"), ([2, False], "False"), ([3, True, 1.5], "True"), ((True,), "True"),
+    ])
+    def test_bool_part_is_refused(self, parts, bad):
+        # True == 1 and operator.index(True) is 1, so a bool once passed as the part 1
+        with pytest.raises(ContractError, match=rf"^partition parts must be integers, got {bad}$"):
+            Partition(parts)
+
+    def test_a_part_is_an_int_not_a_subclass_or_an_index(self):
+        class Part(int):
+            pass
+
+        class Index:
+            def __index__(self):
+                return 2
+
+            def __repr__(self):
+                return "Index()"
+
+        for parts, bad in (([3, Part(2)], "2"), ([Index(), 1], r"Index\(\)")):
+            with pytest.raises(ContractError, match=rf"^partition parts must be integers, got {bad}$"):
+                Partition(parts)
+
     def test_diagram_of_float_parts_is_refused(self):
         # [2.7, 2.2] once truncated to the valid diagram [2,2]
         with pytest.raises(ContractError, match=r"^partition parts must be integers, got 2\.7$"):
@@ -172,8 +201,20 @@ class TestParse:
             parse_partition("6,0,1")
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ContractError, match=r"^not an integer part: 'x'$"):
+        with pytest.raises(ContractError, match=r"^partition part must be an integer, got 'x'$"):
             parse_partition("3,x")
+
+    @pytest.mark.parametrize("tok", ["1_0", "+3", "٣", "٤٠", "-٣", "3.0", "0x3", "³", "-"])
+    def test_only_integer_text_is_a_part(self, tok):
+        # int() reads the first five; a part is an optional "-" and ASCII digits only
+        with pytest.raises(ContractError,
+                           match=rf"^partition part must be an integer, got '{re.escape(tok)}'$"):
+            parse_partition(f"2,{tok}")
+
+    def test_a_part_keeps_its_leading_zeros_and_the_sign_is_named(self):
+        assert parse_partition("007,1") == (7, 1)
+        with pytest.raises(ContractError, match=r"^parts must be positive, got '-3'$"):
+            parse_partition("2,-3")
 
     def test_empty_text_is_empty_partition(self):
         assert parse_partition("") == ()
@@ -312,3 +353,24 @@ class TestSizeText:
             assert size_text(parts[0]) == "9" * 640
         finally:
             sys.set_int_max_str_digits(previous)
+
+
+class TestInteger:
+    @given(st.text(alphabet="-+_ 0123456789٣٤x", max_size=6) | st.text(max_size=4))
+    def test_agrees_with_a_regex_reference(self, text):
+        assert is_integer(text) == bool(re.fullmatch(r"-?[0-9]+", text))
+        assert outcome(integer, text, "it") == outcome(reference_integer, text, "it")
+
+    @pytest.mark.parametrize("text,value", [("0", 0), ("-1", -1), ("007", 7), ("-0", 0)])
+    def test_reads_integer_text(self, text, value):
+        assert integer(text, "it") == value
+
+    def test_more_digits_than_int_converts_is_refused_in_words(self):
+        digits = sys.get_int_max_str_digits()
+        if not digits:
+            pytest.skip("int from str conversion has no digit limit here")
+        assert integer("9" * digits, "it") == 10 ** digits - 1
+        for text in ("9" * (digits + 1), "-" + "9" * (digits + 1)):
+            assert is_integer(text)
+            with pytest.raises(ContractError, match=r"^it must be an integer, got '-?9+'$"):
+                integer(text, "it")

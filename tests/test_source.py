@@ -269,6 +269,37 @@ def test_only_the_listed_functions_are_memoized():
     assert found == CACHED
 
 
+def _int_uses(node):
+    """Each call of int within node, and each int passed as a value (a converter)."""
+    uses = []
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            uses += [call] if ast.unparse(call.func) == "int" else []
+            uses += [arg for arg in [*call.args, *(k.value for k in call.keywords)]
+                     if ast.unparse(arg) == "int"]
+    return uses
+
+
+def test_integer_text_is_read_by_the_one_reader():
+    # partitions.integer decides what integer text is; int() on text would also read
+    # "1_0", "+3", " 4" and non-ASCII digits.  _record_codims reads bytes it has already
+    # held to its own canonical-digits rule.
+    offenders, readers = [], 0
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for func in ast.walk(tree):
+            name = f"{path.stem}.{func.name}" if isinstance(func, ast.FunctionDef) else None
+            if name == "partitions.integer":
+                readers += 1
+                allowed |= {id(use) for use in _int_uses(func)}
+            elif name == "cli._record_codims":
+                allowed |= {id(use) for use in _int_uses(func) if ast.unparse(use) == "int(digits)"}
+        offenders += [f"{path.name}:{use.lineno} {ast.unparse(use)}" for use in _int_uses(tree)
+                      if id(use) not in allowed]
+    assert (offenders, readers) == ([], 1)
+
+
 def _unused_imports(path):
     """Names a module imports but does not use."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
