@@ -39,24 +39,17 @@ EXIT_UNDETERMINED = 11
 
 VERDICT_EXIT = {NORMAL: EXIT_NORMAL, NOT_NORMAL: EXIT_NOT_NORMAL, UNDETERMINED: EXIT_UNDETERMINED}
 
-DEFAULT_MAX_SIZE = 40  #: the size bound, unless --max-size or ORBIT_MAX_SIZE sets another
+DEFAULT_MAX_SIZE = 40  #: the size bound, unless --max-size sets another
 
 
-def max_size() -> int:
-    """The size bound: the ORBIT_MAX_SIZE environment override, else the default."""
-    env = os.environ.get("ORBIT_MAX_SIZE")
-    return DEFAULT_MAX_SIZE if env is None else integer(env, "ORBIT_MAX_SIZE")
-
-
-def check_size(n: int, bound: int | None = None) -> None:
-    """ContractError if n or the bound (None: max_size()) is < 0, CapacityError if n exceeds it."""
+def check_size(n: int, bound: int) -> None:
+    """ContractError if n or the bound is < 0, CapacityError if n exceeds the bound."""
     if n < 0:
         raise ContractError(f"n must be nonnegative, got {n}")
-    limit = max_size() if bound is None else bound
-    if limit < 0:
-        raise ContractError(f"the size bound must be nonnegative, got {limit}")
-    if n > limit:
-        raise CapacityError(f"size {size_text(n)} exceeds the size bound {limit}")
+    if bound < 0:
+        raise ContractError(f"the size bound must be nonnegative, got {bound}")
+    if n > bound:
+        raise CapacityError(f"size {size_text(n)} exceeds the size bound {bound}")
 
 
 def _parse_eps(text: str) -> int:
@@ -213,8 +206,6 @@ def _verdict_json(verdict: NormalityVerdict, codims: list | None = None) -> str:
 def run_check(args) -> tuple[int, str]:
     eta = EpsDiagram(parse_partition(args.partition), args.eps)
     check_size(eta.size, args.max_size)  # before the cache, so a hit honours the bound too
-    if args.oracle:
-        check_size(eta.size)  # the oracle's bound, which --max-size does not lift
     verdict = decide(eta)  # always: the cache holds oracle codims, not verdicts
     codims = None if args.cache is None else _cache_lookup(args.cache, verdict, args.oracle)
     code, record = VERDICT_EXIT[verdict.verdict], None
@@ -275,7 +266,7 @@ def run_hasse(args) -> tuple[int, str]:
 def _pair(args) -> DegenPair:
     """The --bottom <= --top pair, within the size bound, checked before any reduction."""
     pair = DegenPair(args.eps, parse_partition(args.bottom), parse_partition(args.top))
-    check_size(pair.size)
+    check_size(pair.size, args.max_size)
     return pair
 
 
@@ -311,7 +302,7 @@ def run_classify(args) -> tuple[int, str]:
 
 def run_dim(args) -> tuple[int, str]:
     p = EpsDiagram(parse_partition(args.partition), args.eps).partition
-    check_size(p.size)  # the oracle's bound, once the diagram is known to be one
+    check_size(p.size, args.max_size)  # once the diagram is known to be one
     model = build_nilpotent_model(p, args.eps)
     cent = centralizer_dim(model)
     total = algebra_dim(p.size, args.eps)
@@ -326,7 +317,7 @@ def run_dim(args) -> tuple[int, str]:
 
 def run_verify(args) -> tuple[int, str]:
     p = EpsDiagram(parse_partition(args.partition), args.eps).partition
-    check_size(p.size)  # the oracle's bound, once the diagram is known to be one
+    check_size(p.size, args.max_size)  # once the diagram is known to be one
     restricted = restrict_to_image(build_nilpotent_model(p, args.eps))
     got, expected = jordan_type(restricted.D), p.erase_first_column()
     ok = got == expected and restricted.eps == -args.eps
@@ -354,7 +345,7 @@ def _format(*choices: str, default: str = "text") -> _Option:
 
 _EPS = _Option("--eps", _parse_eps, required=True, help="+1 orthogonal, -1 symplectic")
 _MAX_SIZE = _Option("--max-size", lambda text: integer(text, "--max-size"),
-                    help="override the size bound")
+                    help="the largest size the command takes", default=DEFAULT_MAX_SIZE)
 _PARTITION = _Option("--partition", str, required=True)
 _SIZE = _Option("--size", lambda text: integer(text, "--size"), required=True)
 _PAIR = (_Option("--top", str, required=True), _Option("--bottom", str, required=True))
@@ -371,13 +362,13 @@ COMMANDS = {
     "hasse": _Command(run_hasse, "annotated cover graph as DOT or JSON",
                       (_EPS, _format("dot", "json", default="dot"), _MAX_SIZE, _SIZE)),
     "reduce": _Command(run_reduce, "irreducible core of a degeneration pair",
-                       (_EPS, _format("json", "text"), *_PAIR)),
+                       (_EPS, _format("json", "text"), _MAX_SIZE, *_PAIR)),
     "classify": _Command(run_classify, "reduce and classify a minimal degeneration",
-                         (_EPS, _format("json", "text"), *_PAIR)),
+                         (_EPS, _format("json", "text"), _MAX_SIZE, *_PAIR)),
     "dim": _Command(run_dim, "orbit/centralizer dimensions from the matrix oracle",
-                    (_EPS, _format("json", "text"), _PARTITION)),
+                    (_EPS, _format("json", "text"), _MAX_SIZE, _PARTITION)),
     "verify": _Command(run_verify, "check the column-erasure identity on one orbit",
-                       (_EPS, _format("text"), _PARTITION)),
+                       (_EPS, _format("text"), _MAX_SIZE, _PARTITION)),
 }
 
 
@@ -399,8 +390,8 @@ def _print_help(args) -> tuple[int, str]:
     for opt in command.options:
         value = ("" if opt.convert is None else f" {{{','.join(opt.choices)}}}" if opt.choices
                  else f" {opt.flag[2:].upper().replace('-', '_')}")
-        notes = ("required" if opt.required else None, opt.help,
-                 None if opt.convert is None or opt.default is None else f"default {opt.default}")
+        default = None if opt.convert is None or opt.default is None else f"default {opt.default}"
+        notes = ("required" if opt.required else None, default, opt.help)
         lines.append(f"  {opt.flag + value:<24}  {'; '.join(filter(None, notes))}")
     return EXIT_NORMAL, "\n".join(lines)
 
@@ -412,8 +403,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     A line is `--help`, `-h` or `--version` alone, or a command and then its options,
     each spelled in full and given once, as `--opt value` or `--flag`; `--help` or `-h`
     where an option flag may stand asks for the command's help.  No value starts with
-    "-" unless it is negative integer text (is_integer), every value converts and is among
-    its choices, and every required option is there.
+    "-" unless its text up to the first comma or whitespace is integer text (is_integer),
+    every value converts and is among its choices, and every required option is there.
     """
     if argv in (["--help"], ["-h"]):
         return SimpleNamespace(command=None, func=_print_help)
@@ -439,7 +430,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             found[flag] = True
             continue
         text = next(rest, None)
-        if text is None or text.startswith("-") and not is_integer(text):
+        if text is None or (text.startswith("-")
+                            and not is_integer(text.replace(",", " ").split()[0])):
             raise ContractError(f"{flag} needs a value"
                                 + ("" if text is None else f", not {text!r}"))
         value = opt.convert(text)  # a ContractError that names what is wrong, if any

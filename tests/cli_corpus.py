@@ -20,10 +20,11 @@ editing ``EXPECTED``.  The run set:
   n <= 10 (above) and on a fixed, seeded sample of 8 eps-diagrams a form type
   at n = 40;
 - help, usage errors and ``--version``;
-- bad eps, partition, bound (``--max-size``) and ``ORBIT_MAX_SIZE`` input;
-- at each reader of integer text (a partition part, ``--size``, ``--max-size``
-  and ``ORBIT_MAX_SIZE``), each spelling in ``NOT_INTEGER_TEXT`` and a value
-  of 4,301 digits, one more than ``int()`` converts by default;
+- bad eps and partition input, a value that starts with "-", and
+  ``--max-size`` on every command, below, at and above each size;
+- at each reader of integer text (a partition part, ``--size`` and
+  ``--max-size``), each spelling in ``NOT_INTEGER_TEXT`` and a value of 4,301
+  digits, one more than ``int()`` converts by default;
 - ``check --cache`` on one cache file, which starts with a hand-written
   record for [7,2,2] (spaces, keys in reverse order): on every eps-diagram with
   n <= 8, a plain check and then ``--oracle``, each a miss and then a hit, in
@@ -50,7 +51,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 #: The line this corpus prints for the current command-line output, under every CPython.
-EXPECTED = "8365 4ed63f3c56f16c8c2fa8896f3c802c5f041f65b1f851bd9dfffdf31ba1d44f87"
+EXPECTED = "8249 2a65270b353196ef8aff8f1a5ed3d938274645a3c4a98ba20719c25377a8b947"
 EPS = ("1", "-1")
 SMALL = 10
 LARGE = 40
@@ -98,80 +99,91 @@ def large_sample(eps: str) -> list[tuple[int, ...]]:
 
 
 def runs():
-    """(argv, ORBIT_MAX_SIZE or None) for every run, in a fixed order."""
+    """argv of every run, in a fixed order."""
     for eps in EPS:
         for n in range(SMALL + 1):
             for fmt in ("json", "csv", "text"):
-                yield ["survey", "--eps", eps, "--size", str(n), "--format", fmt], None
+                yield ["survey", "--eps", eps, "--size", str(n), "--format", fmt]
             for fmt in ("dot", "json"):
-                yield ["hasse", "--eps", eps, "--size", str(n), "--format", fmt], None
+                yield ["hasse", "--eps", eps, "--size", str(n), "--format", fmt]
             every = list(partitions(n))
             for parts in every:
                 p = csv(parts)
                 for fmt in ("json", "text"):
-                    yield ["check", "--eps", eps, "--partition", p, "--format", fmt], None
-                    yield ["dim", "--eps", eps, "--partition", p, "--format", fmt], None
-                yield ["verify", "--eps", eps, "--partition", p], None
+                    yield ["check", "--eps", eps, "--partition", p, "--format", fmt]
+                    yield ["dim", "--eps", eps, "--partition", p, "--format", fmt]
+                yield ["verify", "--eps", eps, "--partition", p]
                 if is_diagram(parts, eps):
                     for fmt in ("json", "text"):
                         yield ["check", "--eps", eps, "--partition", p, "--format", fmt,
-                               "--oracle"], None
+                               "--oracle"]
             diagrams = [csv(parts) for parts in every if is_diagram(parts, eps)]
             for top in diagrams:
                 for bottom in diagrams:
                     for command in ("reduce", "classify"):
                         for fmt in ("json", "text"):
                             yield [command, "--eps", eps, "--top", top, "--bottom", bottom,
-                                   "--format", fmt], None
+                                   "--format", fmt]
         for parts in large_sample(eps):
             p = csv(parts)
-            yield ["check", "--eps", eps, "--partition", p, "--format", "json", "--oracle"], None
-            yield ["dim", "--eps", eps, "--partition", p, "--format", "json"], None
-            yield ["verify", "--eps", eps, "--partition", p], None
+            yield ["check", "--eps", eps, "--partition", p, "--format", "json", "--oracle"]
+            yield ["dim", "--eps", eps, "--partition", p, "--format", "json"]
+            yield ["verify", "--eps", eps, "--partition", p]
     # help, usage and version
-    yield [], None
+    yield []
     for flag in ("--help", "-h", "--version", "--bogus"):
-        yield [flag], None
+        yield [flag]
     for command in ("check", "survey", "hasse", "reduce", "classify", "dim", "verify", "nope"):
-        yield [command], None
-        yield [command, "--help"], None
-        yield [command, "-h"], None
-    yield ["check", "--eps", "1"], None
-    yield ["check", "--ep", "1", "--partition", "3,1"], None
-    yield ["check", "--eps=1", "--partition=3,1"], None
-    yield ["check", "--eps", "1", "--eps", "1", "--partition", "3,1"], None
-    yield ["check", "--eps", "1", "--partition", "3,1", "--format", "dot"], None
-    yield ["survey", "--eps", "1", "--size", "x"], None
-    yield ["hasse", "--eps", "1", "--size", "4", "--", "extra"], None
-    yield ["verify", "--eps", "1", "--partition", "3,1", "--format", "json"], None
+        yield [command]
+        yield [command, "--help"]
+        yield [command, "-h"]
+    yield ["check", "--eps", "1"]
+    yield ["check", "--ep", "1", "--partition", "3,1"]
+    yield ["check", "--eps=1", "--partition=3,1"]
+    yield ["check", "--eps", "1", "--eps", "1", "--partition", "3,1"]
+    yield ["check", "--eps", "1", "--partition", "3,1", "--format", "dot"]
+    yield ["survey", "--eps", "1", "--size", "x"]
+    yield ["hasse", "--eps", "1", "--size", "4", "--", "extra"]
+    yield ["verify", "--eps", "1", "--partition", "3,1", "--format", "json"]
     # bad eps and bad partitions
     for eps in ("0", "2", "+2", "x", "", "--1", "+-1", "1.0"):
-        yield ["check", "--eps", eps, "--partition", "3,1"], None
-        yield ["survey", "--eps", eps, "--size", "3"], None
+        yield ["check", "--eps", eps, "--partition", "3,1"]
+        yield ["survey", "--eps", eps, "--size", "3"]
     for p in ("", "0", "3,,1", "a", "1,3", "-1", " 3", "3.0", "3,0", "3;1", "1" * 50, "41"):
         for command in ("check", "dim", "verify"):
-            yield [command, "--eps", "1", "--partition", p], None
-        yield ["reduce", "--eps", "1", "--top", p, "--bottom", "1,1"], None
-        yield ["classify", "--eps", "1", "--top", "3,1", "--bottom", p], None
-    # bounds: --max-size and ORBIT_MAX_SIZE
-    for env in (None, "-1", "0", "3", "abc", "", "41", "100"):
-        for bound in (None, "-5", "-1", "0", "2", "41"):
-            extra = [] if bound is None else ["--max-size", bound]
-            yield ["check", "--eps", "1", "--partition", "3,1", *extra], env
-            yield ["check", "--eps", "-1", "--partition", "2,2", "--oracle", *extra], env
-            yield ["survey", "--eps", "-1", "--size", "4", *extra], env
-            yield ["hasse", "--eps", "1", "--size", "4", *extra], env
-        yield ["dim", "--eps", "1", "--partition", "3,1"], env
-        yield ["verify", "--eps", "1", "--partition", "3,1"], env
-        yield ["reduce", "--eps", "1", "--top", "3,1", "--bottom", "1,1,1,1"], env
-        yield ["classify", "--eps", "1", "--top", "3,1", "--bottom", "2,2"], env
+            yield [command, "--eps", "1", "--partition", p]
+        yield ["reduce", "--eps", "1", "--top", p, "--bottom", "1,1"]
+        yield ["classify", "--eps", "1", "--top", "3,1", "--bottom", p]
+    # a value that starts with "-": read when its head, up to a comma or whitespace, is an integer
+    for p in ("-3,1", "-3 1", "-3,", "-x,1", "-,3", "--format"):
+        yield ["check", "--eps", "1", "--partition", p]
+    yield ["survey", "--eps", "1", "--size", "-x"]
+    yield ["survey", "--eps", "1", "--size", "-3,1"]
+    # bounds: --max-size, the one bound of every command
+    for bound in (None, "-5", "-1", "0", "2", "3", "41", "100", "abc", ""):
+        extra = [] if bound is None else ["--max-size", bound]
+        yield ["check", "--eps", "1", "--partition", "3,1", *extra]
+        yield ["check", "--eps", "-1", "--partition", "2,2", "--oracle", *extra]
+        yield ["survey", "--eps", "-1", "--size", "4", *extra]
+        yield ["hasse", "--eps", "1", "--size", "4", *extra]
+        yield ["dim", "--eps", "1", "--partition", "3,1", *extra]
+        yield ["verify", "--eps", "1", "--partition", "3,1", *extra]
+        yield ["reduce", "--eps", "1", "--top", "3,1", "--bottom", "1,1,1,1", *extra]
+        yield ["classify", "--eps", "1", "--top", "3,1", "--bottom", "2,2", *extra]
+    for bound in (None, "44", "45", "50"):  # above the default bound 40, the oracle's too
+        extra = [] if bound is None else ["--max-size", bound]
+        yield ["check", "--eps", "1", "--partition", "43,1,1", "--oracle", *extra]
+        yield ["dim", "--eps", "-1", "--partition", "42,2", *extra]
+        yield ["verify", "--eps", "-1", "--partition", "42,2", *extra]
+        yield ["reduce", "--eps", "1", "--top", "41,3,1", "--bottom", "39,3,3", *extra]
+        yield ["classify", "--eps", "1", "--top", "41,3,1", "--bottom", "39,3,3", *extra]
     # integer text at each of its readers: spellings int() reads, and too many digits
     for text in (*NOT_INTEGER_TEXT, "9" * 4301):
-        yield ["check", "--eps", "1", "--partition", text], None
-        yield ["check", "--eps", "1", "--partition", f"1,{text}"], None
-        yield ["survey", "--eps", "1", "--size", text], None
-        yield ["hasse", "--eps", "1", "--size", "4", "--max-size", text], None
-        yield ["survey", "--eps", "-1", "--size", "4"], text
+        yield ["check", "--eps", "1", "--partition", text]
+        yield ["check", "--eps", "1", "--partition", f"1,{text}"]
+        yield ["survey", "--eps", "1", "--size", text]
+        yield ["hasse", "--eps", "1", "--size", "4", "--max-size", text]
+        yield ["survey", "--eps", "-1", "--size", "4", "--max-size", text]
 
 
 def cache_runs():
@@ -190,36 +202,31 @@ def cache_runs():
                    "--format", fmt, *oracle]
 
 
-def run(argv: list[str], env: str | None) -> bytes:
-    """argv, ORBIT_MAX_SIZE, the exit code, stdout and stderr of one in-process run."""
+def run(argv: list[str]) -> bytes:
+    """argv, the exit code, stdout and stderr of one in-process run."""
     from orbitnorm import cli  # here, so that the run set can be read without the package
 
-    if env is None:
-        os.environ.pop("ORBIT_MAX_SIZE", None)
-    else:
-        os.environ["ORBIT_MAX_SIZE"] = env
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = repr(cli.main(argv))
         except Exception as exc:  # recorded, so a crash changes the hash
             code = f"raised {type(exc).__name__}: {exc}"
-    return repr((argv, env, code, out.getvalue(), err.getvalue())).encode() + b"\n"
+    return repr((argv, code, out.getvalue(), err.getvalue())).encode() + b"\n"
 
 
 def main() -> None:
     digest, count = hashlib.sha256(), 0
-    for argv, env in runs():
-        digest.update(run(argv, env))
+    for argv in runs():
+        digest.update(run(argv))
         count += 1
-    os.environ.pop("ORBIT_MAX_SIZE", None)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
             Path(CACHE).write_text(HAND_RECORD + "\n")
             for argv in cache_runs():
-                digest.update(run(argv, None))
+                digest.update(run(argv))
                 digest.update(Path(CACHE).read_bytes())
                 count += 1
         finally:

@@ -10,7 +10,9 @@ goes first.  A child puts its own tree's ``src`` first on ``sys.path``, imports
 number of times, with stdout and stderr sent to ``os.devnull``.  Before each
 call it empties every memo of the package: every attribute of an ``orbitnorm``
 module that has ``cache_clear``, so a memo that only one side has needs no
-name.  The child reports the median of its calls and its own peak RSS: on
+name.  A ``bench-*`` operation empties them before each command line of a call
+instead, as the benchmark starts a fresh process for each.  The child reports
+the median of its calls and its own peak RSS: on
 Linux ``VmHWM`` from ``/proc/self/status``, because a child's ``ru_maxrss``
 starts at its parent's peak at the fork and keeps it across ``exec``;
 elsewhere ``ru_maxrss``.  The ``import`` operation times the import itself,
@@ -18,7 +20,8 @@ once a child.
 
 For each operation the tool prints both sides' medians over the pairs, the
 median paired difference (change - parent), how many pairs the change was
-faster in, and each side's median peak RSS.  ``--json`` writes every child's
+faster in, each side's median peak RSS, the number of command lines a call
+runs, and each side's median per command line.  ``--json`` writes every child's
 figures as well, the section a ``BENCH_<pr>.json`` carries.  The timings are
 evidence, not a gate: a shared machine drifts by 2x from one run to the next,
 and pairing is what survives that.
@@ -33,10 +36,16 @@ The operations:
   miss asks for [38] at eps -1, on a fresh copy of the file each call;
 - ``survey-{csv,json,text}{+1,-1}``: ``survey --size 40``;
 - ``check-oracle``, ``dim`` and ``verify``: each call runs the command on all
-  16 diagrams of ``tests/cli_corpus.py``'s seeded n = 40 sample.
+  16 diagrams of ``tests/cli_corpus.py``'s seeded n = 40 sample;
+- ``bench-sweep``, ``bench-check-large`` and ``bench-oracle``: each call runs
+  the operations of one seed-1 block of that benchmark workload, as
+  ``bench/inputs.py`` schedules them (10, 12 and 18 command lines), so the
+  per-line column is the package's own work per benchmark operation.
 
-It imports only the standard library and the run set of ``cli_corpus.py``, and
-pytest does not collect it.  Bytecode goes to a temporary
+It imports only the standard library, the run set of ``cli_corpus.py`` and the
+benchmark's schedule in ``bench/inputs.py``, and pytest does not collect it.
+The children never see ``ORBIT_MAX_SIZE``, which trees older than the one
+size bound ``--max-size`` still read.  Bytecode goes to a temporary
 ``PYTHONPYCACHEPREFIX``, compiled by one untimed child per side, so no tree is
 written to.
 """
@@ -52,12 +61,13 @@ from pathlib import Path
 
 from cli_corpus import csv, is_diagram, large_sample, partitions
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 CACHE_SIZE = 36  #: the cache file holds a record for every eps-diagram of size 1 to this
 SURVEY_SIZE = 40
 MISS = ["check", "--eps", "-1", "--partition", "38"]  #: an orbit no record in the file is for
 
 #: The program each child runs: argv is TREE KIND CALLS CACHE, and one argv a stdin line.
-#: KIND is import, hit, miss or plain.  It prints "median_ns peak_rss_kib exit_codes".
+#: KIND is import, hit, miss, plain or bench.  It prints "median_ns peak_rss_kib exit_codes".
 CHILD = r'''
 import sys, time
 tree, kind, calls, cache = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
@@ -73,19 +83,24 @@ if not cli.__file__.startswith(os.path.abspath(tree)):
 if cache != "-":
     size, work = os.path.getsize(cache), cache + f".{os.getpid()}"
     argvs = [[*argv, "--cache", work if kind == "miss" else cache] for argv in argvs]
+def clear_memos():
+    for module in [m for name, m in sys.modules.items() if name.startswith("orbitnorm")]:
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 times, codes = [imported], set()
 with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
     for _ in range(0 if kind == "import" else calls):
         if kind == "miss":
             shutil.copyfile(cache, work)
-        for module in [m for name, m in sys.modules.items() if name.startswith("orbitnorm")]:
-            for value in list(vars(module).values()):
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-        start = time.perf_counter_ns()
-        for argv in argvs:
+        elapsed = 0
+        for i, argv in enumerate(argvs):
+            if i == 0 or kind == "bench":
+                clear_memos()
+            start = time.perf_counter_ns()
             codes.add(cli.main(argv))
-        times.append(time.perf_counter_ns() - start)
+            elapsed += time.perf_counter_ns() - start
+        times.append(elapsed)
 if kind == "miss":
     os.remove(work)
 if kind == "hit" and os.path.getsize(cache) != size:
@@ -120,6 +135,12 @@ def operations() -> dict:
     ops["dim"] = ("plain", 5, [["dim", "--eps", eps, "--partition", p, "--format", "json"]
                                for eps, p in sample])
     ops["verify"] = ("plain", 5, [["verify", "--eps", eps, "--partition", p] for eps, p in sample])
+    sys.path.insert(0, str(BENCH))
+    from inputs import Schedule  # the benchmark's own schedule, so its operations are these
+
+    for workload, calls in (("sweep", 5), ("check-large", 15), ("oracle", 5)):
+        ops[f"bench-{workload}"] = ("bench", calls,
+                                    [op["argv"] for op in Schedule(workload, 1).block()])
     return ops
 
 
@@ -192,7 +213,8 @@ def main() -> int:
         for tree in trees.values():  # compiles each tree's bytecode, untimed
             child(tree, "import", 1, [], cache, env)
         print(f"{'operation':<18} {'parent ms':>10} {'change ms':>10} {'diff ms':>9}"
-              f" {'faster':>7} {'parent MiB':>10} {'change MiB':>10}", flush=True)
+              f" {'faster':>7} {'parent MiB':>10} {'change MiB':>10} {'lines':>5}"
+              f" {'parent/line':>11} {'change/line':>11}", flush=True)
         results = {}
         for name in chosen:
             kind, calls, argvs = ops[name]
@@ -208,17 +230,23 @@ def main() -> int:
             for side in trees:
                 result[f"{side}_rss_mib"] = [round(r[1], 1) for r in runs[side]]
             result["calls"], result["argvs"] = calls, argvs
+            lines = max(len(argvs), 1)  # import runs no command line: its figure is the import
+            for side in trees:
+                result[f"{side}_median_per_line"] = round(result[f"{side}_median"] / lines, 3)
             results[name] = result
             print(f"{name:<18} {result['parent_median']:>10.3f} {result['change_median']:>10.3f}"
                   f" {result['paired_diff_median']:>+9.3f}"
                   f" {result['change_faster_pairs']:>3}/{args.pairs:<3}"
                   f" {statistics.median(result['parent_rss_mib']):>10.1f}"
-                  f" {statistics.median(result['change_rss_mib']):>10.1f}", flush=True)
+                  f" {statistics.median(result['change_rss_mib']):>10.1f} {len(argvs):>5}"
+                  f" {result['parent_median_per_line']:>11.3f}"
+                  f" {result['change_median_per_line']:>11.3f}", flush=True)
     if args.json:
         note = (f"tests/phases.py: python3 -S, one fresh child per side per pair, {args.pairs}"
                 " alternating pairs (parent first in even pairs); each child's value is the"
-                " median of its calls, in ms, with every package memo emptied before each call;"
-                " rss is each child's own peak (VmHWM, else ru_maxrss)")
+                " median of its calls, in ms, with every package memo emptied before each call"
+                " (before each command line for bench-*); rss is each child's own peak (VmHWM,"
+                " else ru_maxrss)")
         document = {"note": note, "python": sys.version.split()[0],
                     "trees": {side: str(tree) for side, tree in trees.items()},
                     "results": results}

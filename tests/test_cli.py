@@ -280,17 +280,15 @@ class TestCache:
         assert [json.loads(line)["partition"] for line in open(cache)] == [
             [int(x) for x in cached.split(",")], [int(x) for x in asked.split(",")]]
 
-    @pytest.mark.parametrize("bound,env,code,message", [
-        ("5", None, 3, "error: size 11 exceeds the size bound 5"),
-        (None, "abc", 2, "error: ORBIT_MAX_SIZE must be an integer, got 'abc'"),
-    ], ids=["max-size", "bad-env"])
-    def test_hit_honours_the_bound(self, capsys, tmp_path, monkeypatch, bound, env, code, message):
+    @pytest.mark.parametrize("bound,code,message", [
+        ("5", 3, "error: size 11 exceeds the size bound 5"),
+        ("abc", 2, "error: --max-size must be an integer, got 'abc'"),
+    ], ids=["max-size", "bad-max-size"])
+    def test_hit_honours_the_bound(self, capsys, tmp_path, bound, code, message):
         cache = str(tmp_path / "cache.jsonl")
         args = ("check", "--eps", "+1", "--partition", "7,2,2", "--cache", cache)
         assert run(capsys, *args)[0] == 10
-        if env is not None:
-            monkeypatch.setenv("ORBIT_MAX_SIZE", env)
-        got, out, err = run(capsys, *args, *(("--max-size", bound) if bound else ()))
+        got, out, err = run(capsys, *args, "--max-size", bound)
         assert (got, out, err.strip()) == (code, "", message)
         assert len(open(cache).readlines()) == 1
 
@@ -907,18 +905,26 @@ class TestTextOutput:
                         assert text == self.classify_text(doc)
 
 
+#: A command line of each command on an orbit or pair of size 8, all answered with exit 0.
+SIZE_8 = [
+    ("check", "--partition", "6,1,1"),
+    ("survey", "--size", "8"),
+    ("hasse", "--size", "8"),
+    ("reduce", "--top", "6,1,1", "--bottom", "4,2,2"),
+    ("classify", "--top", "6,1,1", "--bottom", "4,2,2"),
+    ("dim", "--partition", "6,1,1"),
+    ("verify", "--partition", "6,1,1"),
+]
+
+
 class TestMaxSize:
-    @pytest.mark.parametrize("argv", [
-        ("reduce", "--top", "6,1,1", "--bottom", "4,2,2"),
-        ("classify", "--top", "6,1,1", "--bottom", "4,2,2"),
-        ("dim", "--partition", "6,1,1"),
-        ("verify", "--partition", "6,1,1"),
-    ], ids=lambda argv: argv[0])
-    def test_rejected_where_not_honoured(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--eps", "-1", "--max-size", "5")
-        assert code == 2
-        assert out == ""
-        assert "--max-size" in err
+    @pytest.mark.parametrize("argv", SIZE_8, ids=lambda argv: argv[0])
+    def test_honoured_by_every_command(self, capsys, argv):
+        assert run(capsys, *argv, "--eps", "-1", "--max-size", "7") == (
+            3, "", "error: size 8 exceeds the size bound 7\n")
+        code, out, err = run(capsys, *argv, "--eps", "-1", "--max-size", "8")
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, "--eps", "-1") == (code, out, err)
 
     @pytest.mark.parametrize("command", ["survey", "hasse"])
     def test_honoured_by_whole_size_commands(self, capsys, command):
@@ -926,49 +932,49 @@ class TestMaxSize:
         assert code == 3
         assert "size bound 4" in err
 
-    @pytest.mark.parametrize("argv,expected", [
-        (("survey", "--size", "10"), 1),
-        (("hasse", "--size", "10"), 1),
-        (("check", "--partition", "9,7,3,3,1,1"), 1),
-        (("check", "--partition", "9,7,3,3,1,1", "--oracle"), 2),
-        (("reduce", "--top", "7,2,2", "--bottom", "7,1,1,1,1"), 1),
-        (("classify", "--top", "7,2,2", "--bottom", "7,1,1,1,1"), 1),
-        (("dim", "--partition", "9,7,3,3,1,1"), 1),
-        (("verify", "--partition", "9,7,3,3,1,1"), 1),
+    @pytest.mark.parametrize("argv", [
+        ("survey", "--size", "10"),
+        ("hasse", "--size", "10"),
+        ("check", "--partition", "9,7,3,3,1,1"),
+        ("check", "--partition", "9,7,3,3,1,1", "--oracle"),
+        ("reduce", "--top", "7,2,2", "--bottom", "7,1,1,1,1"),
+        ("classify", "--top", "7,2,2", "--bottom", "7,1,1,1,1"),
+        ("dim", "--partition", "9,7,3,3,1,1"),
+        ("verify", "--partition", "9,7,3,3,1,1"),
     ], ids=["survey", "hasse", "check", "check-oracle", "reduce", "classify", "dim", "verify"])
-    def test_whole_size_commands_read_the_bound_once(self, capsys, monkeypatch, argv, expected):
-        # each command checks its size once, up front; check --oracle also checks the oracle's
-        reads = []
-        real = cli.max_size
-        monkeypatch.setattr(cli, "max_size", lambda: reads.append(1) or real())
-        code, _, err = run(capsys, *argv, "--eps", "1")
+    def test_every_command_checks_its_size_once(self, capsys, monkeypatch, argv):
+        # each command checks its size once, up front, against its one bound: --oracle too
+        bounds, real = [], cli.check_size
+        monkeypatch.setattr(cli, "check_size",
+                            lambda n, bound: real(n, bounds.append(bound) or bound))
+        code, _, err = run(capsys, *argv, "--eps", "1", "--max-size", "30")
         assert (code, err) == (0, "")
-        assert len(reads) == expected
+        assert bounds == [30]
 
-    def test_hasse_env_override(self, capsys, monkeypatch):
+    def test_hasse_max_size(self, capsys):
         code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "41")
         assert code == 3
         assert "size bound 40" in err
-        monkeypatch.setenv("ORBIT_MAX_SIZE", "3")
-        code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "4")
+        code, _, err = run(capsys, "hasse", "--eps", "-1", "--size", "4", "--max-size", "3")
         assert code == 3
         assert "size bound 3" in err
-        monkeypatch.setenv("ORBIT_MAX_SIZE", "4")
-        code, out, _ = run(capsys, "hasse", "--eps", "-1", "--size", "4")
+        code, out, _ = run(capsys, "hasse", "--eps", "-1", "--size", "4", "--max-size", "4")
         assert code == 0
         assert out.count("->") == 3
 
-    @pytest.mark.parametrize("argv,env", [
-        (("hasse", "--size", "0", "--max-size", "-1"), None),
-        (("survey", "--size", "0"), "-1"),
-        (("check", "--partition", "3,1", "--max-size", "-1"), None),
-        (("check", "--partition", "3,1"), "-1"),
-    ], ids=["hasse-max-size", "survey-env", "check-max-size", "check-env"])
-    def test_negative_bound_is_input_error(self, capsys, monkeypatch, argv, env):
+    def test_orbit_max_size_is_ignored(self, monkeypatch):
+        # the bound is --max-size alone: the program reads no environment variable
+        argv = ("hasse", "--eps", "-1", "--size", "4")
+        monkeypatch.delenv("ORBIT_MAX_SIZE", raising=False)
+        unset = _program(argv, capture_output=True)
+        monkeypatch.setenv("ORBIT_MAX_SIZE", "3")
+        assert _program(argv, capture_output=True).stdout == unset.stdout
+        assert unset.returncode == 0 and unset.stdout.count(b"->") == 3
+
+    @pytest.mark.parametrize("argv", SIZE_8, ids=lambda argv: argv[0])
+    def test_negative_bound_is_input_error(self, capsys, argv):
         # a bound below 0 is bad input, not a size beyond the capacity
-        if env is not None:
-            monkeypatch.setenv("ORBIT_MAX_SIZE", env)
-        assert run(capsys, *argv, "--eps", "1") == (
+        assert run(capsys, *argv, "--eps", "-1", "--max-size", "-1") == (
             2, "", "error: the size bound must be nonnegative, got -1\n")
 
     @pytest.mark.parametrize("command", ["survey", "hasse"])
@@ -1007,25 +1013,25 @@ class TestOracleBound:
         assert (code, err) == (0, "")
         assert out.endswith(": PASS\n")
 
-    def test_env_bound_caps_the_oracle(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORBIT_MAX_SIZE", "20")
-        assert run(capsys, "dim", "--eps", "-1", "--partition", "22") == (
+    def test_max_size_caps_the_oracle(self, capsys):
+        assert run(capsys, "dim", "--eps", "-1", "--partition", "22", "--max-size", "20") == (
             3, "", "error: size 22 exceeds the size bound 20\n")
 
-    def test_max_size_above_the_bound_does_not_lift_the_oracle(self, capsys):
-        # --max-size bounds check's enumeration only; the oracle keeps the size bound
-        orbit = ("check", "--eps", "1", "--partition", "43,1,1", "--max-size", "50")
-        assert run(capsys, *orbit)[0] == 0
+    def test_max_size_above_the_default_lifts_the_oracle_too(self, capsys):
+        # --max-size is the one bound of check, the oracle's included
+        orbit = ("check", "--eps", "1", "--partition", "43,1,1", "--format", "json")
         assert run(capsys, *orbit, "--oracle") == (
             3, "", "error: size 45 exceeds the size bound 40\n")
+        code, out, err = run(capsys, *orbit, "--oracle", "--max-size", "50")
+        assert (code, err) == (0, "")
+        assert [w["codim_oracle"] for w in json.loads(out)["witnesses"]] == [2]
 
     @pytest.mark.parametrize("parts", ["43,1,1", ",".join(["1"] * 45)], ids=["43,1,1", "1^45"])
-    def test_oracle_refuses_before_the_cache_and_decide(self, capsys, monkeypatch, tmp_path,
-                                                         parts):
+    def test_bound_refuses_before_the_cache_and_decide(self, capsys, monkeypatch, tmp_path, parts):
         # [43,1,1] has a witness for the oracle to check and [1^45] has none; both refuse
-        orbit = ("check", "--eps", "1", "--partition", parts, "--max-size", "50")
+        orbit = ("check", "--eps", "1", "--partition", parts)
         cache = tmp_path / "cache.jsonl"
-        assert run(capsys, *orbit, "--cache", str(cache))[0] == 0
+        assert run(capsys, *orbit, "--max-size", "50", "--cache", str(cache))[0] == 0
         primed = cache.read_bytes()
 
         def no_decide(*args):
@@ -1033,9 +1039,10 @@ class TestOracleBound:
 
         monkeypatch.setattr(cli, "decide", no_decide)
         refusal = (3, "", "error: size 45 exceeds the size bound 40\n")
-        assert run(capsys, *orbit, "--oracle") == refusal
-        # the plain record of [1^45] has no witness, so the cache would serve it to --oracle
-        assert run(capsys, *orbit, "--oracle", "--cache", str(cache)) == refusal
+        for oracle in ((), ("--oracle",)):
+            assert run(capsys, *orbit, *oracle) == refusal
+            # the plain record of [1^45] has no witness, so the cache would serve it
+            assert run(capsys, *orbit, *oracle, "--cache", str(cache)) == refusal
         assert cache.read_bytes() == primed
 
 
@@ -1231,11 +1238,10 @@ class TestOtherCommands:
             0, f"restriction type [] eps {image_eps}, expected [] eps {image_eps}: PASS\n", "")
 
     @pytest.mark.parametrize("command", ["reduce", "classify"])
-    def test_pair_commands_obey_the_enumeration_bound(self, capsys, monkeypatch, command):
+    def test_pair_commands_obey_the_enumeration_bound(self, capsys, command):
         pair = (command, "--eps", "1", "--top", "41", "--bottom", "39,1,1")
         assert run(capsys, *pair) == (3, "", "error: size 41 exceeds the size bound 40\n")
-        monkeypatch.setenv("ORBIT_MAX_SIZE", "41")
-        code, out, err = run(capsys, *pair, "--format", "json")
+        code, out, err = run(capsys, *pair, "--format", "json", "--max-size", "41")
         assert (code, err) == (0, "")
         doc = json.loads(out)
         reduction = doc if command == "reduce" else doc["reduction"]

@@ -17,18 +17,19 @@ GOOD = {
     "--eps": ["1", "+1", "-1"],
     "--max-size": ["0", "12", "40", "-1", "-7", "007"],
     "--size": ["0", "3", "16", "-2", "-0"],
-    "--partition": ["6,1,1", "7,2,2", "1", "", "3 1", "x", "-5", "4,-2"],
+    "--partition": ["6,1,1", "7,2,2", "1", "", "3 1", "x", "-5", "4,-2", "-3,1", "-3 1",
+                    "-3,x"],
     "--top": ["6,1,1", "5", "a"],
     "--bottom": ["4,2,2", "1,1,1,1,1"],
     "--cache": ["cache.jsonl", "c=d", "h"],
 }
-BAD = ["2", "-2", "0", "x", "-x", "-", "--", "-h", "--eps", "-١", "-²", "-.5", "-1 2", "JSON", "xml",
-       "--partition=1", "١٢", " 9", "9 ", "1_0", "+4", "٣"]
+BAD = ["2", "-2", "0", "x", "-x", "-", "--", "-h", "--eps", "-١", "-²", "-.5", "-1 2", "-1,",
+       "-,1", "- 1", "JSON", "xml", "--partition=1", "١٢", " 9", "9 ", "1_0", "+4", "٣"]
 
 HELP = ("-h", "--help")
-#: A value, as the grammar reads it: any text that does not start with "-", or an ASCII
-#: negative integer.
-VALUE = re.compile(r"(?!-).*|-[0-9]+", re.DOTALL)
+#: A value, as the grammar reads it: any text that does not start with "-", or text whose
+#: head, up to its first comma or whitespace, is an ASCII negative integer.
+VALUE = re.compile(r"(?!-).*|-[0-9]+([,\s].*)?", re.DOTALL)
 
 
 def reference(argv):
@@ -197,8 +198,8 @@ ERRORS = [
      "check has no option '--version'"),
     (["check", "--eps", "-1", "--partition", "6,1,1", "--oracle", "yes"],
      "check has no option 'yes'"),
-    (["reduce", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2", "--max-size", "5"],
-     "reduce has no option '--max-size'"),
+    (["reduce", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2", "--size", "5"],
+     "reduce has no option '--size'"),
     (["check", "--eps", "1", "--eps", "1", "--partition", "3,1"], "--eps is given twice"),
     (["check", "--eps", "-1", "--oracle", "--oracle", "--partition", "3,1"],
      "--oracle is given twice"),
@@ -208,6 +209,10 @@ ERRORS = [
     (["check", "--eps", "-١", "--partition", "6,1,1"], "--eps needs a value, not '-١'"),
     (["survey", "--eps", "-1", "--size", "-x"], "--size needs a value, not '-x'"),
     (["check", "--eps", "-1", "--partition", "-h"], "--partition needs a value, not '-h'"),
+    (["check", "--eps", "-1", "--partition", "--format", "json"],
+     "--partition needs a value, not '--format'"),
+    (["check", "--eps", "-1", "--partition", "-x,1"], "--partition needs a value, not '-x,1'"),
+    (["check", "--eps", "-1", "--partition", "-,3"], "--partition needs a value, not '-,3'"),
     (["check", "--eps", "0", "--partition", "3,1"], "eps must be +1 or -1, got '0'"),
     (["check", "--eps", "2", "--partition", "6,1,1"], "eps must be +1 or -1, got '2'"),
     (["survey", "--eps", "+-1", "--size", "3"], "eps must be +1 or -1, got '+-1'"),
@@ -270,9 +275,9 @@ def with_value(name, flag, text):
 
 
 def test_the_integer_options_are_the_sizes_and_bounds():
-    assert sorted(INTEGER_OPTIONS) == [("check", "--max-size"), ("hasse", "--max-size"),
-                                       ("hasse", "--size"), ("survey", "--max-size"),
-                                       ("survey", "--size")]
+    # every command takes --max-size, its one size bound
+    assert sorted(INTEGER_OPTIONS) == sorted([*((name, "--max-size") for name in COMMANDS),
+                                              ("hasse", "--size"), ("survey", "--size")])
 
 
 @pytest.mark.parametrize("name, flag", INTEGER_OPTIONS, ids=map(" ".join, INTEGER_OPTIONS))
@@ -296,6 +301,13 @@ def test_an_integer_option_takes_zero_negatives_and_leading_zeros(name, flag, te
      "the size bound must be nonnegative, got -1"),
     (["check", "--eps", "1", "--partition", "3,0,1"], "parts must be positive, got '0'"),
     (["check", "--eps", "1", "--partition", "3,-1"], "parts must be positive, got '-1'"),
+    # a value that starts with "-" is read when its head, up to a comma or whitespace, is
+    (["check", "--eps", "1", "--partition", "-3,1"], "parts must be positive, got '-3'"),
+    (["check", "--eps", "1", "--partition", "-3 1"], "parts must be positive, got '-3'"),
+    (["check", "--eps", "1", "--partition", "1,-3"], "parts must be positive, got '-3'"),
+    (["reduce", "--eps", "1", "--top", "-3,1", "--bottom", "1"],
+     "parts must be positive, got '-3'"),
+    (["survey", "--eps", "1", "--size", "-3,1"], "--size must be an integer, got '-3,1'"),
 ], ids=" ".join)
 def test_a_negative_integer_reaches_the_check_that_words_it(argv, message):
     assert refused(argv) == f"error: {message}"
@@ -308,19 +320,17 @@ def _too_long():
     return "9" * (digits + 1)  # 4,301 digits by default
 
 
-@pytest.mark.parametrize("argv, env, what", [
-    (["check", "--eps", "1", "--partition", "3,{}"], None, "partition part"),
-    (["survey", "--eps", "1", "--size", "{}"], None, "--size"),
-    (["survey", "--eps", "1", "--size", "-{}"], None, "--size"),
-    (["check", "--eps", "1", "--partition", "3,1", "--max-size", "{}"], None, "--max-size"),
-    (["survey", "--eps", "1", "--size", "3"], "{}", "ORBIT_MAX_SIZE"),
-], ids=["partition", "size", "negative-size", "max-size", "env"])
-def test_more_digits_than_int_converts_is_one_error_line(monkeypatch, argv, env, what):
+@pytest.mark.parametrize("argv, what", [
+    (["check", "--eps", "1", "--partition", "3,{}"], "partition part"),
+    (["survey", "--eps", "1", "--size", "{}"], "--size"),
+    (["survey", "--eps", "1", "--size", "-{}"], "--size"),
+    (["check", "--eps", "1", "--partition", "3,1", "--max-size", "{}"], "--max-size"),
+    (["survey", "--eps", "1", "--size", "3", "--max-size", "{}"], "--max-size"),
+], ids=["partition", "size", "negative-size", "max-size", "survey-max-size"])
+def test_more_digits_than_int_converts_is_one_error_line(argv, what):
     text = _too_long()
-    if env is not None:
-        monkeypatch.setenv("ORBIT_MAX_SIZE", env.format(text))
     argv = [token.format(text) for token in argv]
-    got = text if env is not None else argv[-1].removeprefix("3,")
+    got = argv[-1].removeprefix("3,")
     assert refused(argv) == f"error: {what} must be an integer, got {got!r}"
 
 

@@ -12,10 +12,6 @@ import pytest
 
 import orbitnorm
 import orbitnorm.cli
-from orbitnorm.degeneration import hasse
-from orbitnorm.matrix_oracle import build_nilpotent_model
-from orbitnorm.normality import NORMAL, decide
-from orbitnorm.partitions import EpsDiagram, Partition
 
 
 def test_no_assert_statements_in_package():
@@ -53,22 +49,14 @@ def _names_the_environment(node):
     return isinstance(node, ast.alias) and node.name in ENVIRONMENT
 
 
-def test_only_the_cli_reads_the_environment():
-    # the size bound is the command line's policy: a verdict depends on (eps, lambda) alone
-    readers = {}
+def test_no_module_names_the_environment():
+    # the command line is the program's only input: the size bound is --max-size alone
+    readers = []
     for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        lines = [node.lineno for node in ast.walk(tree) if _names_the_environment(node)]
-        if lines:
-            readers[path.name] = lines
-    assert list(readers) == ["cli.py"], readers
-
-
-def test_the_library_answers_whatever_orbit_max_size_holds(monkeypatch):
-    monkeypatch.setenv("ORBIT_MAX_SIZE", "3")
-    assert len(hasse(4, -1).edges) == 3
-    assert decide(EpsDiagram(Partition([41]), 1)).verdict == NORMAL
-    assert build_nilpotent_model(Partition([41]), 1).dim == 41
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if _names_the_environment(node)]
+    assert readers == []
 
 
 def _writes_to_stderr(node):
