@@ -25,7 +25,7 @@ from .errors import CapacityError, ContractError
 from .matrix_oracle import (algebra_dim, build_nilpotent_model, centralizer_dim, jordan_type,
                             orbit_dim, restrict_to_image)
 from .normality import NORMAL, NOT_NORMAL, UNDETERMINED, NormalityVerdict, decide
-from .partitions import (EpsDiagram, enumerate_eps_diagrams, integer, is_integer,
+from .partitions import (EpsDiagram, Partition, enumerate_eps_diagrams, integer, is_integer,
                          parse_partition, size_text)
 from .reduction import ReductionResult, irreducible_core
 from .table import DegenType
@@ -204,8 +204,7 @@ def _verdict_json(verdict: NormalityVerdict, codims: list | None = None) -> str:
 
 
 def run_check(args) -> tuple[int, str]:
-    eta = EpsDiagram(parse_partition(args.partition), args.eps)
-    check_size(eta.size, args.max_size)  # before the cache, so a hit honours the bound too
+    eta = EpsDiagram(args.partition, args.eps)
     verdict = decide(eta)  # always: the cache holds oracle codims, not verdicts
     codims = None if args.cache is None else _cache_lookup(args.cache, verdict, args.oracle)
     code, record = VERDICT_EXIT[verdict.verdict], None
@@ -221,7 +220,6 @@ def run_check(args) -> tuple[int, str]:
 
 
 def run_survey(args) -> tuple[int, str]:
-    check_size(args.size, args.max_size)
     verdicts = [decide(eta) for eta in enumerate_eps_diagrams(args.size, args.eps)]
     counts = {NORMAL: 0, NOT_NORMAL: 0, UNDETERMINED: 0}
     for v in verdicts:
@@ -254,20 +252,12 @@ def _hasse_json(graph: PosetGraph) -> str:
 
 
 def run_hasse(args) -> tuple[int, str]:
-    check_size(args.size, args.max_size)
     graph = hasse(args.size, args.eps)
     if args.format == "json":
         return EXIT_NORMAL, _hasse_json(graph)
     nodes = [f'  "{node.partition}";' for node in graph.nodes]
     edges = [f'  "{e.top}" -> "{e.bottom}" [label="{e.family},{e.codim}"];' for e in graph.edges]
     return EXIT_NORMAL, "\n".join(["digraph hasse {", *nodes, *edges, "}"])
-
-
-def _pair(args) -> DegenPair:
-    """The --bottom <= --top pair, within the size bound, checked before any reduction."""
-    pair = DegenPair(args.eps, parse_partition(args.bottom), parse_partition(args.top))
-    check_size(pair.size, args.max_size)
-    return pair
 
 
 def _reduction_json(reduction: ReductionResult) -> str:
@@ -277,7 +267,7 @@ def _reduction_json(reduction: ReductionResult) -> str:
 
 
 def run_reduce(args) -> tuple[int, str]:
-    reduction = irreducible_core(_pair(args))
+    reduction = irreducible_core(DegenPair(args.eps, args.bottom, args.top))
     if args.format == "json":
         return EXIT_NORMAL, _reduction_json(reduction)
     core = reduction.core
@@ -289,7 +279,8 @@ def run_reduce(args) -> tuple[int, str]:
 
 
 def run_classify(args) -> tuple[int, str]:
-    reduction, degen_type = classify_minimal_degeneration(_pair(args))
+    pair = DegenPair(args.eps, args.bottom, args.top)
+    reduction, degen_type = classify_minimal_degeneration(pair)
     if args.format == "json":
         return EXIT_NORMAL, (f'{{"reduction":{_reduction_json(reduction)},"type":{{"codim":'
                              f'{degen_type.codim},"family":"{degen_type.family}","n":'
@@ -301,10 +292,8 @@ def run_classify(args) -> tuple[int, str]:
 
 
 def run_dim(args) -> tuple[int, str]:
-    p = EpsDiagram(parse_partition(args.partition), args.eps).partition
-    check_size(p.size, args.max_size)  # once the diagram is known to be one
-    model = build_nilpotent_model(p, args.eps)
-    cent = centralizer_dim(model)
+    p = args.partition
+    cent = centralizer_dim(build_nilpotent_model(p, args.eps))  # the builder checks the diagram
     total = algebra_dim(p.size, args.eps)
     if args.format == "json":
         return EXIT_NORMAL, (f'{{"algebra_dim":{total},"centralizer_dim":{cent},"eps":{args.eps},'
@@ -316,8 +305,7 @@ def run_dim(args) -> tuple[int, str]:
 
 
 def run_verify(args) -> tuple[int, str]:
-    p = EpsDiagram(parse_partition(args.partition), args.eps).partition
-    check_size(p.size, args.max_size)  # once the diagram is known to be one
+    p = args.partition
     restricted = restrict_to_image(build_nilpotent_model(p, args.eps))
     got, expected = jordan_type(restricted.D), p.erase_first_column()
     ok = got == expected and restricted.eps == -args.eps
@@ -346,9 +334,10 @@ def _format(*choices: str, default: str = "text") -> _Option:
 _EPS = _Option("--eps", _parse_eps, required=True, help="+1 orthogonal, -1 symplectic")
 _MAX_SIZE = _Option("--max-size", lambda text: integer(text, "--max-size"),
                     help="the largest size the command takes", default=DEFAULT_MAX_SIZE)
-_PARTITION = _Option("--partition", str, required=True)
+_PARTITION = _Option("--partition", parse_partition, required=True)
 _SIZE = _Option("--size", lambda text: integer(text, "--size"), required=True)
-_PAIR = (_Option("--top", str, required=True), _Option("--bottom", str, required=True))
+_PAIR = (_Option("--top", parse_partition, required=True),
+         _Option("--bottom", parse_partition, required=True))
 
 #: The whole command line, in the order help lists it; the parser and help read it.
 COMMANDS = {
@@ -368,7 +357,7 @@ COMMANDS = {
     "dim": _Command(run_dim, "orbit/centralizer dimensions from the matrix oracle",
                     (_EPS, _format("json", "text"), _MAX_SIZE, _PARTITION)),
     "verify": _Command(run_verify, "check the column-erasure identity on one orbit",
-                       (_EPS, _format("text"), _MAX_SIZE, _PARTITION)),
+                       (_EPS, _MAX_SIZE, _PARTITION)),
 }
 
 
@@ -405,6 +394,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     where an option flag may stand asks for the command's help.  No value starts with
     "-" unless its text up to the first comma or whitespace is integer text (is_integer),
     every value converts and is among its choices, and every required option is there.
+    Then the line's size, --size or its largest partition, is held to --max-size
+    (check_size), before any rule of what its values mean runs.
     """
     if argv in (["--help"], ["-h"]):
         return SimpleNamespace(command=None, func=_print_help)
@@ -443,6 +434,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         raise ContractError(f"{argv[0]} requires {', '.join(missing)}")
     values = {flag[2:].replace("-", "_"): found.get(flag, opt.default)
               for flag, opt in options.items()}
+    sizes = [value.size for value in values.values() if isinstance(value, Partition)]
+    check_size(max(sizes) if sizes else values["size"], values["max_size"])
     return SimpleNamespace(func=command.run, **values)
 
 

@@ -10,7 +10,14 @@ command-line output is byte-identical print the same line:
 
 pytest does not collect this file; ``tests/test_cli_corpus.py`` runs it and
 compares its line with ``EXPECTED``, so a deliberate change of output means
-editing ``EXPECTED``.  The run set:
+editing ``EXPECTED``.  With ``--runs`` it prints instead one line per run,
+``<sha256> <argv>``: the run's own hash, over what it adds to the line's, and
+its argv as a shell would spell it.  One ``diff`` of two trees' listings then
+names every run that was added, removed or changed:
+
+    PYTHONPATH=src python tests/cli_corpus.py --runs > runs.txt
+
+The run set:
 
 - every command and format at n <= 10, both eps: ``survey`` and ``hasse`` in
   each format, ``check``, ``dim`` and ``verify`` on every partition (so also on
@@ -21,7 +28,8 @@ editing ``EXPECTED``.  The run set:
   at n = 40;
 - help, usage errors and ``--version``;
 - bad eps and partition input, a value that starts with "-", and
-  ``--max-size`` on every command, below, at and above each size;
+  ``--max-size`` on every command, below, at and above each size, also on a
+  partition that is above the bound and no eps-diagram;
 - at each reader of integer text (a partition part, ``--size`` and
   ``--max-size``), each spelling in ``NOT_INTEGER_TEXT`` and a value of 4,301
   digits, one more than ``int()`` converts by default;
@@ -46,12 +54,14 @@ import hashlib
 import io
 import os
 import random
+import shlex
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 #: The line this corpus prints for the current command-line output, under every CPython.
-EXPECTED = "8249 2a65270b353196ef8aff8f1a5ed3d938274645a3c4a98ba20719c25377a8b947"
+EXPECTED = "8253 87b524806ab3cdebbdff53d41ad9a437fa0231aed5174432060dd18cc1d29bce"
 EPS = ("1", "-1")
 SMALL = 10
 LARGE = 40
@@ -150,7 +160,8 @@ def runs():
         yield ["check", "--eps", eps, "--partition", "3,1"]
         yield ["survey", "--eps", eps, "--size", "3"]
     for p in ("", "0", "3,,1", "a", "1,3", "-1", " 3", "3.0", "3,0", "3;1", "1" * 50, "41"):
-        for command in ("check", "dim", "verify"):
+        # verify on '' ran with the diagrams of 0, whose other runs all set --format
+        for command in ("check", "dim", "verify") if p else ("check", "dim"):
             yield [command, "--eps", "1", "--partition", p]
         yield ["reduce", "--eps", "1", "--top", p, "--bottom", "1,1"]
         yield ["classify", "--eps", "1", "--top", "3,1", "--bottom", p]
@@ -167,9 +178,14 @@ def runs():
         yield ["survey", "--eps", "-1", "--size", "4", *extra]
         yield ["hasse", "--eps", "1", "--size", "4", *extra]
         yield ["dim", "--eps", "1", "--partition", "3,1", *extra]
-        yield ["verify", "--eps", "1", "--partition", "3,1", *extra]
+        if extra:  # verify on [3,1] without a bound ran with the diagrams of 4
+            yield ["verify", "--eps", "1", "--partition", "3,1", *extra]
         yield ["reduce", "--eps", "1", "--top", "3,1", "--bottom", "1,1,1,1", *extra]
         yield ["classify", "--eps", "1", "--top", "3,1", "--bottom", "2,2", *extra]
+    for bound in (None, "45"):  # a line is bounded before its partition is checked
+        extra = [] if bound is None else ["--max-size", bound]
+        for command in ("check", "dim", "verify"):
+            yield [command, "--eps", "1", "--partition", "43,2", *extra]
     for bound in (None, "44", "45", "50"):  # above the default bound 40, the oracle's too
         extra = [] if bound is None else ["--max-size", bound]
         yield ["check", "--eps", "1", "--partition", "43,1,1", "--oracle", *extra]
@@ -215,24 +231,34 @@ def run(argv: list[str]) -> bytes:
     return repr((argv, code, out.getvalue(), err.getvalue())).encode() + b"\n"
 
 
-def main() -> None:
-    digest, count = hashlib.sha256(), 0
+def records():
+    """argv and what it adds to the hash, of every run in order: a cache run adds the cache
+    file's bytes after it as well."""
     for argv in runs():
-        digest.update(run(argv))
-        count += 1
+        yield argv, run(argv)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
             Path(CACHE).write_text(HAND_RECORD + "\n")
             for argv in cache_runs():
-                digest.update(run(argv))
-                digest.update(Path(CACHE).read_bytes())
-                count += 1
+                yield argv, run(argv) + Path(CACHE).read_bytes()
         finally:
             os.chdir(home)
-    print(count, digest.hexdigest())
+
+
+def main(args: list[str]) -> None:
+    if args not in ([], ["--runs"]):
+        sys.exit("usage: cli_corpus.py [--runs]")
+    digest, count = hashlib.sha256(), 0
+    for argv, record in records():
+        digest.update(record)
+        count += 1
+        if args:
+            print(hashlib.sha256(record).hexdigest(), shlex.join(argv))
+    if not args:
+        print(count, digest.hexdigest())
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

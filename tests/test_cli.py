@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitnorm import cli, matrix_oracle
+from orbitnorm import cli, matrix_oracle, partitions
 from orbitnorm.cli import main
 from orbitnorm.classification import classify_core
 from orbitnorm.degeneration import DegenPair, dominates, hasse, table_pair
@@ -982,12 +982,32 @@ class TestMaxSize:
         assert run(capsys, command, "--eps", "1", "--size", "-1", "--max-size", "-5") == (
             2, "", "error: n must be nonnegative, got -1\n")
 
-    @pytest.mark.parametrize("command", ["dim", "verify"])
-    def test_oracle_commands_refuse_a_non_diagram_before_the_bound(self, capsys, command):
-        # [43,2] is above the bound, but it is no diagram for eps +1 first
-        assert run(capsys, command, "--eps", "1", "--partition", "43,2") == (
+    @pytest.mark.parametrize("command", ["check", "dim", "verify"])
+    def test_a_line_is_bounded_before_its_partition_is_checked_as_a_diagram(self, capsys, command):
+        # [43,2] is no diagram for eps +1; above the bound its size is refused first
+        orbit = (command, "--eps", "1", "--partition", "43,2")
+        assert run(capsys, *orbit) == (3, "", "error: size 45 exceeds the size bound 40\n")
+        assert run(capsys, *orbit, "--max-size", "45") == (
             2, "", "error: [43,2] is not a valid diagram for eps=+1:"
                    " even part 2 has odd multiplicity\n")
+
+    @pytest.mark.parametrize("command", ["reduce", "classify"])
+    def test_a_pair_is_bounded_by_its_larger_side_before_its_sizes_are_compared(
+            self, capsys, command):
+        pair = (command, "--eps", "1", "--top", "41", "--bottom", "1,1")
+        assert run(capsys, *pair) == (3, "", "error: size 41 exceeds the size bound 40\n")
+        assert run(capsys, *pair, "--max-size", "41") == (
+            2, "", "error: dominance needs equal sizes, got 41 and 2\n")
+
+    @pytest.mark.parametrize("command", ["dim", "verify"])
+    def test_oracle_commands_walk_the_parity_rule_once(self, capsys, monkeypatch, command):
+        # the diagram is checked where its model is built, and nowhere else
+        walks, real = [], partitions.eps_violation
+        monkeypatch.setattr(partitions, "eps_violation",
+                            lambda p, eps: walks.append(p) or real(p, eps))
+        code, _, err = run(capsys, command, "--eps", "-1", "--partition", "6,1,1")
+        assert (code, err) == (0, "")
+        assert walks == [(6, 1, 1)]
 
 
 class TestOracleBound:
@@ -1258,18 +1278,14 @@ class TestOtherCommands:
     ], ids=["check", "dim", "verify", "reduce", "classify", "reduce-unequal",
             "classify-unequal"])
     def test_size_too_long_to_print_is_one_line(self, capsys, argv):
-        # each part of N,N parses, but their sum has one digit more than str() may print
+        # each part of N,N parses, but their sum has one digit more than str() may print;
+        # an unequal pair is bounded by its larger side before its sizes are compared
         digits = sys.get_int_max_str_digits()
         if not digits:
             pytest.skip("int to str conversion has no digit limit here")
         argv = [arg.format(N="9" * digits) for arg in argv]
-        code, out, err = run(capsys, *argv, "--eps", "1")
-        if argv[-1] == "1":
-            assert (code, out, err) == (
-                2, "", f"error: dominance needs equal sizes, got >=10^{digits} and 1\n")
-        else:
-            assert (code, out, err) == (
-                3, "", f"error: size >=10^{digits} exceeds the size bound 40\n")
+        assert run(capsys, *argv, "--eps", "1") == (
+            3, "", f"error: size >=10^{digits} exceeds the size bound 40\n")
 
     @pytest.mark.parametrize("command", ["reduce", "classify"])
     def test_equal_pair_is_input_error(self, capsys, command):

@@ -13,18 +13,19 @@ from orbitnorm import cli
 from orbitnorm.cli import COMMANDS, _parse, main
 
 #: Canonical values of each option that has no choices (every one converts), and bad values.
+#: A canonical line is read, and then its size may still be refused by its bound.
 GOOD = {
     "--eps": ["1", "+1", "-1"],
     "--max-size": ["0", "12", "40", "-1", "-7", "007"],
     "--size": ["0", "3", "16", "-2", "-0"],
-    "--partition": ["6,1,1", "7,2,2", "1", "", "3 1", "x", "-5", "4,-2", "-3,1", "-3 1",
-                    "-3,x"],
-    "--top": ["6,1,1", "5", "a"],
+    "--partition": ["6,1,1", "7,2,2", "1", "", "3 1", "007,1", "13"],
+    "--top": ["6,1,1", "5", "9 3"],
     "--bottom": ["4,2,2", "1,1,1,1,1"],
     "--cache": ["cache.jsonl", "c=d", "h"],
 }
-BAD = ["2", "-2", "0", "x", "-x", "-", "--", "-h", "--eps", "-١", "-²", "-.5", "-1 2", "-1,",
-       "-,1", "- 1", "JSON", "xml", "--partition=1", "١٢", " 9", "9 ", "1_0", "+4", "٣"]
+BAD = ["2", "-2", "0", "x", "a", "-x", "-", "--", "-h", "--eps", "-١", "-²", "-.5", "-1 2",
+       "-1,", "-,1", "- 1", "-5", "4,-2", "-3,1", "-3 1", "-3,x", "JSON", "xml",
+       "--partition=1", "١٢", " 9", "9 ", "1_0", "+4", "٣"]
 
 HELP = ("-h", "--help")
 #: A value, as the grammar reads it: any text that does not start with "-", or text whose
@@ -32,9 +33,39 @@ HELP = ("-h", "--help")
 VALUE = re.compile(r"(?!-).*|-[0-9]+([,\s].*)?", re.DOTALL)
 
 
+#: The options whose value is a partition.
+PARTITIONS = ("--partition", "--top", "--bottom")
+
+
+def partition(text):
+    """The parts of partition text, largest first: parts split at commas and whitespace,
+    each a positive integer in ASCII digits; ValueError for any other text."""
+    tokens = text.replace(",", " ").split()
+    if not all(re.fullmatch("0*[1-9][0-9]*", token) for token in tokens):
+        raise ValueError(f"not a partition: {text!r}")
+    return tuple(sorted(map(int, tokens), reverse=True))
+
+
+def bound(fields):
+    """The exit code and error line of a read line whose size its bound refuses, else None.
+
+    The size is --size, or the sum of the largest partition the line carries.
+    """
+    sizes = [sum(value) for value in fields.values() if isinstance(value, tuple)]
+    size, most = max(sizes) if sizes else fields["size"], fields["max_size"]
+    if size < 0:
+        return 2, f"error: n must be nonnegative, got {size}"
+    if most < 0:
+        return 2, f"error: the size bound must be nonnegative, got {most}"
+    if size > most:
+        return 3, f"error: size {size} exceeds the size bound {most}"
+    return None
+
+
 def reference(argv):
     """What the table's rules make of argv, read without cli._parse: "help", the namespace's
-    fields as a dict, or None for a line that is refused."""
+    fields as a dict, (exit code, error line) for a read line its bound refuses, or None for
+    a line that is refused as it is read."""
     if argv in (["-h"], ["--help"]):
         return "help"
     if argv == ["--version"]:
@@ -56,7 +87,7 @@ def reference(argv):
         if i + 1 == len(argv) or not VALUE.fullmatch(argv[i + 1]):
             return None
         try:
-            value = opt.convert(argv[i + 1])
+            value = (partition if token in PARTITIONS else opt.convert)(argv[i + 1])
         except ValueError:
             return None
         if opt.choices and value not in opt.choices:
@@ -66,7 +97,7 @@ def reference(argv):
         return None
     fields = {flag.lstrip("-").replace("-", "_"): given_values.get(flag, opt.default)
               for flag, opt in by_flag.items()}
-    return {"func": COMMANDS[argv[0]].run, **fields}
+    return bound(fields) or {"func": COMMANDS[argv[0]].run, **fields}
 
 
 def run(argv):
@@ -149,9 +180,12 @@ class TestAgainstAReferenceReader:
         argv, canonical = drawn
         expected = reference(argv)
         if canonical:
-            assert isinstance(expected, dict)
+            assert isinstance(expected, (dict, tuple))
         if isinstance(expected, dict):
             assert vars(_parse(argv)) == expected
+        elif isinstance(expected, tuple):
+            code, line = expected
+            assert run(argv) == (code, "", line + "\n")
         elif expected == "help":
             assert help_text(argv) == help_text([argv[0], "--help"])
         else:
@@ -159,14 +193,14 @@ class TestAgainstAReferenceReader:
 
     @pytest.mark.parametrize("argv", [
         ["check", "--eps", "-1", "--partition", "6,1,1"],
-        ["check", "--partition", "-3", "--oracle", "--cache", "c", "--eps", "+1",
-         "--max-size", "-1", "--format", "json"],
+        ["check", "--partition", "3", "--oracle", "--cache", "c", "--eps", "+1",
+         "--max-size", "003", "--format", "json"],
         ["survey", "--size", "16", "--eps", "1", "--format", "csv"],
         ["hasse", "--eps", "-1", "--size", "18", "--format", "json"],
         ["reduce", "--eps", "-1", "--top", "6,1,1", "--bottom", "4,2,2"],
         ["classify", "--bottom", "4,2,2", "--top", "6,1,1", "--eps", "-1", "--format", "text"],
         ["dim", "--eps", "1", "--partition", "9,7,3,3,1,1"],
-        ["verify", "--eps", "-1", "--partition", "6,1,1", "--format", "text"],
+        ["verify", "--eps", "-1", "--partition", "6,1,1"],
         ["--version"],
     ], ids=lambda argv: argv[0])
     def test_canonical_lines_parse_as_the_reference_reads_them(self, argv):
@@ -223,8 +257,8 @@ ERRORS = [
      "--format must be one of json, text, got 'csv'"),
     (["hasse", "--eps", "-1", "--size", "4", "--format", "text"],
      "--format must be one of dot, json, got 'text'"),
-    (["verify", "--eps", "-1", "--partition", "6,1,1", "--format", "json"],
-     "--format must be one of text, got 'json'"),
+    (["verify", "--eps", "-1", "--partition", "6,1,1", "--format", "text"],
+     "verify has no option '--format'"),
 ]
 
 
@@ -261,16 +295,18 @@ INTEGER_OPTIONS = [(name, opt.flag) for name, command in COMMANDS.items()
 #: A value of each required option that the command line takes as it stands.
 REQUIRED = {"--eps": "1", "--partition": "3,1", "--size": "3", "--top": "3,1",
             "--bottom": "1,1,1,1"}
+#: Values of the required options that make a line of size 0, within any bound of 0 or more.
+EMPTY = {**REQUIRED, "--partition": "", "--size": "0", "--top": "", "--bottom": ""}
 
 
-def with_value(name, flag, text):
-    """name's command line with its required options and flag set to text."""
+def with_value(name, flag, text, required=REQUIRED):
+    """name's command line with its required options as in required and flag set to text."""
     argv = [name]
     for opt in COMMANDS[name].options:
         if opt.flag == flag:
             argv += [flag, text]
         elif opt.required:
-            argv += [opt.flag, REQUIRED[opt.flag]]
+            argv += [opt.flag, required[opt.flag]]
     return argv
 
 
@@ -291,8 +327,14 @@ def test_an_integer_option_takes_only_integer_text(name, flag, text):
 @pytest.mark.parametrize("name, flag", INTEGER_OPTIONS, ids=map(" ".join, INTEGER_OPTIONS))
 @pytest.mark.parametrize("text, value", [("0", 0), ("-1", -1), ("007", 7)])
 def test_an_integer_option_takes_zero_negatives_and_leading_zeros(name, flag, text, value):
-    args = _parse(with_value(name, flag, text))
-    assert getattr(args, flag[2:].replace("-", "_")) == value
+    # on a line of size 0, so that a bound of 0 holds; a negative value is read, and the
+    # bound's check names it
+    argv = with_value(name, flag, text, EMPTY)
+    if value < 0:
+        what = "n" if flag == "--size" else "the size bound"
+        assert refused(argv) == f"error: {what} must be nonnegative, got {value}"
+    else:
+        assert getattr(_parse(argv), flag[2:].replace("-", "_")) == value
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -365,6 +365,18 @@ def test_every_raise_names_a_package_exception_and_only_check_size_a_capacity_er
     assert raised.count("CapacityError") == 1 and capacity == ["cli.check_size"]
 
 
+def test_the_size_bound_is_checked_in_one_place_where_a_line_is_read():
+    # a command line's size is bounded once, as it is read, and not again by a command
+    callers = []
+    for path in sorted(Path(orbitnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [f"{path.stem}.{func.name}" for func in ast.walk(tree)
+                    if isinstance(func, ast.FunctionDef)
+                    for call in ast.walk(func) if isinstance(call, ast.Call)
+                    and ast.unparse(call.func) == "check_size"]
+    assert callers == ["cli._parse"]
+
+
 def test_every_public_definition_is_used_by_the_package_or_the_acceptance_suite():
     # code that only the tests need lives in the tests: each top-level function, class or
     # assigned name without a leading underscore is named in src/ outside its own
